@@ -85,11 +85,13 @@ scenario_shard() {
 
 # The batching layer end to end (ARCHITECTURE.md §7): the group-commit path
 # at the scale geography must stay violation-free while repairs are
-# coalesced across whole batches; --batch 1 must write the byte-identical
-# serve CSV to the unflagged engine; and the ingest-time counter projection
-# (the CSV's first seven rows) must be identical across batch sizes —
-# equilibrium-derived gauges below that line may legitimately differ (a
-# union repair is one game, not N).
+# coalesced across whole batches; the batch-of-one case (--batch 1, also
+# under a two-shard router whose handoffs go through one-event slices) must
+# write the byte-identical serve CSV to the golden files in ci/golden/,
+# recorded when per-event serving was a separate code path; and the
+# ingest-time counter projection (the CSV's first seven rows) must be
+# identical across batch sizes — equilibrium-derived gauges below that line
+# may legitimately differ (a union repair is one game, not N).
 scenario_batch() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \
@@ -99,11 +101,13 @@ scenario_batch() {
   grep -E '^certificate_violations,0$' "$out/batch64.csv"
   grep -E '^audits,[1-9]' "$out/batch64.csv"
   idde serve \
-    --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/base.csv"
-  idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b1.csv" \
     --batch 1
-  cmp "$out/base.csv" "$out/b1.csv"
+  cmp ci/golden/serve_b1.csv "$out/b1.csv"
+  idde serve \
+    --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/k2.csv" \
+    --shards 2
+  cmp ci/golden/serve_k2.csv "$out/k2.csv"
   idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b64.csv" \
     --batch 64

@@ -210,7 +210,7 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idde_dist::{DeliveryStrategy, InstallDemand, SteinerTree, Unicast};
+    use idde_dist::{DistributionStrategy, InstallDemand, SteinerTree, Unicast};
     use idde_model::{DataId, MegaBytes, MegaBytesPerSec};
     use idde_net::Link;
 

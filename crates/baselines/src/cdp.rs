@@ -19,7 +19,7 @@
 use idde_core::{Problem, Strategy};
 use idde_model::{Allocation, ChannelIndex, DataId, Placement, ServerId};
 
-use crate::DeliveryStrategy;
+use crate::SolveStrategy;
 
 /// The CDP baseline. Stateless and deterministic.
 #[derive(Clone, Copy, Debug, Default)]
@@ -67,7 +67,7 @@ impl Cdp {
     }
 }
 
-impl DeliveryStrategy for Cdp {
+impl SolveStrategy for Cdp {
     fn name(&self) -> &'static str {
         "CDP"
     }

@@ -18,7 +18,7 @@
 use idde_core::{BenefitModel, GameConfig, IddeUGame, Problem, Strategy};
 use idde_model::{DataId, Placement, ServerId};
 
-use crate::DeliveryStrategy;
+use crate::SolveStrategy;
 
 /// The DUP-G baseline.
 #[derive(Clone, Copy, Debug)]
@@ -34,7 +34,7 @@ impl Default for DupG {
     }
 }
 
-impl DeliveryStrategy for DupG {
+impl SolveStrategy for DupG {
     fn name(&self) -> &'static str {
         "DUP-G"
     }
@@ -127,7 +127,7 @@ mod tests {
         // a hair above) IDDE-G. Allow a 0.1% relative margin so the test
         // still catches DUP-G *systematically* beating IDDE-G without being
         // brittle to the RNG stream behind the scenario sampler.
-        use crate::{DeliveryStrategy as _, IddeGStrategy};
+        use crate::{IddeGStrategy, SolveStrategy as _};
         let mut dup_total = 0.0;
         let mut idde_total = 0.0;
         for seed in 0..5u64 {

@@ -20,7 +20,7 @@ use std::time::Duration;
 use idde_core::{Problem, Strategy};
 use idde_solver::{AllocationSearch, Budget, PlacementSearch};
 
-use crate::DeliveryStrategy;
+use crate::SolveStrategy;
 
 /// The IDDE-IP baseline.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +69,7 @@ impl Default for IddeIp {
     }
 }
 
-impl DeliveryStrategy for IddeIp {
+impl SolveStrategy for IddeIp {
     fn name(&self) -> &'static str {
         "IDDE-IP"
     }

@@ -32,7 +32,7 @@ pub use iddeip::IddeIp;
 pub use saa::Saa;
 
 /// A complete approach for formulating IDDE strategies.
-pub trait DeliveryStrategy {
+pub trait SolveStrategy {
     /// Display name used in reports and figures.
     fn name(&self) -> &'static str;
 
@@ -49,7 +49,7 @@ pub struct IddeGStrategy {
     pub inner: IddeG,
 }
 
-impl DeliveryStrategy for IddeGStrategy {
+impl SolveStrategy for IddeGStrategy {
     fn name(&self) -> &'static str {
         "IDDE-G"
     }
@@ -63,7 +63,7 @@ impl DeliveryStrategy for IddeGStrategy {
 
 /// The full §4.1 panel in the paper's presentation order, with the given
 /// IDDE-IP budget (the paper limits CP Optimizer to 100 s; scale to taste).
-pub fn standard_panel(iddeip_budget: Duration) -> Vec<Box<dyn DeliveryStrategy + Send + Sync>> {
+pub fn standard_panel(iddeip_budget: Duration) -> Vec<Box<dyn SolveStrategy + Send + Sync>> {
     vec![
         Box::new(IddeIp::with_budget(iddeip_budget)),
         Box::new(IddeGStrategy::default()),

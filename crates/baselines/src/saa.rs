@@ -17,7 +17,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::DeliveryStrategy;
+use crate::SolveStrategy;
 
 /// The SAA baseline.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +110,7 @@ impl Saa {
     }
 }
 
-impl DeliveryStrategy for Saa {
+impl SolveStrategy for Saa {
     fn name(&self) -> &'static str {
         "SAA"
     }

@@ -8,7 +8,7 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use idde_baselines::{Cdp, DeliveryStrategy, DupG, IddeGStrategy, IddeIp, Saa};
+use idde_baselines::{Cdp, DupG, IddeGStrategy, IddeIp, Saa, SolveStrategy};
 use std::hint::black_box;
 
 fn strategies(c: &mut Criterion) {

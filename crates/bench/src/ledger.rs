@@ -449,7 +449,7 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
 /// 2000-server / 5000-user engine at several group-commit sizes. The
 /// `threads` column records the batch size B and every point runs
 /// single-threaded, so the medians' ratio is the pure batching win:
-/// per-event ingestion pays a full interference-field rebuild, a restricted
+/// at B = 1 ingestion pays a full interference-field rebuild, a restricted
 /// Nash repair and a placement repair *per event*, while the group commit
 /// pays them once per batch. Engine construction (a full-scale initial
 /// solve) and the per-sample engine clone happen outside the timed region —
@@ -465,7 +465,7 @@ fn batch_ingestion_case(cfg: &LedgerConfig, batches: &[u64]) -> BenchCase {
     let problem = Problem::standard(scenario, &mut rng);
     let m = problem.scenario.num_users();
     // A third of the population starts active: representative repair cost
-    // without making the B = 1 oracle point glacial (~1 s per event).
+    // without making the B = 1 point glacial (~1 s per event).
     let initial: Vec<bool> = (0..m).map(|j| j % 3 == 0).collect();
     let config = EngineConfig { checkpoint_interval: 0, ..EngineConfig::default() };
     let proto = Engine::new(problem, config, initial);

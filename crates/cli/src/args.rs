@@ -54,14 +54,14 @@ its own engine and the shards exchange halo state every tick;
 `--shards 1` is byte-identical to the unsharded engine, and with
 `--audit N` a per-tick cross-shard audit certifies the shards agree
 on one global interference field (reported separately from the CSV).
-`--batch N` group-commits churn through the engine's batched
-ingestion layer: every N ingested events (and at every request,
-fault, audit point and tick boundary) one coalesced coverage/gain
-refresh, union dirty-set repair and placement repair run instead of
-N per-event ones. `--batch 1` (the default) is the unbatched engine,
-byte-identical to previous releases; larger batches keep positions,
-activity and the coverage relation identical but may settle a
-different (equally valid) restricted equilibrium.
+`--batch N` sets how many churn events the engine's ingestion layer
+group-commits: every N ingested events (and at every request, fault,
+audit point and tick boundary) one coalesced coverage/gain refresh,
+union dirty-set repair and placement repair run instead of N separate
+ones. `--batch 1` (the default) repairs after every churn event;
+larger batches keep positions, activity and the coverage relation
+identical but may settle a different (equally valid) restricted
+equilibrium.
 `--cache POLICY` puts a deterministic on-path cache between the
 serve loop and the placement solver: opportunistic replicas admitted
 by the policy (lce, lcd, probcache or collab) into each server's
@@ -177,8 +177,8 @@ pub enum Command {
         /// `Some(1)` routes through `idde-shard` with one shard, which is
         /// byte-identical to the monolithic serve).
         shards: Option<usize>,
-        /// Group-commit size of the batched ingestion layer (1 = the
-        /// classic per-event path).
+        /// Group-commit size of the ingestion layer (1 = a repair after
+        /// every churn event).
         batch: u64,
         /// Caching policy name (normalised, lowercase; `"off"` = no cache).
         cache: String,
@@ -711,7 +711,7 @@ mod tests {
 
     #[test]
     fn parses_serve_batch() {
-        // Default 1 = the classic per-event path (the bitwise oracle).
+        // Default 1 = a repair after every churn event.
         assert!(matches!(parse(&argv("serve")).unwrap(), Command::Serve { batch: 1, .. }));
         assert!(matches!(
             parse(&argv("serve --batch 64 --ticks 50")).unwrap(),

@@ -4,7 +4,7 @@ use std::io::Read as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use idde_baselines::{standard_panel, Cdp, DeliveryStrategy, DupG, IddeGStrategy, IddeIp, Saa};
+use idde_baselines::{standard_panel, Cdp, DupG, IddeGStrategy, IddeIp, Saa, SolveStrategy};
 use idde_cache::{CacheConfig, PolicyKind};
 use idde_chaos::FaultSpec;
 use idde_core::Problem;
@@ -172,7 +172,7 @@ fn info(path: Option<&Path>) -> Result<(), String> {
 fn approach_by_name(
     name: &str,
     iddeip_ms: u64,
-) -> Result<Box<dyn DeliveryStrategy + Send + Sync>, String> {
+) -> Result<Box<dyn SolveStrategy + Send + Sync>, String> {
     Ok(match name {
         "idde-g" | "iddeg" => Box::new(IddeGStrategy::default()),
         "idde-ip" | "iddeip" => Box::new(IddeIp::with_budget(Duration::from_millis(iddeip_ms))),
@@ -405,7 +405,7 @@ fn print_ledger_table(ledger: &idde_bench::ledger::Ledger) {
     }
     // The batch_ingestion case's `threads` column records the group-commit
     // size B (every point is single-threaded); summarise the batching win
-    // as a speedup table against the B = 1 per-event oracle.
+    // as a speedup table against the B = 1 point.
     if let Some(case) = ledger.cases.iter().find(|c| c.name == "batch_ingestion") {
         let points: Vec<(usize, f64)> =
             case.points.iter().map(|p| (p.threads, p.median_ms())).collect();

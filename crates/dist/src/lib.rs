@@ -10,7 +10,7 @@
 //! * an [`InstallDemand`] batches one item's `(source-set, destination-set)`
 //!   installation round; overlapping demands for the same item are merged
 //!   ([`merge_demands`]) before planning;
-//! * [`DeliveryStrategy`] turns a demand batch into a [`DistributionPlan`]
+//! * [`DistributionStrategy`] turns a demand batch into a [`DistributionPlan`]
 //!   over the *effective* (fault-masked) topology — pure accounting, the
 //!   strategy never chooses *what* is replicated, only *how the bytes
 //!   travel*, so the final `Placement` is strategy-invariant by
@@ -57,7 +57,7 @@ pub mod strategy;
 
 pub use demand::{merge_demands, InstallDemand};
 pub use plan::{DemandPlan, DestInstall, DistConfig, DistCounters, DistributionPlan, StrategyKind};
-pub use strategy::{DeliveryStrategy, SteinerTree, Unicast};
+pub use strategy::{DistributionStrategy, SteinerTree, Unicast};
 
 #[doc(no_inline)]
 pub use idde_net::PathModel;

@@ -17,7 +17,7 @@ use crate::plan::{DemandPlan, DestInstall, DistConfig, DistributionPlan, Strateg
 /// *what* is replicated — the destination sets come in as demands — so the
 /// resulting [`Placement`](idde_model::Placement) is strategy-invariant by
 /// construction and strategies differ only in cost and delay.
-pub trait DeliveryStrategy {
+pub trait DistributionStrategy {
     /// Which [`StrategyKind`] this strategy implements.
     fn kind(&self) -> StrategyKind;
 
@@ -37,7 +37,7 @@ pub trait DeliveryStrategy {
 
 impl StrategyKind {
     /// A boxed instance of the strategy this kind names.
-    pub fn strategy(self) -> Box<dyn DeliveryStrategy + Send + Sync> {
+    pub fn strategy(self) -> Box<dyn DistributionStrategy + Send + Sync> {
         match self {
             StrategyKind::Unicast => Box::new(Unicast),
             StrategyKind::Steiner => Box::new(SteinerTree),
@@ -52,7 +52,7 @@ impl StrategyKind {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Unicast;
 
-impl DeliveryStrategy for Unicast {
+impl DistributionStrategy for Unicast {
     fn kind(&self) -> StrategyKind {
         StrategyKind::Unicast
     }
@@ -131,7 +131,7 @@ impl DeliveryStrategy for Unicast {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SteinerTree;
 
-impl DeliveryStrategy for SteinerTree {
+impl DistributionStrategy for SteinerTree {
     fn kind(&self) -> StrategyKind {
         StrategyKind::Steiner
     }

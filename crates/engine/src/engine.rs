@@ -8,10 +8,11 @@
 //! replicas (the greedy treats them as cloud-served), and the offline
 //! formulation needs no structural changes to serve an online stream.
 //!
-//! On every churn event the engine computes a **dirty set** — the mover plus
-//! the co-channel sharers of the vacated slot plus every user within
-//! cross-interference range of the affected neighbourhood — and runs
-//! best-response passes restricted to that set
+//! Churn events are ingested and group-committed by one flush (see
+//! [`EngineConfig::batch`]; at the default batch of 1 every churn event is
+//! flushed on its own). A flush computes a **dirty set** — the arrivals and
+//! movers plus every allocated user within cross-interference range of the
+//! affected neighbourhood — and runs best-response passes restricted to that set
 //! ([`IddeUGame::run_restricted`]); frozen users keep their decisions but
 //! still exert interference, so the repair converges to a *restricted* Nash
 //! equilibrium. Residual staleness (users outside the dirty set whose best
@@ -80,17 +81,16 @@ pub struct EngineConfig {
     pub audit_every: u64,
     /// Tolerances the audits compare with.
     pub audit: AuditConfig,
-    /// Group-commit size of the batched ingestion layer used by
-    /// [`Engine::apply_batch`]: churn events (arrivals, departures, moves)
-    /// are *ingested* — state-exact activity flips, per-step clamped
+    /// Group-commit size of the ingestion layer behind [`Engine::apply`]
+    /// and [`Engine::apply_batch`]: churn events (arrivals, departures,
+    /// moves) are *ingested* — state-exact activity flips, per-step clamped
     /// positions, released channels — while their coverage/gain refresh and
     /// dirty-set repair are deferred and coalesced into **one**
-    /// group-committed repair per `batch` ingested events. `1` (the
-    /// default) disables batching: every event runs the classic per-event
-    /// path and the serve CSV is byte-identical to the unbatched engine —
-    /// the bitwise oracle batched runs are validated against. Requests,
-    /// fault events, audit points and tick boundaries are flush barriers,
-    /// so no event is ever served or audited against deferred state.
+    /// group-committed repair per `batch` ingested events. At `1` (the
+    /// default) every churn event is flushed as soon as it is ingested, so
+    /// each gets its own repair. Requests, fault events, audit points and
+    /// slice ends are flush barriers, so no event is ever served or
+    /// audited against deferred state.
     pub batch: u64,
     /// On-path caching layer configuration. The default policy is
     /// [`idde_cache::PolicyKind::Off`], under which the engine constructs
@@ -107,7 +107,7 @@ pub struct EngineConfig {
     /// — the initial placement install and each placement repair's newly
     /// installed replicas (post-outage re-replication and rebalancing
     /// handoffs both flow through the repair) — is planned by the
-    /// configured [`idde_dist::DeliveryStrategy`] over the effective
+    /// configured [`idde_dist::DistributionStrategy`] over the effective
     /// fault-masked topology, and (when [`EngineConfig::audit_every`] is
     /// nonzero) re-derived by [`idde_audit::Auditor::audit_distribution`].
     pub dist: DistConfig,
@@ -130,12 +130,13 @@ impl Default for EngineConfig {
     }
 }
 
-/// Deferred work accumulated by the batched ingestion layer between two
-/// flushes (see [`EngineConfig::batch`]). Ingested events have already made
-/// their *state-exact* effects — activity flips, per-step clamped positions,
+/// Deferred work accumulated by the ingestion layer between two flushes
+/// (see [`EngineConfig::batch`]). Ingested events have already made their
+/// *state-exact* effects — activity flips, per-step clamped positions,
 /// released channels, event counters — so the pending record only carries
 /// what the group commit still owes: which users need their coverage/gain
 /// columns refreshed, and which users/servers seed the union dirty set.
+/// Fault repairs borrow the same seed lists (see [`Engine::dirty_union`]).
 #[derive(Clone, Debug, Default)]
 struct PendingBatch {
     /// Movers whose coverage/gain refresh is deferred to the flush, paired
@@ -143,7 +144,7 @@ struct PendingBatch {
     /// flush can tell whether the demand geometry moved and a placement
     /// repair is owed). Positions are already final — every step of the
     /// chain was clamped at ingest, so the net relocation is bitwise equal
-    /// to the unbatched replay.
+    /// to a flush after every step.
     moved: Vec<(UserId, Option<ServerId>)>,
     /// Users seeding the union dirty set (arrivals and movers); their
     /// *fresh* post-flush coverage neighbourhood joins the union.
@@ -156,6 +157,20 @@ struct PendingBatch {
     placement_dirty: bool,
     /// Ingested-but-unflushed event count.
     len: u64,
+}
+
+/// Which active users outside the seeds a dirty set admits (see
+/// [`Engine::dirty_union`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Admit {
+    /// Churn flushes: only users allocated on, or covered by, a `near`
+    /// server. Unallocated bystanders stay frozen; the drift checkpoints
+    /// bound what they miss.
+    Allocated,
+    /// Fault repairs (outage, jam, unjam): also unallocated users covered
+    /// by a `near` server, since the fault changed what their coverage
+    /// offers.
+    Unallocated,
 }
 
 /// The online event-driven serving engine.
@@ -187,15 +202,12 @@ pub struct Engine {
     /// Deferred-ingest state of the batching layer; empty outside
     /// [`Engine::apply_batch`] (every slice ends with a flush).
     pending: PendingBatch,
-    /// Reusable dirty-set output: [`Engine::dirty_set`] and friends fill
-    /// this in place instead of allocating, sorting and deduping a fresh
-    /// `Vec<UserId>` on every event.
+    /// Reusable dirty-set output: [`Engine::dirty_union`] fills this in
+    /// place instead of allocating, sorting and deduping a fresh
+    /// `Vec<UserId>` on every repair.
     dirty_scratch: Vec<UserId>,
-    /// Server-neighbourhood scratch backing the dirty-set computations.
+    /// Server-neighbourhood scratch backing [`Engine::dirty_union`].
     near_scratch: Vec<ServerId>,
-    /// Pre-move coverage scratch: `apply_move` snapshots the vacated
-    /// neighbourhood here before the coverage hook rewrites it.
-    cover_scratch: Vec<ServerId>,
     /// Gain-refresh candidate scratch threaded through every mobility
     /// event's restricted column refresh.
     gain_scratch: Vec<ServerId>,
@@ -252,7 +264,6 @@ impl Engine {
             pending: PendingBatch::default(),
             dirty_scratch: Vec::new(),
             near_scratch: Vec::new(),
-            cover_scratch: Vec::new(),
             gain_scratch: Vec::new(),
             field_buffers: idde_radio::FieldBuffers::default(),
         };
@@ -380,9 +391,7 @@ impl Engine {
                 source.push_tick(tick, &self.active, &mut queue);
             }
             // Drain the tick's events in (tick, seq) order into one slice
-            // and route it through the batching layer. At `batch == 1` the
-            // slice replays through the classic per-event path, so the
-            // collect step changes nothing observable.
+            // and route it through the batching layer.
             slice.clear();
             while let Some(scheduled) = queue.pop() {
                 slice.push(scheduled.event);
@@ -426,107 +435,60 @@ impl Engine {
             .count() as u64
     }
 
-    /// Applies one event. Events that no longer make sense (arrival of an
-    /// active slot, departure/move/request of an inactive one) are counted
-    /// but otherwise ignored, so external producers need not be perfectly
-    /// synchronised with the engine state.
+    /// Applies one event: the batch-of-one case of [`Engine::apply_batch`],
+    /// so the event's repair is committed before this returns. Events that
+    /// no longer make sense (arrival of an active slot,
+    /// departure/move/request of an inactive one) are counted but otherwise
+    /// ignored, so external producers need not be perfectly synchronised
+    /// with the engine state.
     pub fn apply(&mut self, event: &Event) {
-        self.metrics.events += 1;
-        match *event {
-            Event::Arrive { user } => self.apply_arrive(user),
-            Event::Depart { user } => self.apply_depart(user),
-            Event::Move { user, dx, dy } => self.apply_move(user, dx, dy),
-            Event::Request { user, data } => self.apply_request(user, data),
-            Event::LinkDown { a, b } => self.apply_link_down(a, b),
-            Event::LinkRestore { a, b } => self.apply_link_restore(a, b),
-            Event::LinkDegrade { a, b, factor } => self.apply_link_degrade(a, b, factor),
-            Event::ServerDown { server } => self.apply_server_down(server),
-            Event::ServerRestore { server } => self.apply_server_restore(server),
-            Event::Jam { server, floor_w } => self.apply_jam(server, floor_w),
-            Event::Unjam { server } => self.apply_unjam(server),
-        }
-        let every = self.config.audit_every;
-        // `events % every` rather than `u64::is_multiple_of` — the latter
-        // needs Rust 1.87, above the workspace MSRV.
-        #[allow(clippy::manual_is_multiple_of)]
-        if every > 0 && self.metrics.events % every == 0 {
-            self.run_audit();
-        }
+        self.apply_batch(std::slice::from_ref(event));
     }
 
-    /// Applies a slice of events through the batched ingestion layer.
+    /// Applies a slice of events through the ingestion layer.
     ///
-    /// At [`EngineConfig::batch`] `<= 1` this is exactly a sequential
-    /// [`Engine::apply`] loop — the bitwise oracle. At larger batch sizes,
-    /// churn events are *ingested*: their state-exact effects (activity
+    /// Churn events are *ingested*: their state-exact effects (activity
     /// flips, per-step clamped positions, released channels, counters) land
     /// immediately, while the coverage/gain refresh, the dirty-set repair
     /// and the placement repair are deferred and **group-committed** once
-    /// per `batch` ingested events — same-user move chains coalesce into
-    /// one net relocation, the per-event dirty sets union into a single
-    /// restricted repair. Requests, fault events and audit points are flush
-    /// barriers (they observe fully committed state, exactly as unbatched),
-    /// and the slice always ends flushed, so callers never see deferred
-    /// state.
+    /// per [`EngineConfig::batch`] ingested events — same-user move chains
+    /// coalesce into one net relocation, the per-event dirty sets union
+    /// into a single restricted repair. Requests, fault events and audit
+    /// points are flush barriers (they observe fully committed state), and
+    /// the slice always ends flushed, so callers never see deferred state.
     ///
     /// Determinism contract: a fixed `(seed, batch)` replay is bitwise
     /// reproducible, and across batch sizes the positions, activity flags,
     /// coverage relation and ingest counters are identical; the repaired
     /// *equilibrium* may differ (a union repair is one restricted game, not
     /// N sequential ones), which is why equilibrium-derived gauges in the
-    /// CSV are only guaranteed stable at `batch == 1`.
+    /// CSV are only comparable between runs at the same batch size.
     pub fn apply_batch(&mut self, events: &[Event]) {
-        if self.config.batch <= 1 {
-            for event in events {
-                self.apply(event);
-            }
-            return;
-        }
         for event in events {
             self.metrics.events += 1;
+            // Serving and fault handling always observe committed state.
+            if !matches!(event, Event::Arrive { .. } | Event::Depart { .. } | Event::Move { .. }) {
+                self.flush_pending();
+            }
             match *event {
                 Event::Arrive { user } => self.ingest_arrive(user),
                 Event::Depart { user } => self.ingest_depart(user),
                 Event::Move { user, dx, dy } => self.ingest_move(user, dx, dy),
-                // Serving and fault handling always observe committed state.
-                Event::Request { user, data } => {
-                    self.flush_pending();
-                    self.apply_request(user, data);
-                }
-                Event::LinkDown { a, b } => {
-                    self.flush_pending();
-                    self.apply_link_down(a, b);
-                }
-                Event::LinkRestore { a, b } => {
-                    self.flush_pending();
-                    self.apply_link_restore(a, b);
-                }
-                Event::LinkDegrade { a, b, factor } => {
-                    self.flush_pending();
-                    self.apply_link_degrade(a, b, factor);
-                }
-                Event::ServerDown { server } => {
-                    self.flush_pending();
-                    self.apply_server_down(server);
-                }
-                Event::ServerRestore { server } => {
-                    self.flush_pending();
-                    self.apply_server_restore(server);
-                }
-                Event::Jam { server, floor_w } => {
-                    self.flush_pending();
-                    self.apply_jam(server, floor_w);
-                }
-                Event::Unjam { server } => {
-                    self.flush_pending();
-                    self.apply_unjam(server);
-                }
+                Event::Request { user, data } => self.apply_request(user, data),
+                Event::LinkDown { a, b } => self.apply_link_down(a, b),
+                Event::LinkRestore { a, b } => self.apply_link_restore(a, b),
+                Event::LinkDegrade { a, b, factor } => self.apply_link_degrade(a, b, factor),
+                Event::ServerDown { server } => self.apply_server_down(server),
+                Event::ServerRestore { server } => self.apply_server_restore(server),
+                Event::Jam { server, floor_w } => self.apply_jam(server, floor_w),
+                Event::Unjam { server } => self.apply_unjam(server),
             }
             if self.pending.len >= self.config.batch {
                 self.flush_pending();
             }
             let every = self.config.audit_every;
-            // Same cadence as [`Engine::apply`]; the audit is a flush
+            // `events % every` rather than `u64::is_multiple_of` — the latter
+            // needs Rust 1.87, above the workspace MSRV. The audit is a flush
             // barrier so it never inspects deferred state.
             #[allow(clippy::manual_is_multiple_of)]
             if every > 0 && self.metrics.events % every == 0 {
@@ -572,10 +534,10 @@ impl Engine {
     }
 
     /// Batched move ingest: every step of a same-user chain updates the
-    /// position through the same per-step clamp as the unbatched path (so
-    /// the net position is bitwise equal to the sequential replay), but
-    /// coverage/gain refresh and repair are deferred — the chain coalesces
-    /// into one net relocation at flush. The first step snapshots the
+    /// position through the same per-step clamp (so the net position is
+    /// bitwise equal at every batch size), but coverage/gain refresh and
+    /// repair are deferred — the chain coalesces into one net relocation at
+    /// flush. The first step snapshots the
     /// vacated neighbourhood and the serving server.
     fn ingest_move(&mut self, user: UserId, dx: f64, dy: f64) {
         if !self.active[user.index()] {
@@ -628,8 +590,7 @@ impl Engine {
                 }
             }
         }
-        self.batch_dirty_union();
-        self.repair_scratch();
+        self.repair_dirty(Admit::Allocated);
         let placement_dirty = self.pending.placement_dirty
             || moved.iter().any(|&(user, old)| self.allocation.server_of(user) != old);
         if placement_dirty {
@@ -637,45 +598,8 @@ impl Engine {
         }
         self.pending.moved = moved;
         self.pending.moved.clear();
-        self.pending.dirty_users.clear();
-        self.pending.dirty_servers.clear();
         self.pending.placement_dirty = false;
         self.pending.len = 0;
-    }
-
-    /// The union dirty set of a batch flush, filled into
-    /// [`Engine::dirty_scratch`]: the pending users and every active
-    /// allocated user within cross-interference range of the pending
-    /// neighbourhood — the seeds' *fresh* covering servers (post-refresh)
-    /// unioned with the vacated servers recorded at ingest. A superset of
-    /// the union of the per-event dirty sets it replaces.
-    fn batch_dirty_union(&mut self) {
-        let coverage = &self.problem.scenario.coverage;
-        let near = &mut self.near_scratch;
-        near.clear();
-        near.extend_from_slice(&self.pending.dirty_servers);
-        for &user in &self.pending.dirty_users {
-            near.extend_from_slice(coverage.servers_of(user));
-        }
-        near.sort_unstable();
-        near.dedup();
-
-        let dirty = &mut self.dirty_scratch;
-        dirty.clear();
-        dirty.extend(self.pending.dirty_users.iter().copied().filter(|u| self.active[u.index()]));
-        for (other, decision) in self.allocation.iter() {
-            if !self.active[other.index()] {
-                continue;
-            }
-            let allocated_near = decision.is_some_and(|(s, _)| near.binary_search(&s).is_ok());
-            let covered_near =
-                coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if allocated_near || covered_near {
-                dirty.push(other);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
     }
 
     /// Runs one full invariant audit over the current strategy: the
@@ -716,71 +640,6 @@ impl Engine {
     /// The healthy baseline link graph faults are applied against.
     pub fn base_graph(&self) -> &EdgeGraph {
         &self.base_graph
-    }
-
-    fn apply_arrive(&mut self, user: UserId) {
-        if self.active[user.index()] {
-            return;
-        }
-        self.active[user.index()] = true;
-        self.metrics.arrivals += 1;
-        self.dirty_set(user, None, &[]);
-        self.repair_scratch();
-        self.repair_placement();
-    }
-
-    fn apply_depart(&mut self, user: UserId) {
-        if !self.active[user.index()] {
-            return;
-        }
-        let old = self.allocation.set(user, None);
-        self.active[user.index()] = false;
-        self.metrics.departures += 1;
-        self.dirty_set(user, old, &[]);
-        self.repair_scratch();
-        self.repair_placement();
-    }
-
-    fn apply_move(&mut self, user: UserId, dx: f64, dy: f64) {
-        if !self.active[user.index()] {
-            return;
-        }
-        self.metrics.moves += 1;
-        let old_decision = self.allocation.decision(user);
-        let mut old_cover = std::mem::take(&mut self.cover_scratch);
-        old_cover.clear();
-        old_cover.extend_from_slice(self.problem.scenario.coverage.servers_of(user));
-
-        // Mutate the scenario in place: position, then the O(N)-per-user
-        // coverage and gain refresh hooks.
-        let j = user.index();
-        let moved = {
-            let scenario = &mut self.problem.scenario;
-            let p = scenario.users[j].position;
-            scenario.users[j].position = scenario.area.clamp(Point::new(p.x + dx, p.y + dy));
-            scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
-            scenario.users[j].position
-        };
-        debug_assert!(self.problem.scenario.area.contains(moved));
-        self.refresh_gains(user, moved);
-
-        // Constraint (1): a decision whose server no longer covers the user
-        // is infeasible and must be released before the field is rebuilt.
-        if let Some((server, _)) = old_decision {
-            if !self.problem.scenario.coverage.covers(server, user) {
-                self.allocation.set(user, None);
-            }
-        }
-
-        self.dirty_set(user, old_decision, &old_cover);
-        old_cover.clear();
-        self.cover_scratch = old_cover;
-        self.repair_scratch();
-        // The mover's serving server may have changed, which shifts the
-        // demand geometry Phase #2 optimises for.
-        if self.allocation.server_of(user) != old_decision.map(|(s, _)| s) {
-            self.repair_placement();
-        }
     }
 
     fn apply_request(&mut self, user: UserId, data: DataId) {
@@ -949,9 +808,10 @@ impl Engine {
             return;
         }
         self.metrics.server_outages += 1;
-        // Users whose interference/coverage environment the outage touches —
-        // gathered before the coverage relation forgets the server.
-        let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
+        // Users whose interference/coverage environment the outage touches
+        // seed the repair — gathered before the coverage relation forgets
+        // the server.
+        self.pending.dirty_users.extend_from_slice(self.problem.scenario.coverage.users_of(server));
 
         // Displace the channel occupants through the field, so the vacated
         // power sums follow the same resnap discipline as any departure.
@@ -996,8 +856,7 @@ impl Engine {
 
         // Equilibrium repair over the displaced users and the surviving
         // neighbourhood, then re-replication of what was lost.
-        self.neighbourhood_dirty_set(&affected);
-        self.repair_scratch();
+        self.repair_dirty(Admit::Unallocated);
         self.refresh_placement_after_fault();
     }
 
@@ -1024,9 +883,7 @@ impl Engine {
         self.metrics.jam_events += 1;
         // Everyone the jammed server covers sees a different Eq. 2/Eq. 12
         // trade-off now; let them re-evaluate.
-        let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected);
-        self.repair_scratch();
+        self.repair_covered_by(server);
     }
 
     fn apply_unjam(&mut self, server: ServerId) {
@@ -1035,21 +892,32 @@ impl Engine {
         }
         self.problem.radio.set_jamming(server, 0.0);
         self.metrics.restorations += 1;
-        let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected);
-        self.repair_scratch();
+        self.repair_covered_by(server);
     }
 
-    /// The dirty set of a server-scoped fault: the affected users plus every
-    /// active allocated user within cross-interference range of a server
-    /// covering one of them — the same neighbourhood notion as
-    /// [`Engine::dirty_set`], widened from one mover to a user set. Fills
-    /// [`Engine::dirty_scratch`] (sorted ascending, deduped) in place.
-    fn neighbourhood_dirty_set(&mut self, affected: &[UserId]) {
+    /// Restricted repair of a jamming change at `server`, seeded by every
+    /// user the server covers.
+    fn repair_covered_by(&mut self, server: ServerId) {
+        self.pending.dirty_users.extend_from_slice(self.problem.scenario.coverage.users_of(server));
+        self.repair_dirty(Admit::Unallocated);
+    }
+
+    /// The one dirty-set builder, filled into [`Engine::dirty_scratch`]
+    /// (sorted ascending, deduped) and consuming the seeds in
+    /// [`PendingBatch::dirty_users`] and [`PendingBatch::dirty_servers`].
+    /// The `near` neighbourhood is the seed servers plus the *current*
+    /// covering servers of every seed user; the set is the active seed
+    /// users plus every active user within cross-interference range of
+    /// `near` — allocated on, or covered by, a `near` server — as `admit`
+    /// allows. Co-channel sharers of a vacated slot need no rule of their
+    /// own: the vacated server is a seed, so they are allocated on, or
+    /// covered by, a `near` server.
+    fn dirty_union(&mut self, admit: Admit) {
         let coverage = &self.problem.scenario.coverage;
         let near = &mut self.near_scratch;
         near.clear();
-        for &user in affected {
+        near.append(&mut self.pending.dirty_servers);
+        for &user in &self.pending.dirty_users {
             near.extend_from_slice(coverage.servers_of(user));
         }
         near.sort_unstable();
@@ -1057,68 +925,18 @@ impl Engine {
 
         let dirty = &mut self.dirty_scratch;
         dirty.clear();
-        dirty.extend(affected.iter().copied().filter(|u| self.active[u.index()]));
+        dirty.extend(self.pending.dirty_users.drain(..).filter(|u| self.active[u.index()]));
         for (other, decision) in self.allocation.iter() {
             if !self.active[other.index()] {
                 continue;
             }
-            let allocated_near = decision.is_some_and(|(s, _)| near.binary_search(&s).is_ok());
             let covered_near =
-                coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if allocated_near || covered_near {
-                dirty.push(other);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-    }
-
-    /// The dirty set of a churn event concerning `user`: the user itself (if
-    /// active), the co-channel sharers of its vacated slot `old`, and every
-    /// active allocated user within cross-interference range of the affected
-    /// neighbourhood (the servers covering the user — before the move, via
-    /// `extra_servers`, and after). Fills [`Engine::dirty_scratch`] (sorted
-    /// ascending, deduped) in place, so restricted repair is deterministic
-    /// and the hot path stops allocating a fresh `Vec` per event.
-    fn dirty_set(
-        &mut self,
-        user: UserId,
-        old: Option<(ServerId, ChannelIndex)>,
-        extra_servers: &[ServerId],
-    ) {
-        let coverage = &self.problem.scenario.coverage;
-        let near = &mut self.near_scratch;
-        near.clear();
-        near.extend_from_slice(coverage.servers_of(user));
-        near.extend_from_slice(extra_servers);
-        if let Some((server, _)) = old {
-            near.push(server);
-        }
-        near.sort_unstable();
-        near.dedup();
-
-        let dirty = &mut self.dirty_scratch;
-        dirty.clear();
-        if self.active[user.index()] {
-            dirty.push(user);
-        }
-        for (other, decision) in self.allocation.iter() {
-            if other == user || !self.active[other.index()] {
-                continue;
-            }
-            let Some((server, channel)) = decision else { continue };
-            // Co-channel sharers of the vacated slot: same channel index on
-            // the old server, or on another server from which the old server
-            // is within the sharer's cross-interference range (Eq. 2).
-            let shares_old_slot = old.is_some_and(|(old_server, old_channel)| {
-                channel == old_channel
-                    && (server == old_server || coverage.covers(old_server, other))
-            });
-            // Cross-interference range of the mover's neighbourhood: users
-            // allocated to, or covered by, a server that covers the mover.
-            let in_range = near.binary_search(&server).is_ok()
                 || coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if shares_old_slot || in_range {
+            let in_range = match decision {
+                Some((server, _)) => near.binary_search(&server).is_ok() || covered_near(),
+                None => admit == Admit::Unallocated && covered_near(),
+            };
+            if in_range {
                 dirty.push(other);
             }
         }
@@ -1126,10 +944,11 @@ impl Engine {
         dirty.dedup();
     }
 
-    /// Repairs over the dirty set currently held in
-    /// [`Engine::dirty_scratch`], handing the scratch back afterwards so
-    /// the next event reuses its capacity.
-    fn repair_scratch(&mut self) {
+    /// Builds the dirty set from the pending seeds ([`Engine::dirty_union`])
+    /// and repairs over it, keeping the scratch capacity for the next
+    /// repair.
+    fn repair_dirty(&mut self, admit: Admit) {
+        self.dirty_union(admit);
         let dirty = std::mem::take(&mut self.dirty_scratch);
         self.repair(&dirty);
         self.dirty_scratch = dirty;
@@ -1674,12 +1493,12 @@ mod tests {
         assert_eq!(e.metrics().link_faults, 2);
     }
 
-    /// Satellite audit of `apply_move`'s out-of-coverage release: the move
-    /// handler clears the infeasible decision via `allocation.set(user,
-    /// None)` *without* an explicit field deallocation — which is sound
-    /// because `repair` always rebuilds the interference field from the
-    /// allocation (no field persists between events), the same discipline
-    /// `apply_depart` relies on. This regression test pins that soundness:
+    /// Audit of the move flush's out-of-coverage release: the flush clears
+    /// the infeasible decision via `allocation.set(user, None)` *without* an
+    /// explicit field deallocation — which is sound because `repair` always
+    /// rebuilds the interference field from the allocation (no field
+    /// persists between flushes), the same discipline a departure's ingest
+    /// relies on. This regression test pins that soundness:
     /// a user flung outside every coverage disc ends up unallocated, the
     /// induced field passes `consistency_check`, and the full Auditor
     /// (including the Eq. 2–4 reference SINR, which also exercises the
@@ -1795,79 +1614,50 @@ mod tests {
         assert!(report.is_clean(), "{report}");
     }
 
-    /// Satellite regression for the dirty-set scratch hoist: the reusable
-    /// scratch must produce exactly the same sorted, deduped repair order
-    /// as a fresh computation — reuse may never leak stale entries from a
-    /// previous event into the next repair's player set.
+    /// Regression for the dirty-set scratch hoist: the reusable scratch
+    /// must produce exactly the same sorted, deduped repair order as a
+    /// fresh computation — reuse may never leak stale entries from a
+    /// previous repair into the next repair's player set — under both
+    /// admission rules, and the builder must consume its seeds.
     #[test]
     fn dirty_scratch_reuse_keeps_repair_order_identical() {
         let mut e = engine(16);
         let user = e.active_users()[2];
-        // Prime every scratch with leftovers from real churn.
+        // Prime every scratch with leftovers from real churn and a fault.
         e.apply(&Event::Move { user, dx: 150.0, dy: -40.0 });
         e.apply(&Event::Depart { user });
         e.apply(&Event::Arrive { user });
+        e.apply(&Event::Jam { server: ServerId(0), floor_w: 1e-6 });
 
-        let old = e.allocation.decision(user);
-        e.dirty_set(user, old, &[]);
-        let primed = e.dirty_scratch.clone();
-        assert!(
-            primed.windows(2).all(|w| w[0] < w[1]),
-            "repair order must stay sorted and deduped"
-        );
-        // Same computation through virgin scratch buffers.
-        let mut fresh = e.clone();
-        fresh.dirty_scratch = Vec::new();
-        fresh.near_scratch = Vec::new();
-        fresh.dirty_set(user, old, &[]);
-        assert_eq!(primed, fresh.dirty_scratch, "scratch reuse changed the repair order");
-        // And idempotent: refilling the already-used scratch is stable.
-        e.dirty_set(user, old, &[]);
-        assert_eq!(primed, e.dirty_scratch);
-
-        // The neighbourhood variant honours the same contract.
+        let old = e.allocation.server_of(user);
         let affected = e.active_users();
-        e.neighbourhood_dirty_set(&affected);
-        let primed = e.dirty_scratch.clone();
-        fresh.dirty_scratch = Vec::new();
-        fresh.near_scratch = Vec::new();
-        fresh.neighbourhood_dirty_set(&affected);
-        assert_eq!(primed, fresh.dirty_scratch);
-        assert!(primed.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    /// `apply_batch` at `batch == 1` *is* the classic per-event loop: a
-    /// scripted churn flood produces a byte-identical metrics CSV.
-    #[test]
-    fn batch_one_replays_the_per_event_path_byte_for_byte() {
-        use rand::Rng;
-        let mut a = engine(17);
-        let mut b = a.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let m = a.active().len();
-        for tick in 0..6 {
-            let events: Vec<Event> = (0..25)
-                .map(|_| {
-                    let user = UserId(rng.gen_range(0..m as u32));
-                    match rng.gen_range(0..10) {
-                        0..=5 => Event::Move {
-                            user,
-                            dx: rng.gen_range(-200.0..200.0),
-                            dy: rng.gen_range(-200.0..200.0),
-                        },
-                        6..=7 => Event::Depart { user },
-                        _ => Event::Arrive { user },
-                    }
-                })
-                .collect();
-            for event in &events {
-                a.apply(event);
-            }
-            a.end_tick(tick);
-            b.apply_batch(&events);
-            b.end_tick(tick);
+        for admit in [Admit::Allocated, Admit::Unallocated] {
+            let seed = |e: &mut Engine| {
+                e.pending.dirty_users.clear();
+                e.pending.dirty_users.push(user);
+                e.pending.dirty_users.extend_from_slice(&affected[..5]);
+                e.pending.dirty_servers.extend(old);
+            };
+            seed(&mut e);
+            e.dirty_union(admit);
+            let primed = e.dirty_scratch.clone();
+            assert!(
+                primed.windows(2).all(|w| w[0] < w[1]),
+                "repair order must stay sorted and deduped"
+            );
+            assert!(e.pending.dirty_users.is_empty() && e.pending.dirty_servers.is_empty());
+            // Same computation through virgin scratch buffers.
+            let mut fresh = e.clone();
+            fresh.dirty_scratch = Vec::new();
+            fresh.near_scratch = Vec::new();
+            seed(&mut fresh);
+            fresh.dirty_union(admit);
+            assert_eq!(primed, fresh.dirty_scratch, "scratch reuse changed the repair order");
+            // And idempotent: refilling the already-used scratch is stable.
+            seed(&mut e);
+            e.dirty_union(admit);
+            assert_eq!(primed, e.dirty_scratch);
         }
-        assert_eq!(a.metrics().to_csv(), b.metrics().to_csv());
     }
 
     /// The batched ingestion determinism contract at `batch > 1`: positions

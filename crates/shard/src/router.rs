@@ -250,10 +250,11 @@ impl ShardRouter {
                 },
             }
         }
-        // Each shard drains its interior batch through the engine's batched
-        // ingestion layer: at `batch == 1` this is the classic per-event
-        // loop; at larger sizes same-shard churn group-commits, and the
-        // slice-end flush guarantees Phase B reads fully committed state.
+        // Each shard drains its interior batch through the engine's
+        // ingestion layer: at `batch == 1` every churn event is repaired on
+        // its own; at larger sizes same-shard churn group-commits. The
+        // slice-end flush guarantees Phase B reads fully committed state,
+        // and Phase B's `Engine::apply` calls are one-event slices.
         let batches = &batches;
         idde_par::par_for_each_mut(&mut self.engines, |i, e| {
             e.engine_mut().apply_batch(&batches[i]);

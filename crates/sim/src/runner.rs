@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use idde_baselines::{standard_panel, DeliveryStrategy};
+use idde_baselines::{standard_panel, SolveStrategy};
 use idde_chaos::{Fault, FaultSpec};
 use idde_core::Problem;
 use idde_eua::{BasePopulation, SampleConfig, SyntheticEua};
@@ -205,7 +205,7 @@ impl Runner {
         Problem::new(scenario, radio, topology)
     }
 
-    fn panel(&self) -> Vec<Box<dyn DeliveryStrategy + Send + Sync>> {
+    fn panel(&self) -> Vec<Box<dyn SolveStrategy + Send + Sync>> {
         let mut panel = standard_panel(self.config.iddeip_budget);
         if self.config.skip_iddeip {
             panel.retain(|s| s.name() != "IDDE-IP");

@@ -1,9 +1,8 @@
-//! Batched-ingestion equivalence (ISSUE 7, satellite 4): across random
-//! churn floods the group-commit layer must honour its determinism
-//! contract at every batch size.
+//! Batched-ingestion equivalence: across random churn floods the
+//! group-commit layer must honour its determinism contract at every batch
+//! size. (`--batch 1` exactness against recorded serve CSVs lives in
+//! `tests/golden_serve.rs`.)
 //!
-//! * `--batch 1` *is* the classic per-event path: the metrics CSV is
-//!   byte-identical to a replay through `Engine::apply`.
 //! * Across batch sizes {1, 7, 64, whole-tick}: user positions are
 //!   bitwise equal (per-step clamping happens at ingest time), activity
 //!   flags, the coverage relation and the ingest-time counters (events,
@@ -56,26 +55,15 @@ fn flood(seed: u64, ticks: usize, per_tick: usize, users: u32, servers: u32) -> 
         .collect()
 }
 
-/// Replays `ticks` on a fresh engine; `batch == 0` means the legacy
-/// per-event `apply` loop (no batch layer at all).
+/// Replays `ticks` on a fresh engine at group-commit size `batch`.
 fn replay(seed: u64, batch: u64, ticks: &[Vec<Event>]) -> Engine {
     let problem = problem(seed);
     let initial: Vec<bool> = (0..problem.scenario.num_users()).map(|j| j % 3 != 0).collect();
-    let config = EngineConfig {
-        paranoid: true,
-        checkpoint_interval: 0,
-        batch: batch.max(1),
-        ..Default::default()
-    };
+    let config =
+        EngineConfig { paranoid: true, checkpoint_interval: 0, batch, ..Default::default() };
     let mut engine = Engine::new(problem, config, initial);
     for (t, events) in ticks.iter().enumerate() {
-        if batch == 0 {
-            for event in events {
-                engine.apply(event);
-            }
-        } else {
-            engine.apply_batch(events);
-        }
+        engine.apply_batch(events);
         engine.end_tick(t as u64);
     }
     engine
@@ -91,14 +79,7 @@ proptest! {
         per_tick in 10usize..40,
     ) {
         let floods = flood(seed, ticks, per_tick, 40, 10);
-        let legacy = replay(seed, 0, &floods);
         let baseline = replay(seed, 1, &floods);
-        // Contract (a): batch = 1 is the bitwise oracle.
-        prop_assert_eq!(
-            legacy.metrics().to_csv(),
-            baseline.metrics().to_csv(),
-            "batch=1 diverged from the per-event path"
-        );
 
         let whole_tick = (ticks * per_tick) as u64;
         for batch in [7u64, 64, whole_tick] {

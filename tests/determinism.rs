@@ -13,7 +13,7 @@ fn sampled_problem(seed: u64) -> Problem {
 fn every_deterministic_approach_reproduces_bit_identically() {
     let p1 = sampled_problem(42);
     let p2 = sampled_problem(42);
-    let approaches: Vec<Box<dyn idde_baselines::DeliveryStrategy>> = vec![
+    let approaches: Vec<Box<dyn idde_baselines::SolveStrategy>> = vec![
         Box::new(IddeGStrategy::default()),
         Box::new(Saa::default()),
         Box::new(Cdp),

@@ -338,7 +338,7 @@ proptest! {
     #[test]
     fn metrics_are_sane_for_every_panelist((seed, problem) in arb_problem()) {
         for strategy in [
-            Box::new(IddeGStrategy::default()) as Box<dyn idde_baselines::DeliveryStrategy>,
+            Box::new(IddeGStrategy::default()) as Box<dyn idde_baselines::SolveStrategy>,
             Box::new(Saa::default()),
             Box::new(Cdp),
             Box::new(DupG::default()),

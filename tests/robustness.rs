@@ -9,7 +9,7 @@ use idde::model::testkit;
 use idde::net::{generate_topology, PathModel, Topology, TopologyConfig};
 use idde::prelude::{IddeGStrategy, MegaBytesPerSec};
 use idde::radio::{LogDistance, RadioEnvironment, RadioParams};
-use idde_baselines::DeliveryStrategy as _;
+use idde_baselines::SolveStrategy as _;
 
 fn sampled_scenario(seed: u64) -> idde::model::Scenario {
     let mut rng = idde::seeded_rng(seed);
