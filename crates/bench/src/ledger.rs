@@ -6,13 +6,24 @@
 //!    workloads (the paper-scale 125-server/816-user EUA sample for the
 //!    solver; a churning serve for the engine) and records median + p95
 //!    wall-clock per case, so numbers are comparable across commits.
-//! 2. **Is the determinism contract holding?** Every case is swept across
-//!    worker counts (default 1/2/4/8 via [`idde_par::set_threads`]) and a
-//!    result *fingerprint* — a hash over the bit patterns of the produced
-//!    equilibrium metrics or serve CSV — is recorded per thread point. The
-//!    contract "same seed + any thread count ⇒ identical result" is checked
+//! 2. **Is the determinism contract holding?** Every case runs through one
+//!    harness, `sweep`, over an axis of points: worker counts (default
+//!    1/2/4/8 via [`idde_par::set_threads`]) for the paper-scale cases, or a
+//!    case parameter — batch size B, caching policy, delivery strategy,
+//!    shard count K — run on one worker. A result *fingerprint* — a hash
+//!    over the bit patterns of the produced equilibrium metrics, serve CSV
+//!    or solver state — is taken for every sample. The contract "same
+//!    seed ⇒ identical result at every sample and every point" is checked
 //!    right here, not just claimed: `deterministic` in the emitted JSON is
 //!    the conjunction over the sweep.
+//!
+//! `sweep` is the only timing loop: a case hands it an untimed per-point
+//! setup (a prototype engine, a shard partition), an untimed per-sample
+//! preparation (cloning the prototype), the timed run and the fingerprint,
+//! and gets back what it keeps of each point's last result (the serve
+//! metrics its workload summary reports). Each large-scale case is a
+//! function of its problem and stream length, so the unit tests below run
+//! the same case code at small scale.
 //!
 //! Timing numbers are honest measurements of the host that ran them; the
 //! JSON therefore records `host.available_parallelism`. On a single-core
@@ -28,11 +39,13 @@ use std::time::Instant;
 use idde_cache::{CacheConfig, PolicyKind};
 use idde_core::{GameConfig, GreedyDelivery, IddeG, IddeUGame, Problem, ScoringMode};
 use idde_dist::{DistConfig, StrategyKind};
-use idde_engine::{DriftProfile, Engine, EngineConfig, Event, WorkloadConfig, WorkloadGenerator};
+use idde_engine::{
+    DriftProfile, Engine, EngineConfig, Event, ServeMetrics, WorkloadConfig, WorkloadGenerator,
+};
 use idde_eua::SyntheticEua;
 use idde_model::{
-    CoverageMap, EdgeServer, MegaBytes, MegaBytesPerSec, Point, Rect, ScenarioBuilder, ServerId,
-    User, UserId, Watts,
+    Allocation, CoverageMap, EdgeServer, MegaBytes, MegaBytesPerSec, Point, Rect, ScenarioBuilder,
+    ServerId, User, UserId, Watts,
 };
 use idde_shard::ShardPlan;
 use rand::{Rng, SeedableRng};
@@ -41,9 +54,10 @@ use rand_chacha::ChaCha8Rng;
 /// Configuration of a ledger run.
 #[derive(Clone, Debug)]
 pub struct LedgerConfig {
-    /// Timing samples per `(case, thread-count)` point.
+    /// Timing samples per `(case, axis point)`.
     pub samples: usize,
-    /// Worker counts to sweep, in order.
+    /// Worker counts to sweep, in order (also the shard counts K of
+    /// `shard_scaling`).
     pub threads: Vec<usize>,
     /// Master seed for workload construction.
     pub seed: u64,
@@ -55,15 +69,18 @@ impl Default for LedgerConfig {
     }
 }
 
-/// One `(case, thread-count)` measurement.
+/// One `(case, axis point)` measurement.
 #[derive(Clone, Debug)]
 pub struct ThreadPoint {
-    /// Worker count this point ran under.
+    /// The axis value: the worker count for a thread sweep, otherwise the
+    /// case parameter (B, policy or strategy index, K) its workload names.
     pub threads: usize,
     /// Raw wall-clock samples, milliseconds, in execution order.
     pub samples_ms: Vec<f64>,
-    /// FNV-1a hash over the bit patterns of the case's result.
+    /// FNV-1a hash over the bit patterns of the first sample's result.
     pub fingerprint: u64,
+    /// True iff every sample's result hashed to `fingerprint`.
+    pub samples_agree: bool,
 }
 
 impl ThreadPoint {
@@ -78,22 +95,25 @@ impl ThreadPoint {
     }
 }
 
-/// One benchmarked case: a fixed workload swept across thread counts.
+/// One benchmarked case: a fixed workload swept across an axis.
 #[derive(Clone, Debug)]
 pub struct BenchCase {
     /// Stable case identifier (a JSON key, effectively).
     pub name: String,
-    /// Human-readable workload description.
+    /// Human-readable workload description, including any seeded-
+    /// deterministic per-point figures the case records.
     pub workload: String,
-    /// One entry per swept thread count.
+    /// One entry per axis point.
     pub points: Vec<ThreadPoint>,
 }
 
 impl BenchCase {
-    /// True iff every thread point produced the same result fingerprint —
-    /// the determinism contract, observed rather than asserted.
+    /// True iff every sample of every point produced the same result
+    /// fingerprint — the determinism contract, observed rather than
+    /// asserted.
     pub fn deterministic(&self) -> bool {
-        self.points.windows(2).all(|w| w[0].fingerprint == w[1].fingerprint)
+        self.points.iter().all(|p| p.samples_agree)
+            && self.points.windows(2).all(|w| w[0].fingerprint == w[1].fingerprint)
     }
 }
 
@@ -240,30 +260,77 @@ fn par_game() -> GameConfig {
     GameConfig { scoring: ScoringMode::Parallel, ..GameConfig::default() }
 }
 
-/// Runs `case` once per thread count per sample, timing each run and
-/// fingerprinting each result.
-fn sweep<R>(
+/// What a case's sweep axis varies — the value its `threads` column records.
+#[derive(Clone, Copy, Debug)]
+enum Axis<'a> {
+    /// Worker counts: each point runs under `idde_par::set_threads(t)`.
+    Threads(&'a [usize]),
+    /// A case parameter (batch size B, policy or strategy index, shard
+    /// count K): every point runs on one worker, so the medians compare the
+    /// parameter alone.
+    Param(&'a [usize]),
+}
+
+/// The ledger's one timing loop. For each point `x` of `axis` it sets the
+/// worker count, runs `setup(x)` once, then per sample runs `prepare`
+/// (e.g. cloning a prototype engine) and times `run` alone. `inspect`
+/// returns each result's fingerprint and what the case keeps of it (a
+/// metrics snapshot, not the engine, so results do not pile up in memory).
+/// Every sample's fingerprint is compared with the point's first, so a
+/// result that changes between samples fails [`BenchCase::deterministic`].
+/// Returns the measured points and what was kept of each point's last
+/// result, and leaves the pool at the ambient default rather than the last
+/// sweep value.
+fn sweep<P, S, R, K>(
+    samples: usize,
+    axis: Axis<'_>,
+    mut setup: impl FnMut(usize) -> P,
+    mut prepare: impl FnMut(&P) -> S,
+    mut run: impl FnMut(&P, S) -> R,
+    inspect: impl Fn(&P, &R) -> (u64, K),
+) -> (Vec<ThreadPoint>, Vec<K>) {
+    assert!(samples > 0, "a sweep point takes at least one sample");
+    let (xs, one_worker) = match axis {
+        Axis::Threads(xs) => (xs, false),
+        Axis::Param(xs) => (xs, true),
+    };
+    let mut points = Vec::with_capacity(xs.len());
+    let mut last = Vec::with_capacity(xs.len());
+    for &x in xs {
+        idde_par::set_threads(if one_worker { 1 } else { x });
+        let point = setup(x);
+        let mut samples_ms = Vec::with_capacity(samples);
+        let mut digests = Vec::with_capacity(samples);
+        for sample in 0..samples {
+            let input = prepare(&point);
+            let start = Instant::now();
+            let result = run(&point, input);
+            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            let (digest, kept) = inspect(&point, &result);
+            digests.push(digest);
+            if sample + 1 == samples {
+                last.push(kept);
+            }
+        }
+        let samples_agree = digests.iter().all(|&d| d == digests[0]);
+        points.push(ThreadPoint { threads: x, samples_ms, fingerprint: digests[0], samples_agree });
+    }
+    idde_par::set_threads(0);
+    (points, last)
+}
+
+/// A case swept over the configured worker counts with nothing to set up:
+/// every sample times `run` from scratch.
+fn thread_sweep<R>(
     cfg: &LedgerConfig,
     name: &str,
     workload: &str,
     mut run: impl FnMut() -> R,
     fingerprint: impl Fn(&R) -> u64,
 ) -> BenchCase {
-    let mut points = Vec::with_capacity(cfg.threads.len());
-    for &t in &cfg.threads {
-        idde_par::set_threads(t);
-        let mut samples_ms = Vec::with_capacity(cfg.samples);
-        let mut digest = 0u64;
-        for _ in 0..cfg.samples {
-            let start = Instant::now();
-            let result = run();
-            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            digest = fingerprint(&result);
-        }
-        points.push(ThreadPoint { threads: t, samples_ms, fingerprint: digest });
-    }
-    // Leave the pool at the ambient default rather than the last sweep value.
-    idde_par::set_threads(0);
+    let threads = Axis::Threads(&cfg.threads);
+    let (points, _) =
+        sweep(cfg.samples, threads, |_| (), |_| (), |_, ()| run(), |_, r| (fingerprint(r), ()));
     BenchCase { name: name.into(), workload: workload.into(), points }
 }
 
@@ -275,34 +342,40 @@ fn metrics_fingerprint(problem: &Problem, strategy: &idde_core::Strategy) -> u64
     fp.digest()
 }
 
+/// Absorbs an allocation profile in user order: `server + 1, channel + 1`
+/// for an allocated user, `0` for an unallocated one.
+fn absorb_allocation(fp: &mut Fingerprint, alloc: &Allocation) {
+    for (_, decision) in alloc.iter() {
+        match decision {
+            Some((server, channel)) => {
+                fp.absorb(server.index() as u64 + 1);
+                fp.absorb(channel.index() as u64 + 1);
+            }
+            None => fp.absorb(0),
+        }
+    }
+}
+
 /// The solver suite: Phase #1, Phase #2 and end-to-end IDDE-G on the
 /// paper-scale instance.
 pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
     let problem = fullscale_problem(cfg.seed);
     let workload = "SyntheticEua 125 servers / 816 users / 5 data, standard substrates";
 
-    let game_case = sweep(
+    let game_case = thread_sweep(
         cfg,
         "iddeu_game",
         workload,
         || IddeUGame::new(par_game()).run(&problem).field.into_allocation(),
         |alloc| {
             let mut fp = Fingerprint::new();
-            for user in problem.scenario.user_ids() {
-                match alloc.decision(user) {
-                    Some((s, x)) => {
-                        fp.absorb(s.index() as u64 + 1);
-                        fp.absorb(x.index() as u64 + 1);
-                    }
-                    None => fp.absorb(0),
-                }
-            }
+            absorb_allocation(&mut fp, alloc);
             fp.digest()
         },
     );
 
     let fixed_alloc = IddeUGame::new(par_game()).run(&problem).field.into_allocation();
-    let delivery_case = sweep(
+    let delivery_case = thread_sweep(
         cfg,
         "greedy_delivery",
         workload,
@@ -314,7 +387,7 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
         },
     );
 
-    let end_to_end = sweep(
+    let end_to_end = thread_sweep(
         cfg,
         "iddeg_end_to_end",
         workload,
@@ -338,7 +411,7 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
     let num_data = problem.scenario.num_data();
     let workload = "SyntheticEua 125/816/5; WorkloadConfig::default churn, 50 ticks";
 
-    let init_case = sweep(
+    let init_case = thread_sweep(
         cfg,
         "engine_initial_solve",
         workload,
@@ -354,7 +427,7 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
         },
     );
 
-    let serve_case = sweep(
+    let serve_case = thread_sweep(
         cfg,
         "engine_serve_50_ticks",
         workload,
@@ -390,14 +463,14 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
     let brute_proto = CoverageMap::compute_brute_force(&scale_servers, &scale_users);
     assert!(grid_proto.has_spatial_index());
     assert!(!brute_proto.has_spatial_index());
-    let grid_case = sweep(
+    let grid_case = thread_sweep(
         cfg,
         "scale_mobility_grid",
         scale_workload,
         || replay_mobility(&scale_servers, &scale_users, &scale_events, &grid_proto),
         adjacency_fingerprint,
     );
-    let brute_case = sweep(
+    let brute_case = thread_sweep(
         cfg,
         "scale_mobility_brute",
         scale_workload,
@@ -407,7 +480,7 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
 
     // Shard-scaling sweep: the same walk partitioned by a real ShardPlan
     // tiling. The `threads` column of this case records the *shard count* K
-    // (reusing the sweep's 1/2/4/8 axis), and the determinism check becomes
+    // (reusing the configured 1/2/4/8 axis), and the determinism check becomes
     // the partition-invariance contract: every K must land on the identical
     // global coverage fingerprint — including K = 1, whose digest equals the
     // unsharded `scale_mobility_brute` fingerprint by construction.
@@ -417,19 +490,23 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
     // at group-commit sizes B ∈ {1, 7, 64, 512} (the `threads` column
     // records B; every point runs single-threaded). The fingerprint hashes
     // the ingest-invariant state and must be equal at every B.
-    let batch_case = batch_ingestion_case(cfg, &[1, 7, 64, 512]);
+    let (batch_problem, batch_rng) = scaled_problem(cfg.seed ^ 0x0bac_7ced, 5);
+    let (batch_case, _) =
+        batch_ingestion_case(cfg, SCALED, batch_problem, batch_rng, 64, &[1, 7, 64, 512]);
 
     // Cache-drift sweep: the same full-scale geography under a
     // non-stationary, request-heavy workload, once per caching policy (the
     // `threads` column records the policy index). The shared fingerprint is
     // the "cache never perturbs the solver" contract observed at scale.
-    let cache_case = cache_drift_case(cfg);
+    let (cache_problem, _) = scaled_problem(cfg.seed ^ 0x000c_ac4e, 8);
+    let (cache_case, _) = cache_drift_case(cfg, &format!("{SCALED} / 8 items"), cache_problem, 10);
 
     // Bulk-distribution sweep: an outage storm over the same full-scale
     // geography, once per delivery strategy (the `threads` column records
     // the strategy index). The shared fingerprint is the "delivery only
     // changes how installs travel, never what lands where" contract.
-    let dist_case = dist_bulk_case(cfg);
+    let (dist_problem, _) = scaled_problem(cfg.seed ^ 0x00d1_57b1, 6);
+    let (dist_case, _) = dist_bulk_case(cfg, &format!("{SCALED} / 6 items"), dist_problem, 8);
 
     Ledger {
         suite: "engine".into(),
@@ -443,33 +520,47 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
     }
 }
 
-/// The `batch_ingestion` case: one seeded churn-only event stream (moves,
-/// arrivals, departures — requests and faults are flush barriers and would
-/// collapse every batch to size 1) replayed through a pre-built
-/// 2000-server / 5000-user engine at several group-commit sizes. The
-/// `threads` column records the batch size B and every point runs
-/// single-threaded, so the medians' ratio is the pure batching win:
-/// at B = 1 ingestion pays a full interference-field rebuild, a restricted
-/// Nash repair and a placement repair *per event*, while the group commit
-/// pays them once per batch. Engine construction (a full-scale initial
-/// solve) and the per-sample engine clone happen outside the timed region —
-/// the online ingestion regime is the thing measured. Events/sec is
-/// `events ÷ median`; the fingerprint hashes the ingest-invariant state
-/// (bitwise positions, activity flags, the coverage adjacency), so the
-/// standard `deterministic_across_threads` gate doubles as the batching
-/// determinism contract observed at scale.
-fn batch_ingestion_case(cfg: &LedgerConfig, batches: &[u64]) -> BenchCase {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bac_7ced);
+/// Geography label of the engine suite's full-scale serve cases.
+const SCALED: &str = "SyntheticEua::scaled 2000 servers / 5000 users";
+
+/// A [`SCALED`] problem with `data` items and standard substrates, plus the
+/// generator positioned after it (the batch case draws its stream from it).
+fn scaled_problem(seed: u64, data: usize) -> (Problem, ChaCha8Rng) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let gen = SyntheticEua::scaled(2_000, 5_000).expect("bench workloads use positive scales");
-    let scenario = gen.sample(2_000, 5_000, 5, &mut rng);
-    let problem = Problem::standard(scenario, &mut rng);
+    let scenario = gen.sample(2_000, 5_000, data, &mut rng);
+    (Problem::standard(scenario, &mut rng), rng)
+}
+
+/// The `batch_ingestion` case: one seeded churn-only stream of `len` events
+/// drawn from `rng` (moves, arrivals, departures — requests and faults are
+/// flush barriers and would collapse every batch to size 1) replayed
+/// through a pre-built engine on `problem` at each group-commit size in
+/// `batches`. Every point runs single-threaded, so the medians' ratio is
+/// the pure batching win: at B = 1 ingestion pays a full interference-field
+/// rebuild, a restricted Nash repair and a placement repair *per event*,
+/// while the group commit pays them once per batch. Engine construction (a
+/// full-scale initial solve) and the per-sample engine clone happen outside
+/// the timed region — the online ingestion regime is the thing measured.
+/// Events/sec is `len ÷ median`; the fingerprint hashes the ingest-invariant
+/// state (bitwise positions, activity flags, the coverage adjacency), so
+/// the standard determinism gate doubles as the batching determinism
+/// contract. Returns the case and each point's last serve metrics.
+fn batch_ingestion_case(
+    cfg: &LedgerConfig,
+    geography: &str,
+    problem: Problem,
+    mut rng: ChaCha8Rng,
+    len: usize,
+    batches: &[usize],
+) -> (BenchCase, Vec<ServeMetrics>) {
     let m = problem.scenario.num_users();
     // A third of the population starts active: representative repair cost
-    // without making the B = 1 point glacial (~1 s per event).
+    // without making the full-scale B = 1 point glacial (~1 s per event).
     let initial: Vec<bool> = (0..m).map(|j| j % 3 == 0).collect();
     let config = EngineConfig { checkpoint_interval: 0, ..EngineConfig::default() };
     let proto = Engine::new(problem, config, initial);
-    let events: Vec<Event> = (0..64)
+    let events: Vec<Event> = (0..len)
         .map(|_| {
             let user = UserId(rng.gen_range(0..m as u32));
             match rng.gen_range(0..10u32) {
@@ -484,29 +575,26 @@ fn batch_ingestion_case(cfg: &LedgerConfig, batches: &[u64]) -> BenchCase {
         })
         .collect();
 
-    let mut points = Vec::with_capacity(batches.len());
-    idde_par::set_threads(1);
-    for &b in batches {
-        let mut samples_ms = Vec::with_capacity(cfg.samples);
-        let mut digest = 0u64;
-        for _ in 0..cfg.samples {
+    let (points, metrics) = sweep(
+        cfg.samples,
+        Axis::Param(batches),
+        |b| b as u64,
+        |&b| {
             let mut engine = proto.clone();
             engine.set_batch(b);
-            let start = Instant::now();
+            engine
+        },
+        |_, mut engine| {
             engine.apply_batch(&events);
-            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            digest = ingest_state_fingerprint(&engine);
-        }
-        points.push(ThreadPoint { threads: b as usize, samples_ms, fingerprint: digest });
-    }
-    idde_par::set_threads(0);
-    BenchCase {
-        name: "batch_ingestion".into(),
-        workload: "SyntheticEua::scaled 2000 servers / 5000 users; 64-event churn stream; \
-                   threads column = batch size B, all points single-threaded"
-            .into(),
-        points,
-    }
+            engine
+        },
+        |_, engine| (ingest_state_fingerprint(engine), engine.metrics().clone()),
+    );
+    let workload = format!(
+        "{geography}; {len}-event churn stream; threads column = batch size B, all points \
+         single-threaded"
+    );
+    (BenchCase { name: "batch_ingestion".into(), workload, points }, metrics)
 }
 
 /// FNV digest over the engine state the batching layer must keep
@@ -524,23 +612,24 @@ fn ingest_state_fingerprint(engine: &Engine) -> u64 {
 }
 
 /// The `cache_drift` case: a request-heavy non-stationary serve (Zipf drift,
-/// hot-set rotation, diurnal waves, flash crowds) on a 2000-server /
-/// 5000-user geography, repeated once per caching policy. The `threads`
-/// column records the *policy index* over `[off, lce, lcd, probcache]` and
-/// every point runs single-threaded, so the medians compare the policies'
-/// serving cost head-to-head. The fingerprint deliberately hashes only the
-/// state the cache must never perturb — the ingest-invariant state plus the
-/// solver's allocation and placement profiles — so the standard
-/// `deterministic_across_threads` gate becomes the on-path contract observed
-/// at scale: every policy, including `off`, lands on the identical solver
-/// trajectory. Per-policy hit and latency figures are embedded in the
-/// workload string (they are seeded-deterministic, so regeneration is
-/// stable).
-fn cache_drift_case(cfg: &LedgerConfig) -> BenchCase {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x000c_ac4e);
-    let gen = SyntheticEua::scaled(2_000, 5_000).expect("bench workloads use positive scales");
-    let scenario = gen.sample(2_000, 5_000, 8, &mut rng);
-    let problem = Problem::standard(scenario, &mut rng);
+/// hot-set rotation, diurnal waves, flash crowds) of `ticks` ticks on
+/// `problem`, repeated once per caching policy. The `threads` column
+/// records the *policy index* over `[off, lce, lcd, probcache]` and every
+/// point runs single-threaded, so the medians compare the policies' serving
+/// cost head-to-head. The fingerprint deliberately hashes only the state
+/// the cache must never perturb — the ingest-invariant state plus the
+/// solver's allocation and placement profiles — so the standard determinism
+/// gate becomes the on-path contract: every policy, including `off`, lands
+/// on the identical solver trajectory. Per-policy hit and latency figures
+/// are appended to the workload string (they are seeded-deterministic, so
+/// the bench gate compares them). Returns the case and each policy's last
+/// serve metrics.
+fn cache_drift_case(
+    cfg: &LedgerConfig,
+    geography: &str,
+    problem: Problem,
+    ticks: u64,
+) -> (BenchCase, Vec<ServeMetrics>) {
     let m = problem.scenario.num_users();
     let num_data = problem.scenario.num_data();
     // A fifth of the population starts active, and the workload is skewed
@@ -556,142 +645,139 @@ fn cache_drift_case(cfg: &LedgerConfig) -> BenchCase {
         drift: DriftProfile::drifting(),
         ..WorkloadConfig::default()
     };
-
     let policies = [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache];
-    let mut points = Vec::with_capacity(policies.len());
-    let mut summary = String::new();
-    idde_par::set_threads(1);
-    for (ix, &policy) in policies.iter().enumerate() {
-        let config = EngineConfig {
-            checkpoint_interval: 0,
-            cache: CacheConfig { policy, seed: cfg.seed, ..CacheConfig::default() },
-            ..EngineConfig::default()
-        };
+
+    let (points, metrics) = sweep(
+        cfg.samples,
+        Axis::Param(&[0, 1, 2, 3]),
         // The initial solve is a one-off per deployment; each timed sample
-        // clones the prototype and pays only the 10-tick drift serve.
-        let proto = Engine::new(problem.clone(), config, initial.clone());
-        let mut samples_ms = Vec::with_capacity(cfg.samples);
-        let mut digest = 0u64;
-        let mut observed = (0u64, 0u64, 0.0f64);
-        for _ in 0..cfg.samples {
-            let mut engine = proto.clone();
-            let mut wl = WorkloadGenerator::new(wcfg, num_data, cfg.seed);
-            let start = Instant::now();
-            engine.run(&mut wl, 10);
-            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            digest = solver_state_fingerprint(&engine);
-            let hits = engine.metrics().cache.map_or(0, |c| c.hits);
-            observed = (hits, engine.metrics().requests, engine.metrics().average_latency_ms());
-        }
-        let (hits, requests, latency) = observed;
-        summary.push_str(&format!("; {policy}: {hits}/{requests} hits, L_avg {latency:.4} ms"));
-        points.push(ThreadPoint { threads: ix, samples_ms, fingerprint: digest });
+        // clones the prototype and pays only the drift serve.
+        |ix| {
+            let config = EngineConfig {
+                checkpoint_interval: 0,
+                cache: CacheConfig {
+                    policy: policies[ix],
+                    seed: cfg.seed,
+                    ..CacheConfig::default()
+                },
+                ..EngineConfig::default()
+            };
+            Engine::new(problem.clone(), config, initial.clone())
+        },
+        |proto| (proto.clone(), WorkloadGenerator::new(wcfg, num_data, cfg.seed)),
+        |_, (mut engine, mut wl)| {
+            engine.run(&mut wl, ticks);
+            engine
+        },
+        |_, engine| (solver_state_fingerprint(engine), engine.metrics().clone()),
+    );
+    let mut workload = format!(
+        "{geography}; request-heavy drift workload, {ticks} ticks; threads column = policy \
+         index [0 off, 1 lce, 2 lcd, 3 probcache], all points single-threaded"
+    );
+    for (policy, m) in policies.iter().zip(&metrics) {
+        let hits = m.cache.map_or(0, |c| c.hits);
+        let (requests, latency) = (m.requests, m.average_latency_ms());
+        workload.push_str(&format!("; {policy}: {hits}/{requests} hits, L_avg {latency:.4} ms"));
     }
-    idde_par::set_threads(0);
-    BenchCase {
-        name: "cache_drift".into(),
-        workload: format!(
-            "SyntheticEua::scaled 2000 servers / 5000 users / 8 items; request-heavy drift \
-             workload, 10 ticks; threads column = policy index [0 off, 1 lce, 2 lcd, 3 \
-             probcache], all points single-threaded{summary}"
-        ),
-        points,
-    }
+    (BenchCase { name: "cache_drift".into(), workload, points }, metrics)
 }
 
-/// The `dist_bulk` case: an outage storm on the full-scale geography, run
-/// once per delivery strategy with distribution recording on (the `threads`
-/// column records the strategy index; every point runs single-threaded).
+/// The `dist_bulk` case: an outage storm on `problem`, run once per
+/// delivery strategy with distribution recording on (the `threads` column
+/// records the strategy index; every point runs single-threaded).
 ///
-/// The storm takes down the eight busiest replica holders in waves of two
-/// and restores them empty-handed; every failure forces a re-replication
-/// round through the bulk-install path, so the case measures exactly the
-/// machinery the strategies differ on. The fingerprint is the solver-state
-/// digest: delivery planning is observational, so Unicast and SteinerTree
-/// must land on the identical placement — the ISSUE's "equal
-/// final-placement fingerprints" gate *is* the standard
-/// `deterministic_across_threads` check. Per-strategy distribution cost,
-/// delay-violation and audit figures are embedded in the workload string
-/// (seeded-deterministic, so regeneration is stable); the Steiner row must
-/// come in strictly below the Unicast row on total cost.
-fn dist_bulk_case(cfg: &LedgerConfig) -> BenchCase {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x00d1_57b1);
-    let gen = SyntheticEua::scaled(2_000, 5_000).expect("bench workloads use positive scales");
-    let scenario = gen.sample(2_000, 5_000, 6, &mut rng);
-    let problem = Problem::standard(scenario, &mut rng);
+/// The storm takes down the `victims` busiest replica holders in waves of
+/// two and restores them empty-handed; every failure forces a
+/// re-replication round through the bulk-install path, so the case
+/// measures exactly the machinery the strategies differ on. The fingerprint
+/// is the solver-state digest: delivery planning is observational, so
+/// Unicast and SteinerTree must land on the identical placement — equal
+/// final-placement fingerprints *are* the standard determinism check.
+/// Per-strategy distribution cost, delay-violation and audit figures are
+/// appended to the workload string (seeded-deterministic, so the bench gate
+/// compares them); the Steiner row must come in strictly below the Unicast
+/// row on total cost. Returns the case and each strategy's last serve
+/// metrics.
+fn dist_bulk_case(
+    cfg: &LedgerConfig,
+    geography: &str,
+    problem: Problem,
+    victims: usize,
+) -> (BenchCase, Vec<ServeMetrics>) {
     let m = problem.scenario.num_users();
     let initial: Vec<bool> = (0..m).map(|j| j % 5 == 0).collect();
-
     let strategies = [StrategyKind::Unicast, StrategyKind::Steiner];
-    let mut points = Vec::with_capacity(strategies.len());
-    let mut summary = String::new();
-    idde_par::set_threads(1);
-    for (ix, &strategy) in strategies.iter().enumerate() {
-        let config = EngineConfig {
-            checkpoint_interval: 0,
-            // Arms the per-round distribution audit; the periodic full
-            // audit never fires inside the storm's small event budget.
-            audit_every: u64::MAX,
-            dist: DistConfig { strategy, record: true, ..DistConfig::default() },
-            ..EngineConfig::default()
-        };
+
+    let (points, metrics) = sweep(
+        cfg.samples,
+        Axis::Param(&[0, 1]),
         // The initial solve (and its recorded install round) is a one-off
         // per deployment; each timed sample clones the prototype and pays
         // only the storm's re-replication rounds.
-        let proto = Engine::new(problem.clone(), config, initial.clone());
-        let mut load: Vec<(usize, ServerId)> = problem
-            .scenario
-            .server_ids()
-            .map(|s| (proto.placement().data_on(s).count(), s))
-            .collect();
-        load.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.index().cmp(&b.1.index())));
-        let victims: Vec<ServerId> = load.into_iter().take(8).map(|(_, s)| s).collect();
-        let mut storm = Vec::with_capacity(2 * victims.len());
-        for wave in victims.chunks(2) {
-            for &server in wave {
-                storm.push(Event::ServerDown { server });
-            }
-            for &server in wave {
-                storm.push(Event::ServerRestore { server });
-            }
-        }
-        let mut samples_ms = Vec::with_capacity(cfg.samples);
-        let mut digest = 0u64;
-        let mut observed = (0u64, 0u64, 0.0f64, 0u64, 0u64);
-        for _ in 0..cfg.samples {
-            let mut engine = proto.clone();
-            let start = Instant::now();
-            for event in &storm {
+        |ix| {
+            let config = EngineConfig {
+                checkpoint_interval: 0,
+                // Arms the per-round distribution audit; the periodic full
+                // audit never fires inside the storm's small event budget.
+                audit_every: u64::MAX,
+                dist: DistConfig {
+                    strategy: strategies[ix],
+                    record: true,
+                    ..DistConfig::default()
+                },
+                ..EngineConfig::default()
+            };
+            let proto = Engine::new(problem.clone(), config, initial.clone());
+            let storm = outage_storm(&proto, victims);
+            (proto, storm)
+        },
+        |(proto, _)| proto.clone(),
+        |(_, storm), mut engine| {
+            for event in storm {
                 engine.apply(event);
             }
-            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            digest = solver_state_fingerprint(&engine);
-            let d = engine.metrics().dist.unwrap_or_default();
-            observed = (
-                d.bulk_installs,
-                d.replicas_installed,
-                d.dist_cost_ms,
-                d.delay_violations,
-                engine.metrics().audit_violations,
-            );
-        }
-        let (rounds, replicas, cost, delay_viol, audit_viol) = observed;
-        summary.push_str(&format!(
-            "; {strategy}: {rounds} rounds, {replicas} replicas, cost {cost:.3} ms, \
-             {delay_viol} delay violations, {audit_viol} audit violations"
+            engine
+        },
+        |_, engine| (solver_state_fingerprint(engine), engine.metrics().clone()),
+    );
+    let mut workload = format!(
+        "{geography}; outage storm over the {victims} busiest replica holders (waves of 2, down \
+         then restore); threads column = strategy index [0 unicast, 1 steiner], all points \
+         single-threaded"
+    );
+    for (strategy, m) in strategies.iter().zip(&metrics) {
+        let d = m.dist.unwrap_or_default();
+        workload.push_str(&format!(
+            "; {strategy}: {} rounds, {} replicas, cost {:.3} ms, {} delay violations, {} audit \
+             violations",
+            d.bulk_installs,
+            d.replicas_installed,
+            d.dist_cost_ms,
+            d.delay_violations,
+            m.audit_violations,
         ));
-        points.push(ThreadPoint { threads: ix, samples_ms, fingerprint: digest });
     }
-    idde_par::set_threads(0);
-    BenchCase {
-        name: "dist_bulk".into(),
-        workload: format!(
-            "SyntheticEua::scaled 2000 servers / 5000 users / 6 items; outage storm over the 8 \
-             busiest replica holders (waves of 2, down then restore); threads column = strategy \
-             index [0 unicast, 1 steiner], all points single-threaded{summary}"
-        ),
-        points,
+    (BenchCase { name: "dist_bulk".into(), workload, points }, metrics)
+}
+
+/// Down-then-restore events for the `victims` servers holding the most
+/// replicas (ties by id), in waves of two.
+fn outage_storm(engine: &Engine, victims: usize) -> Vec<Event> {
+    let mut load: Vec<(usize, ServerId)> = engine
+        .problem()
+        .scenario
+        .server_ids()
+        .map(|s| (engine.placement().data_on(s).count(), s))
+        .collect();
+    load.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.index().cmp(&b.1.index())));
+    let victims: Vec<ServerId> = load.into_iter().take(victims).map(|(_, s)| s).collect();
+    let mut storm = Vec::with_capacity(2 * victims.len());
+    for wave in victims.chunks(2) {
+        storm.extend(wave.iter().map(|&server| Event::ServerDown { server }));
+        storm.extend(wave.iter().map(|&server| Event::ServerRestore { server }));
     }
+    storm
 }
 
 /// FNV digest over the engine state the caching layer must never perturb:
@@ -702,15 +788,7 @@ fn dist_bulk_case(cfg: &LedgerConfig) -> BenchCase {
 fn solver_state_fingerprint(engine: &Engine) -> u64 {
     let mut fp = Fingerprint::new();
     fp.absorb(ingest_state_fingerprint(engine));
-    for user in engine.problem().scenario.user_ids() {
-        match engine.allocation().decision(user) {
-            Some((server, channel)) => {
-                fp.absorb(server.index() as u64 + 1);
-                fp.absorb(channel.index() as u64 + 1);
-            }
-            None => fp.absorb(0),
-        }
-    }
+    absorb_allocation(&mut fp, engine.allocation());
     for server in engine.problem().scenario.server_ids() {
         for data in engine.placement().data_on(server) {
             fp.absorb(server.index() as u64);
@@ -821,33 +899,32 @@ fn sharded_adjacency_fingerprint(num_users: usize, shards: &[(&[ServerId], &Cove
 
 /// The `shard_scaling` case: the scaling walk replayed through per-shard
 /// coverage maps for K ∈ `cfg.threads` shards (the `threads` column records
-/// K). Partitioning and prototype construction happen outside the timed
-/// region — the measurement is the per-event maintenance cost, which drops
-/// with K because each shard only scans the servers it owns.
+/// K; every point runs single-threaded, one shard after another).
+/// Partitioning and prototype construction happen outside the timed region
+/// — the measurement is the per-event maintenance cost, which drops with K
+/// because each shard only scans the servers it owns.
 fn shard_scaling_case(
     cfg: &LedgerConfig,
     servers: &[EdgeServer],
     users: &[User],
     events: &[(usize, Point)],
 ) -> BenchCase {
-    let mut points = Vec::with_capacity(cfg.threads.len());
-    for &k in &cfg.threads {
-        let work = partition_shard_work(k, servers, users, events);
-        let mut samples_ms = Vec::with_capacity(cfg.samples);
-        let mut digest = 0u64;
-        for _ in 0..cfg.samples {
-            let start = Instant::now();
-            let maps: Vec<CoverageMap> = work
-                .iter()
+    let (points, _) = sweep(
+        cfg.samples,
+        Axis::Param(&cfg.threads),
+        |k| partition_shard_work(k, servers, users, events),
+        |_| (),
+        |work, ()| {
+            work.iter()
                 .map(|w| replay_mobility(&w.servers, users, &w.events, &w.proto))
-                .collect();
-            samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
+                .collect::<Vec<CoverageMap>>()
+        },
+        |work, maps| {
             let views: Vec<(&[ServerId], &CoverageMap)> =
-                work.iter().zip(&maps).map(|(w, m)| (w.globals.as_slice(), m)).collect();
-            digest = sharded_adjacency_fingerprint(users.len(), &views);
-        }
-        points.push(ThreadPoint { threads: k, samples_ms, fingerprint: digest });
-    }
+                work.iter().zip(maps).map(|(w, m)| (w.globals.as_slice(), m)).collect();
+            (sharded_adjacency_fingerprint(users.len(), &views), ())
+        },
+    );
     BenchCase {
         name: "shard_scaling".into(),
         workload: "scale walk partitioned by ShardPlan; threads column = shard count K".into(),
@@ -1019,21 +1096,14 @@ mod tests {
             &events,
             &CoverageMap::compute_brute_force(&servers, &users),
         ));
+        let cfg = LedgerConfig { samples: 1, threads: vec![1, 2, 3, 4], seed: 7 };
+        let case = shard_scaling_case(&cfg, &servers, &users, &events);
+        assert!(case.deterministic(), "shard counts diverged: {:x?}", case.points);
+        assert_eq!(case.points[0].fingerprint, unsharded, "K = 1 diverged from the unsharded map");
         for k in [1usize, 2, 3, 4] {
             let work = partition_shard_work(k, &servers, &users, &events);
             assert_eq!(work.len(), k);
             assert_eq!(work.iter().map(|w| w.servers.len()).sum::<usize>(), servers.len());
-            let maps: Vec<CoverageMap> = work
-                .iter()
-                .map(|w| replay_mobility(&w.servers, &users, &w.events, &w.proto))
-                .collect();
-            let views: Vec<(&[ServerId], &CoverageMap)> =
-                work.iter().zip(&maps).map(|(w, m)| (w.globals.as_slice(), m)).collect();
-            assert_eq!(
-                sharded_adjacency_fingerprint(users.len(), &views),
-                unsharded,
-                "K = {k} diverged from the unsharded coverage relation"
-            );
             // Sharding must actually shed work: each shard sees no more
             // events than the full walk, and for K > 1 strictly fewer.
             for w in &work {
@@ -1048,139 +1118,92 @@ mod tests {
         }
     }
 
-    /// The batch_ingestion contract at small scale: every group-commit
-    /// size lands on the same ingest-state fingerprint (the full-scale
-    /// ledger case observes the same equality at 2000 servers), and the
+    /// A small-scale stand-in for a full-scale serve case's problem.
+    fn small_problem(seed: u64, n: usize, m: usize, k: usize) -> (Problem, ChaCha8Rng) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let scenario = SyntheticEua::default().sample(n, m, k, &mut rng);
+        (Problem::standard(scenario, &mut rng), rng)
+    }
+
+    /// The batch_ingestion case at small scale: every group-commit size
+    /// lands on the same ingest-state fingerprint (the full-scale ledger
+    /// case observes the same equality at 2000 servers), and the
     /// whole-stream batch strictly coalesces repairs.
     #[test]
     fn batch_ingestion_fingerprints_are_batch_size_invariant() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let scenario = SyntheticEua::default().sample(10, 40, 3, &mut rng);
-        let problem = Problem::standard(scenario, &mut rng);
-        let initial: Vec<bool> = (0..40).map(|j| j % 3 == 0).collect();
-        let config = EngineConfig { checkpoint_interval: 0, ..EngineConfig::default() };
-        let proto = Engine::new(problem, config, initial);
-        let events: Vec<Event> = (0..48)
-            .map(|_| {
-                let user = UserId(rng.gen_range(0..40));
-                match rng.gen_range(0..10u32) {
-                    0..=7 => Event::Move {
-                        user,
-                        dx: rng.gen_range(-80.0..=80.0),
-                        dy: rng.gen_range(-80.0..=80.0),
-                    },
-                    8 => Event::Depart { user },
-                    _ => Event::Arrive { user },
-                }
-            })
-            .collect();
-        let mut digests = Vec::new();
-        let mut repairs = Vec::new();
-        for b in [1u64, 7, 48] {
-            let mut engine = proto.clone();
-            engine.set_batch(b);
-            engine.apply_batch(&events);
-            digests.push(ingest_state_fingerprint(&engine));
-            repairs.push(engine.metrics().repairs);
-        }
+        let (problem, rng) = small_problem(11, 10, 40, 3);
+        let (case, metrics) =
+            batch_ingestion_case(&tiny(), "10/40/3", problem, rng, 48, &[1, 7, 48]);
         assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "ingest-state digests diverged across batch sizes: {digests:x?}"
+            case.deterministic(),
+            "ingest-state digests diverged across batch sizes: {case:x?}"
         );
+        let repairs: Vec<u64> = metrics.iter().map(|m| m.repairs).collect();
         assert!(
             repairs[2] < repairs[0],
             "whole-stream batching must coalesce repairs ({repairs:?})"
         );
     }
 
-    /// The cache_drift contract at small scale: every caching policy lands
-    /// on the cache-off solver-state fingerprint (the full-scale ledger case
+    /// The cache_drift case at small scale: every caching policy lands on
+    /// the cache-off solver-state fingerprint (the full-scale ledger case
     /// observes the same equality at 2000 servers), and at least one cached
     /// policy actually serves traffic from its store.
     #[test]
     fn cache_drift_fingerprints_are_policy_invariant() {
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let scenario = SyntheticEua::default().sample(12, 60, 4, &mut rng);
-        let problem = Problem::standard(scenario, &mut rng);
-        let initial: Vec<bool> = (0..60).map(|j| j % 2 == 0).collect();
-        let wcfg = WorkloadConfig {
-            request_rate: 40.0,
-            drift: DriftProfile::drifting(),
-            ..WorkloadConfig::default()
-        };
-        let mut digests = Vec::new();
-        let mut hits = Vec::new();
-        for policy in [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache] {
-            let config = EngineConfig {
-                checkpoint_interval: 0,
-                cache: CacheConfig { policy, ..CacheConfig::default() },
-                ..EngineConfig::default()
-            };
-            let mut engine = Engine::new(problem.clone(), config, initial.clone());
-            let mut wl = WorkloadGenerator::new(wcfg, 4, 23);
-            engine.run(&mut wl, 40);
-            digests.push(solver_state_fingerprint(&engine));
-            hits.push(engine.metrics().cache.map_or(0, |c| c.hits));
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "solver-state digests diverged across caching policies: {digests:x?}"
-        );
+        let (problem, _) = small_problem(23, 12, 60, 4);
+        let (case, metrics) = cache_drift_case(&tiny(), "12/60/4", problem, 40);
+        assert!(case.deterministic(), "solver-state digests diverged across policies: {case:x?}");
+        let hits: Vec<u64> = metrics.iter().map(|m| m.cache.map_or(0, |c| c.hits)).collect();
         assert_eq!(hits[0], 0, "cache-off must record no cache traffic");
         assert!(hits.iter().skip(1).any(|&h| h > 0), "no caching policy recorded a hit ({hits:?})");
     }
 
-    /// The dist_bulk contract at small scale: both delivery strategies land
-    /// on the same solver-state fingerprint (the full-scale ledger case
+    /// The dist_bulk case at small scale: both delivery strategies land on
+    /// the same solver-state fingerprint (the full-scale ledger case
     /// observes the same equality at 2000 servers), every recorded round
     /// audits clean, and the Steiner trees come in strictly below the
     /// unicast per-destination plans on total distribution cost.
     #[test]
     fn dist_bulk_steiner_is_cheaper_and_placement_invariant() {
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let scenario = SyntheticEua::default().sample(12, 60, 4, &mut rng);
-        let problem = Problem::standard(scenario, &mut rng);
-        let initial: Vec<bool> = (0..60).map(|j| j % 2 == 0).collect();
-        let mut digests = Vec::new();
+        let (problem, _) = small_problem(29, 12, 60, 4);
+        let (case, metrics) = dist_bulk_case(&tiny(), "12/60/4", problem, 3);
+        assert!(case.deterministic(), "solver-state digests diverged across strategies: {case:x?}");
         let mut costs = Vec::new();
-        for strategy in [StrategyKind::Unicast, StrategyKind::Steiner] {
-            let config = EngineConfig {
-                checkpoint_interval: 0,
-                audit_every: u64::MAX,
-                dist: DistConfig { strategy, record: true, ..DistConfig::default() },
-                ..EngineConfig::default()
-            };
-            let mut engine = Engine::new(problem.clone(), config, initial.clone());
-            let mut load: Vec<(usize, ServerId)> = engine
-                .problem()
-                .scenario
-                .server_ids()
-                .map(|s| (engine.placement().data_on(s).count(), s))
-                .collect();
-            load.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.index().cmp(&b.1.index())));
-            for (_, server) in load.into_iter().take(3) {
-                engine.apply(&Event::ServerDown { server });
-                engine.apply(&Event::ServerRestore { server });
-            }
-            let d = engine.metrics().dist.unwrap_or_default();
+        for (strategy, m) in ["unicast", "steiner"].into_iter().zip(&metrics) {
+            let d = m.dist.unwrap_or_default();
             assert!(d.bulk_installs >= 1, "{strategy}: no bulk round was recorded");
             assert!(d.replicas_installed > 0, "{strategy}: no replica installs were recorded");
-            assert_eq!(
-                engine.metrics().audit_violations,
-                0,
-                "{strategy}: distribution audit flagged violations"
-            );
-            digests.push(solver_state_fingerprint(&engine));
+            assert_eq!(m.audit_violations, 0, "{strategy}: distribution audit flagged violations");
             costs.push(d.dist_cost_ms);
         }
-        assert_eq!(
-            digests[0], digests[1],
-            "solver-state digests diverged across delivery strategies: {digests:x?}"
-        );
         assert!(
             costs[1] < costs[0],
             "Steiner trees must beat unicast on total distribution cost ({costs:?})"
         );
+    }
+
+    /// A result that changes between repeated samples at one point fails
+    /// the determinism gate even though every point agrees on its first
+    /// sample.
+    #[test]
+    fn sweep_flags_a_result_that_changes_between_samples() {
+        let calls = std::cell::Cell::new(0u64);
+        let (points, last) = sweep(
+            3,
+            Axis::Param(&[0, 1]),
+            |_| calls.set(0),
+            |_| (),
+            |_, ()| {
+                calls.set(calls.get() + 1);
+                calls.get()
+            },
+            |_, &n| (n, n),
+        );
+        assert_eq!(last, vec![3, 3], "each point's last result is returned");
+        let case = BenchCase { name: "drift".into(), workload: "w".into(), points };
+        assert!(case.points.iter().all(|p| p.fingerprint == 1 && !p.samples_agree));
+        assert!(!case.deterministic());
     }
 
     #[test]
@@ -1209,6 +1232,7 @@ mod tests {
                     threads: 1,
                     samples_ms: vec![1.25, 2.5],
                     fingerprint: 0xdead_beef,
+                    samples_agree: true,
                 }],
             }],
         };
@@ -1234,10 +1258,8 @@ mod tests {
         // change any case's fingerprint. (The committed BENCH_*.json files
         // re-check this at full scale on every regeneration.)
         let cfg = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let scenario = SyntheticEua::default().sample(20, 120, 3, &mut rng);
-        let problem = Problem::standard(scenario, &mut rng);
-        let case = sweep(
+        let (problem, _) = small_problem(cfg.seed, 20, 120, 3);
+        let case = thread_sweep(
             &cfg,
             "iddeg_small",
             "20/120/3",

@@ -84,8 +84,8 @@ sites/816 users), lifting the 125-site cap for scaling runs, e.g.
 `bench` writes one BENCH_<suite>.json per suite into --out (default
 `.`); `--json` additionally prints the ledgers to stdout instead of
 the summary table; `--check` re-runs the suites and exits nonzero if
-the result fingerprints diverge from the committed BENCH_<suite>.json
-(timings are reported but never gate).";
+the result fingerprints or workload strings diverge from the committed
+BENCH_<suite>.json (timings are reported but never gate).";
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -222,8 +222,9 @@ pub enum Command {
         out: PathBuf,
         /// Print the ledgers as JSON on stdout instead of the summary table.
         json: bool,
-        /// Compare fresh fingerprints against the committed ledgers in
-        /// `out` instead of overwriting them (the CI bench gate).
+        /// Compare fresh fingerprints and workload strings against the
+        /// committed ledgers in `out` instead of overwriting them (the CI
+        /// bench gate).
         check: bool,
     },
     /// `idde compare`

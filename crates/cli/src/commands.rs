@@ -1,5 +1,6 @@
 //! Command implementations.
 
+use std::fmt::Write as _;
 use std::io::Read as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -282,12 +283,13 @@ fn bench(
         };
         let path = out.join(format!("BENCH_{name}.json"));
         if check {
-            // The bench gate: fingerprints must match the committed ledger
-            // exactly; timings are machine-dependent and only annotated.
+            // The bench gate: case names, workload strings and fingerprints
+            // must match the committed ledger exactly; timings are
+            // machine-dependent and only annotated.
             let committed = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read committed ledger {}: {e}", path.display()))?;
-            check_fingerprints(name, &committed, &ledger)?;
-            eprintln!("{name}: fingerprints match {}", path.display());
+            check_ledger(name, &committed, &ledger)?;
+            eprintln!("{name}: workloads and fingerprints match {}", path.display());
         } else {
             std::fs::write(&path, ledger.to_json())
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -296,13 +298,13 @@ fn bench(
         if json {
             print!("{}", ledger.to_json());
         } else {
-            print_ledger_table(&ledger);
+            print!("{}", ledger_table(&ledger));
         }
         for case in &ledger.cases {
             if !case.deterministic() {
                 return Err(format!(
                     "determinism contract violated: case {:?} produced different results \
-                     across the thread sweep (see {})",
+                     across its samples or sweep points (see {})",
                     case.name,
                     path.display()
                 ));
@@ -312,11 +314,12 @@ fn bench(
     Ok(())
 }
 
-/// Pulls the `(case, fingerprint-per-point)` sequence out of a ledger JSON.
-/// The ledger serialiser is hand-rolled and line-oriented, so a line scan is
-/// exact: each case opens with its `"name"` line, each point line carries
-/// one `"fingerprint"`.
-fn extract_fingerprints(ledger_json: &str) -> Vec<(String, String)> {
+/// Pulls the gated `(case, value)` sequence out of a ledger JSON: per case
+/// its raw workload string, then one fingerprint per point. The ledger
+/// serialiser is hand-rolled and line-oriented, so a line scan is exact:
+/// each case opens with its `"name"` and `"workload"` lines, each point line
+/// carries one `"fingerprint"`.
+fn extract_gated(ledger_json: &str) -> Vec<(String, String)> {
     let field = |line: &str, key: &str| -> Option<String> {
         let (_, tail) = line.split_once(&format!("\"{key}\": \""))?;
         tail.split_once('"').map(|(v, _)| v.to_string())
@@ -327,6 +330,9 @@ fn extract_fingerprints(ledger_json: &str) -> Vec<(String, String)> {
         if let Some(name) = field(line, "name") {
             current_case = name;
         }
+        if let Some((_, workload)) = line.split_once("\"workload\": ") {
+            out.push((current_case.clone(), workload.trim_end_matches(',').to_string()));
+        }
         if let Some(fp) = field(line, "fingerprint") {
             out.push((current_case.clone(), fp));
         }
@@ -334,35 +340,37 @@ fn extract_fingerprints(ledger_json: &str) -> Vec<(String, String)> {
     out
 }
 
-/// Compares a freshly-run ledger's result fingerprints against the
-/// committed ledger JSON, point by point.
-fn check_fingerprints(
+/// Compares a freshly-run ledger against the committed ledger JSON, value
+/// by value: each case's workload string (which carries the seeded
+/// per-point figures, such as cache hits and distribution cost) and each
+/// point's result fingerprint.
+fn check_ledger(
     suite: &str,
     committed_json: &str,
     fresh: &idde_bench::ledger::Ledger,
 ) -> Result<(), String> {
-    let committed = extract_fingerprints(committed_json);
-    let current = extract_fingerprints(&fresh.to_json());
+    let committed = extract_gated(committed_json);
+    let current = extract_gated(&fresh.to_json());
     if committed.is_empty() {
-        return Err(format!("committed {suite} ledger contains no fingerprints"));
+        return Err(format!("committed {suite} ledger contains no gated values"));
     }
     if committed.len() != current.len() {
         return Err(format!(
-            "{suite}: committed ledger has {} fingerprint points, this run produced {} \
-             (thread sweep or case set changed — re-run `idde bench` and commit the result)",
+            "{suite}: committed ledger has {} gated values, this run produced {} \
+             (sweep or case set changed — re-run `idde bench` and commit the result)",
             committed.len(),
             current.len()
         ));
     }
     let mut diverged = Vec::new();
-    for ((case_a, fp_a), (case_b, fp_b)) in committed.iter().zip(&current) {
-        if case_a != case_b || fp_a != fp_b {
-            diverged.push(format!("{case_b}: committed {case_a}={fp_a}, got {fp_b}"));
+    for ((case_a, value_a), (case_b, value_b)) in committed.iter().zip(&current) {
+        if case_a != case_b || value_a != value_b {
+            diverged.push(format!("{case_b}: committed {case_a}={value_a}, got {value_b}"));
         }
     }
     if !diverged.is_empty() {
         return Err(format!(
-            "{suite}: {} of {} result fingerprints diverged from the committed ledger:\n  {}\n\
+            "{suite}: {} of {} gated values diverged from the committed ledger:\n  {}\n\
              if the change is intentional, re-run `idde bench` and commit BENCH_{suite}.json",
             diverged.len(),
             committed.len(),
@@ -372,66 +380,38 @@ fn check_fingerprints(
     Ok(())
 }
 
-fn print_ledger_table(ledger: &idde_bench::ledger::Ledger) {
-    println!(
-        "suite {:?} (seed {}, {} samples/point, host parallelism {})",
+/// Renders the human ledger summary: per case its name, determinism verdict
+/// and workload line (which names what the `threads` column counts), then
+/// one row per point with the median's speedup over the first point.
+fn ledger_table(ledger: &idde_bench::ledger::Ledger) -> String {
+    let mut out = format!(
+        "suite {:?} (seed {}, {} samples/point, host parallelism {})\n",
         ledger.suite, ledger.seed, ledger.samples, ledger.host_parallelism
     );
-    println!(
-        "{:>24} {:>8} {:>12} {:>12} {:>14}",
-        "case", "threads", "median (ms)", "p95 (ms)", "deterministic"
-    );
     for case in &ledger.cases {
+        let _ = writeln!(out, "{} (deterministic: {})", case.name, case.deterministic());
+        let _ = writeln!(out, "  {}", case.workload);
+        let _ = writeln!(
+            out,
+            "{:>10} {:>12} {:>12} {:>9}",
+            "threads", "median (ms)", "p95 (ms)", "× first"
+        );
+        let first = case.points.first().map_or(0.0, |p| p.median_ms());
         for point in &case.points {
-            println!(
-                "{:>24} {:>8} {:>12.3} {:>12.3} {:>14}",
-                case.name,
+            // A zero (sub-precision) median has no meaningful ratio.
+            let median = point.median_ms();
+            let ratio = if median > 0.0 { format!("{:.2}x", first / median) } else { "-".into() };
+            let _ = writeln!(
+                out,
+                "{:>10} {:>12.3} {:>12.3} {:>9}",
                 point.threads,
-                point.median_ms(),
+                median,
                 point.p95_ms(),
-                case.deterministic()
+                ratio
             );
         }
     }
-    // The shard_scaling case's `threads` column records the shard count K;
-    // summarise it as a speedup table against K = 1.
-    if let Some(case) = ledger.cases.iter().find(|c| c.name == "shard_scaling") {
-        let points: Vec<(usize, f64)> =
-            case.points.iter().map(|p| (p.threads, p.median_ms())).collect();
-        print!(
-            "{}",
-            idde_sim::report::scaling_table("shard scaling (threads column = K):", &points)
-        );
-    }
-    // The batch_ingestion case's `threads` column records the group-commit
-    // size B (every point is single-threaded); summarise the batching win
-    // as a speedup table against the B = 1 point.
-    if let Some(case) = ledger.cases.iter().find(|c| c.name == "batch_ingestion") {
-        let points: Vec<(usize, f64)> =
-            case.points.iter().map(|p| (p.threads, p.median_ms())).collect();
-        print!(
-            "{}",
-            idde_sim::report::scaling_table("batch ingestion (threads column = B):", &points)
-        );
-    }
-    // The cache_drift case's `threads` column records the caching-policy
-    // index over [off, lce, lcd, probcache]; its shared fingerprint is the
-    // "cache never perturbs the solver" contract, and the per-policy hit and
-    // latency figures live in the workload string.
-    if let Some(case) = ledger.cases.iter().find(|c| c.name == "cache_drift") {
-        println!("cache drift (threads column = policy index; shared fingerprint = solver");
-        println!("trajectory is policy-invariant):");
-        println!("  {}", case.workload);
-    }
-    // The dist_bulk case's `threads` column records the delivery-strategy
-    // index over [unicast, steiner]; its shared fingerprint is the
-    // "delivery never perturbs the placement" contract, and the per-strategy
-    // distribution cost and violation figures live in the workload string.
-    if let Some(case) = ledger.cases.iter().find(|c| c.name == "dist_bulk") {
-        println!("bulk distribution (threads column = strategy index; shared fingerprint =");
-        println!("final placement is strategy-invariant):");
-        println!("  {}", case.workload);
-    }
+    out
 }
 
 /// `idde serve` inputs (mirrors `Command::Serve`).
@@ -1050,9 +1030,40 @@ mod tests {
         std::fs::write(dir.join("BENCH_solver.json"), tampered).unwrap();
         let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
+        // A workload string carries seeded figures, so it is gated too.
+        let tampered = json.replacen("816 users", "817 users", 1);
+        std::fs::write(dir.join("BENCH_solver.json"), tampered).unwrap();
+        let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
+        assert!(err.contains("817 users"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
         let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("cannot read committed ledger"), "{err}");
+    }
+
+    #[test]
+    fn ledger_table_prints_workloads_and_speedups_over_the_first_point() {
+        use idde_bench::ledger::{BenchCase, Ledger, ThreadPoint};
+
+        let point = |threads, ms| ThreadPoint {
+            threads,
+            samples_ms: vec![ms],
+            fingerprint: 1,
+            samples_agree: true,
+        };
+        let points = vec![point(1, 100.0), point(64, 25.0), point(512, 0.0)];
+        let case = BenchCase { name: "b".into(), workload: "threads column = B".into(), points };
+        let ledger = Ledger {
+            suite: "engine".into(),
+            seed: 1,
+            samples: 1,
+            host_parallelism: 2,
+            cases: vec![case],
+        };
+        let table = ledger_table(&ledger);
+        assert!(table.contains("b (deterministic: true)\n  threads column = B\n"), "{table}");
+        assert!(table.contains("1.00x") && table.contains("4.00x"), "{table}");
+        // A zero median (sub-precision timing) prints a dash, not inf.
+        assert!(table.lines().last().unwrap().ends_with(" -"), "{table}");
     }
 
     #[test]

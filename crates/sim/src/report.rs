@@ -22,29 +22,6 @@ pub fn time_table(result: &SetResult) -> String {
     metric_table(result, "time (s)", |p, a| p.approaches[a].time_summary().mean)
 }
 
-/// Renders a scaling sweep — `(shard count, median ms)` points — as an
-/// ASCII table with the speedup of each point relative to the first.
-/// `idde bench` uses this to summarise the engine suite's `shard_scaling`
-/// case (see EXPERIMENTS.md § Shard scaling); the renderer itself is
-/// agnostic to what the sweep axis counts.
-pub fn scaling_table(label: &str, points: &[(usize, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{label}");
-    let _ = writeln!(out, "{:>8} {:>12} {:>9}", "K", "median (ms)", "speedup");
-    let base = points.first().map(|&(_, ms)| ms);
-    for &(k, ms) in points {
-        match base {
-            Some(b) if ms > 0.0 => {
-                let _ = writeln!(out, "{:>8} {:>12.3} {:>8.2}x", k, ms, b / ms);
-            }
-            _ => {
-                let _ = writeln!(out, "{:>8} {:>12.3} {:>9}", k, ms, "-");
-            }
-        }
-    }
-    out
-}
-
 fn metric_table(
     result: &SetResult,
     metric: &str,
@@ -149,20 +126,6 @@ mod tests {
         assert!(t.contains("L_avg"));
         let t = time_table(&r);
         assert!(t.contains("time (s)"));
-    }
-
-    #[test]
-    fn scaling_table_reports_speedups_against_the_first_point() {
-        let t = scaling_table("shard scaling", &[(1, 100.0), (2, 50.0), (4, 20.0)]);
-        assert!(t.contains("shard scaling"), "{t}");
-        assert!(t.contains("speedup"), "{t}");
-        assert!(t.contains("1.00x"), "{t}");
-        assert!(t.contains("2.00x"), "{t}");
-        assert!(t.contains("5.00x"), "{t}");
-        // A zero median (sub-precision timing) renders a dash, not a panic.
-        let t = scaling_table("degenerate", &[(1, 0.0), (2, 0.0)]);
-        assert!(t.contains('-'), "{t}");
-        assert!(scaling_table("empty", &[]).contains("median"));
     }
 
     #[test]
