@@ -46,7 +46,8 @@ scenario_chaos() {
 
 # Exercises the spatial-index and incremental-repair fast paths at a
 # geography the brute-force paths would crawl on: a density-preserving
-# 2000-site enlargement of the EUA extract, audited throughout.
+# 2000-site enlargement of the EUA extract, audited throughout. The
+# eviction grep proves the per-item top-2 sweep ran at this scale.
 scenario_scale() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \
@@ -55,13 +56,15 @@ scenario_scale() {
   grep -E '^audit_violations,0$' "$out/scale.csv"
   grep -E '^certificate_violations,0$' "$out/scale.csv"
   grep -E '^audits,[1-9]' "$out/scale.csv"
+  grep -E '^evicted_replicas,[1-9]' "$out/scale.csv"
 }
 
 # The shard layer end to end at the scale geography: a 4-shard audited
 # serve whose every tick runs the cross-shard audit (union of shard states
-# must rebuild one coherent global field), then the migration-safety
-# contract on real CLI output — --shards 1 must write the byte-identical
-# serve CSV to the unsharded engine.
+# must rebuild one coherent global field) and whose replica eviction runs
+# with foreign halo servers, then the migration-safety contract on real CLI
+# output — --shards 1 must write the byte-identical serve CSV to the
+# unsharded engine.
 scenario_shard() {
   idde serve \
     --scale-servers 2000 --scale-users 5000 \
@@ -73,6 +76,7 @@ scenario_shard() {
   grep -E '^audit_violations,0$' "$out/shard.csv"
   grep -E '^certificate_violations,0$' "$out/shard.csv"
   grep -E '^audits,[1-9]' "$out/shard.csv"
+  grep -E '^evicted_replicas,[1-9]' "$out/shard.csv"
   grep -E '^server_outages,0$' "$out/shard.csv"
   grep -E '^link_faults,0$' "$out/shard.csv"
   idde serve \
@@ -84,14 +88,15 @@ scenario_shard() {
 }
 
 # The batching layer end to end (ARCHITECTURE.md §7): the group-commit path
-# at the scale geography must stay violation-free while repairs are
-# coalesced across whole batches; the batch-of-one case (--batch 1, also
-# under a two-shard router whose handoffs go through one-event slices) must
-# write the byte-identical serve CSV to the golden files in ci/golden/,
-# recorded when per-event serving was a separate code path; and the
-# ingest-time counter projection (the CSV's first seven rows) must be
-# identical across batch sizes — equilibrium-derived gauges below that line
-# may legitimately differ (a union repair is one game, not N).
+# at the scale geography must stay violation-free (and keep evicting dead
+# replicas) while repairs are coalesced across whole batches; the
+# batch-of-one case (--batch 1, also under a two-shard router whose
+# handoffs go through one-event slices) must write the byte-identical serve
+# CSV to the golden files in ci/golden/, recorded when per-event serving
+# was a separate code path; and the ingest-time counter projection (the
+# CSV's first seven rows) must be identical across batch sizes —
+# equilibrium-derived gauges below that line may legitimately differ (a
+# union repair is one game, not N).
 scenario_batch() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \
@@ -100,6 +105,7 @@ scenario_batch() {
   grep -E '^audit_violations,0$' "$out/batch64.csv"
   grep -E '^certificate_violations,0$' "$out/batch64.csv"
   grep -E '^audits,[1-9]' "$out/batch64.csv"
+  grep -E '^evicted_replicas,[1-9]' "$out/batch64.csv"
   idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b1.csv" \
     --batch 1

@@ -33,8 +33,39 @@
 //! single committing thread. The fill preserves index order and every slot
 //! is an independent pure computation, so results are bit-identical for any
 //! worker count, including the sequential small-input fallback.
+//!
+//! ## Eviction
+//!
+//! Before each online repair, [`evict_useless_replicas`] drops replicas
+//! that no longer lower any Eq. 8 latency. A replica of `d_k` on `v_s` is
+//! needed iff some allocated requester of `d_k`, served by `v_t`, would get
+//! strictly slower without it: `L(s,t) + 1e-12 < W_t`, where `W_t` is the
+//! minimum over the cloud and the item's *other* live holders. A replica's
+//! fate therefore depends only on its own item's holders, so the
+//! server-major sweep is the same as handling each item's holders in
+//! ascending server order.
+//!
+//! Per item, the sweep keeps for every distinct target `t` the two
+//! smallest latencies over the live holders and the cloud (the cloud is a
+//! holder that is never evicted; unreachable pairs are `+inf`), with the
+//! holders that achieve them. `W_t` without `s` is the runner-up when `s`
+//! is the minimum and the minimum otherwise, and `L(s,t) ≥` the minimum, so
+//! `s` is needed iff some `t` has `s` first and `first + 1e-12 < second`.
+//! Ties need no special case: if `s` ties another source for first, that
+//! source caps `W_t` at `L(s,t)` whichever of the two is ranked first.
+//! Foreign holders count in the minima but are never evicted. Evicting `s`
+//! only rescans the targets where `s` was first or second, so an item
+//! costs `O(H_k · T_k)` instead of the rescan's `O(H_k² · R_k)`
+//! (`H_k` holders, `T_k` distinct targets, `R_k` requests).
+//!
+//! **Removal order.** `Placement::used` is an `f64` accumulator, so the
+//! order of removals on one server decides its bits (and with them the
+//! greedy's `remaining` test). Items are swept in ascending id order and
+//! removed as they are decided, so every server sees its removals in
+//! ascending data order — the order of a server-major sweep.
 
-use idde_model::{Allocation, DataId, Milliseconds, Placement, ServerId};
+use idde_model::{Allocation, DataId, MegaBytes, Milliseconds, Placement, ServerId};
+use idde_net::Topology;
 use idde_par::ScratchPool;
 
 use crate::problem::Problem;
@@ -243,46 +274,111 @@ impl GreedyDelivery {
 /// Shared by the mobility extension (`crate::mobility`) and the online
 /// serving engine: after churn reshapes the demand geometry, dead replicas
 /// are dropped at zero latency cost before the greedy re-fills the freed
-/// storage. A fixed server/data sweep order keeps it deterministic.
+/// storage. Each item is swept on its own with per-target top-2 minima;
+/// see the module docs for why this is exact and keeps every
+/// `Placement::used` accumulator bit-identical to a server-major sweep.
 pub fn evict_useless_replicas(
     problem: &Problem,
     allocation: &Allocation,
     placement: &mut Placement,
 ) -> usize {
     let scenario = &problem.scenario;
+    let topology = &problem.topology;
+    let mut is_target = vec![false; scenario.num_servers()];
+    let mut targets: Vec<ServerId> = Vec::new();
+    let mut holders: Vec<ServerId> = Vec::new();
+    let mut live: Vec<bool> = Vec::new();
+    let mut best: Vec<TopTwo> = Vec::new();
     let mut evicted = 0usize;
-    for server in scenario.server_ids() {
-        if !scenario.coverage.is_candidate(server) {
+    for data in scenario.data_ids() {
+        holders.clear();
+        holders.extend(placement.servers_with(data));
+        if !holders.iter().any(|&s| scenario.coverage.is_candidate(s)) {
             continue; // foreign replicas belong to the owning shard
         }
-        let data_here: Vec<DataId> = placement.data_on(server).collect();
-        for data in data_here {
-            let size = scenario.data[data.index()].size;
-            // Latency of every request of `data` with and without this
-            // replica.
-            let others: Vec<ServerId> =
-                placement.servers_with(data).filter(|&s| s != server).collect();
-            let mut needed = false;
-            for &user in scenario.requests.of_data(data) {
-                let Some(target) = allocation.server_of(user) else { continue };
-                let with = problem
-                    .topology
-                    .edge_latency(size, server, target)
-                    .value()
-                    .min(problem.topology.delivery_latency_from(&others, size, target).value());
-                let without = problem.topology.delivery_latency_from(&others, size, target).value();
-                if with + 1e-12 < without {
-                    needed = true;
-                    break;
+        // Distinct serving servers of the item's allocated requesters: the
+        // test is existential, so duplicate targets add nothing.
+        targets.clear();
+        for &user in scenario.requests.of_data(data) {
+            if let Some(target) = allocation.server_of(user) {
+                if !is_target[target.index()] {
+                    is_target[target.index()] = true;
+                    targets.push(target);
                 }
             }
-            if !needed {
-                placement.remove(server, data, size);
-                evicted += 1;
+        }
+        for target in &targets {
+            is_target[target.index()] = false;
+        }
+        let size = scenario.data[data.index()].size;
+        live.clear();
+        live.resize(holders.len(), true);
+        best.clear();
+        best.extend(targets.iter().map(|&t| TopTwo::over(topology, size, &holders, &live, t)));
+        for (h, &server) in holders.iter().enumerate() {
+            if !scenario.coverage.is_candidate(server) {
+                continue;
+            }
+            if best.iter().any(|b| b.first == h && b.v1 + 1e-12 < b.v2) {
+                continue; // some target's best source, by more than 1e-12
+            }
+            live[h] = false;
+            placement.remove(server, data, size);
+            evicted += 1;
+            for (b, &target) in best.iter_mut().zip(&targets) {
+                if b.first == h || b.second == h {
+                    *b = TopTwo::over(topology, size, &holders, &live, target);
+                }
             }
         }
     }
     evicted
+}
+
+/// The two lowest Eq. 8 latencies to one target over an item's live
+/// holders and the cloud, with the holder indices that achieve them.
+#[derive(Clone, Copy, Debug)]
+struct TopTwo {
+    v1: f64,
+    first: usize,
+    v2: f64,
+    second: usize,
+}
+
+impl TopTwo {
+    /// Holder index standing for the cloud (or for no source at all).
+    const CLOUD: usize = usize::MAX;
+
+    /// Scans the live holders, starting from the cloud; unreachable pairs
+    /// are skipped, as if `+inf`.
+    fn over(
+        topology: &Topology,
+        size: MegaBytes,
+        holders: &[ServerId],
+        live: &[bool],
+        target: ServerId,
+    ) -> Self {
+        let mut top = Self {
+            v1: topology.cloud_latency(size).value(),
+            first: Self::CLOUD,
+            v2: f64::INFINITY,
+            second: Self::CLOUD,
+        };
+        for (h, &origin) in holders.iter().enumerate() {
+            if !live[h] {
+                continue;
+            }
+            let Some(latency) = topology.try_edge_latency(size, origin, target) else { continue };
+            let v = latency.value();
+            if v < top.v1 {
+                top = Self { v1: v, first: h, v2: top.v1, second: top.first };
+            } else if v < top.v2 {
+                top.v2 = v;
+                top.second = h;
+            }
+        }
+        top
+    }
 }
 
 /// Recomputes column `k` of the score matrix: for every server `i`, the
@@ -342,6 +438,241 @@ mod tests {
     fn problem(seed: u64) -> Problem {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Problem::standard(testkit::fig2_example(), &mut rng)
+    }
+
+    /// The quadratic server-major sweep the top-2 eviction replaced, kept
+    /// as its oracle: for every candidate replica, every request of its
+    /// item is rescanned over the other holders with and without it.
+    fn evict_reference(
+        problem: &Problem,
+        allocation: &Allocation,
+        placement: &mut Placement,
+    ) -> usize {
+        // Eq. 8 over an explicit origin list: the cloud, or the cheapest
+        // reachable origin.
+        let latency_from = |origins: &[ServerId], size: MegaBytes, target: ServerId| {
+            let mut best = problem.topology.cloud_latency(size).value();
+            for &origin in origins {
+                if let Some(via) = problem.topology.try_edge_latency(size, origin, target) {
+                    best = best.min(via.value());
+                }
+            }
+            best
+        };
+        let scenario = &problem.scenario;
+        let mut evicted = 0usize;
+        for server in scenario.server_ids() {
+            if !scenario.coverage.is_candidate(server) {
+                continue;
+            }
+            let data_here: Vec<DataId> = placement.data_on(server).collect();
+            for data in data_here {
+                let size = scenario.data[data.index()].size;
+                let others: Vec<ServerId> =
+                    placement.servers_with(data).filter(|&s| s != server).collect();
+                let needed = scenario.requests.of_data(data).iter().any(|&user| {
+                    let Some(target) = allocation.server_of(user) else { return false };
+                    let without = latency_from(&others, size, target);
+                    let with =
+                        problem.topology.edge_latency(size, server, target).value().min(without);
+                    with + 1e-12 < without
+                });
+                if !needed {
+                    placement.remove(server, data, size);
+                    evicted += 1;
+                }
+            }
+        }
+        evicted
+    }
+
+    /// A seeded random instance: 4–30 servers at a random network density,
+    /// optionally fault-masked (down servers and links leave unreachable
+    /// pairs), under either path model, with a cloud that is sometimes
+    /// faster than edge paths and some servers marked foreign.
+    fn random_problem(rng: &mut ChaCha8Rng) -> Problem {
+        use idde_model::{MegaBytesPerSec, Point, ScenarioBuilder, Watts};
+        use idde_net::{LinkState, NetworkFaults, PathModel};
+        use rand::Rng;
+
+        let mut b = ScenarioBuilder::new();
+        let n = rng.gen_range(4..30);
+        for _ in 0..n {
+            b.server(
+                Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)),
+                rng.gen_range(100.0..400.0),
+                rng.gen_range(1..4),
+                MegaBytesPerSec(rng.gen_range(50.0..400.0)),
+                MegaBytes(rng.gen_range(0.0..400.0)),
+            );
+        }
+        let users: Vec<UserId> = (0..rng.gen_range(0..60))
+            .map(|_| {
+                b.user(
+                    Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)),
+                    Watts(rng.gen_range(0.5..5.0)),
+                    MegaBytesPerSec(rng.gen_range(50.0..400.0)),
+                )
+            })
+            .collect();
+        let data: Vec<DataId> = (0..rng.gen_range(1..6))
+            .map(|_| b.data(MegaBytes(rng.gen_range(1.0..100.0))))
+            .collect();
+        for &user in &users {
+            for &d in &data {
+                if rng.gen_bool(0.4) {
+                    b.request(user, d);
+                }
+            }
+        }
+        let mut scenario = b.build().unwrap();
+        for server in scenario.server_ids() {
+            if rng.gen_bool(0.2) {
+                scenario.coverage.set_foreign(server, true);
+            }
+        }
+        let base = Problem::with_density(scenario, rng.gen_range(0.5..2.0), rng);
+        let model =
+            if rng.gen_bool(0.5) { PathModel::Pipelined } else { PathModel::StoreAndForward };
+        let graph = base.topology.graph();
+        let mut faults = NetworkFaults::healthy(n, graph.links().len());
+        if rng.gen_bool(0.5) {
+            for server in base.scenario.server_ids() {
+                if rng.gen_bool(0.15) {
+                    faults.set_server(server, false);
+                }
+            }
+            for link in 0..graph.links().len() {
+                if rng.gen_bool(0.2) {
+                    faults.set_link(link, LinkState::Down);
+                }
+            }
+        }
+        let cloud = MegaBytesPerSec(rng.gen_range(300.0..8000.0));
+        let topology = faults.effective_topology(graph, cloud, model);
+        Problem::new(base.scenario, base.radio, topology)
+    }
+
+    /// A random allocation (server only; some users unallocated).
+    fn random_allocation(problem: &Problem, rng: &mut ChaCha8Rng) -> Allocation {
+        use rand::Rng;
+        let n = problem.scenario.num_servers();
+        let mut alloc = Allocation::unallocated(problem.scenario.num_users());
+        for user in problem.scenario.user_ids() {
+            if rng.gen_bool(0.8) {
+                alloc.set(user, Some((ServerId::from_index(rng.gen_range(0..n)), ChannelIndex(0))));
+            }
+        }
+        alloc
+    }
+
+    #[test]
+    fn top_two_eviction_matches_the_quadratic_sweep_bit_for_bit() {
+        use rand::Rng;
+        let (mut evicted_total, mut kept_total, mut unreachable) = (0usize, 0usize, 0usize);
+        for seed in 0..300u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let p = random_problem(&mut rng);
+            let alloc = random_allocation(&p, &mut rng);
+            // Either random replicas, or a paper-literal greedy fill (exact
+            // zero-benefit ties) solved for a different allocation.
+            let mut placement = if rng.gen_bool(0.5) {
+                let mut placement =
+                    Placement::empty(p.scenario.num_servers(), p.scenario.num_data());
+                for server in p.scenario.server_ids() {
+                    for data in p.scenario.data_ids() {
+                        if rng.gen_bool(0.35) {
+                            placement.place(server, data, p.scenario.data[data.index()].size);
+                        }
+                    }
+                }
+                placement
+            } else {
+                let solved_for =
+                    if rng.gen_bool(0.5) { alloc.clone() } else { random_allocation(&p, &mut rng) };
+                GreedyDelivery::new(DeliveryConfig {
+                    fill_zero_benefit: true,
+                    ..Default::default()
+                })
+                .run(&p, &solved_for)
+                .placement
+            };
+            unreachable += p
+                .scenario
+                .server_ids()
+                .flat_map(|a| p.scenario.server_ids().map(move |b| (a, b)))
+                .filter(|&(a, b)| !p.topology.is_reachable(a, b))
+                .count();
+            let mut reference = placement.clone();
+            let expected = evict_reference(&p, &alloc, &mut reference);
+            let evicted = evict_useless_replicas(&p, &alloc, &mut placement);
+            assert_eq!(evicted, expected, "seed {seed}");
+            assert_eq!(placement, reference, "seed {seed}");
+            for server in p.scenario.server_ids() {
+                assert_eq!(
+                    placement.used(server).value().to_bits(),
+                    reference.used(server).value().to_bits(),
+                    "seed {seed} server {server:?}"
+                );
+            }
+            evicted_total += evicted;
+            kept_total += placement.num_placements();
+        }
+        // The seeds exercise every branch: evictions, survivors, faults.
+        assert!(evicted_total > 0 && kept_total > 0 && unreachable > 0);
+    }
+
+    #[test]
+    fn eviction_honours_the_tolerance_on_near_ties() {
+        use idde_model::{MegaBytesPerSec, Point, ScenarioBuilder, Watts};
+        use idde_net::{EdgeGraph, Link};
+        use idde_radio::{RadioEnvironment, RadioParams};
+
+        // Holders v0 and v1; requesters of d0 sit on v2, of d1 on v3. The
+        // links' speeds differ by 1e-9 MB/s, so each item's two edge
+        // latencies differ by about 1e-13 ms: within the 1e-12 tolerance.
+        let (slow, fast) = (3000.0, 3000.000000001);
+        let mut b = ScenarioBuilder::new();
+        for x in 0..4 {
+            let at = Point::new(f64::from(x) * 100.0, 0.0);
+            b.server(at, 50.0, 1, MegaBytesPerSec(200.0), MegaBytes(100.0));
+        }
+        let (d0, d1) = (b.data(MegaBytes(1.0)), b.data(MegaBytes(1.0)));
+        let u0 = b.user(Point::new(200.0, 0.0), Watts(1.0), MegaBytesPerSec(200.0));
+        let u1 = b.user(Point::new(300.0, 0.0), Watts(1.0), MegaBytesPerSec(200.0));
+        b.request(u0, d0).request(u1, d1);
+        let scenario = b.build().unwrap();
+        let link =
+            |a, b, speed| Link { a: ServerId(a), b: ServerId(b), speed: MegaBytesPerSec(speed) };
+        let graph = EdgeGraph::new(
+            4,
+            vec![link(0, 2, slow), link(1, 2, fast), link(0, 3, fast), link(1, 3, slow)],
+        );
+        let radio = RadioEnvironment::new(&scenario, RadioParams::paper());
+        let p = Problem::new(scenario, radio, Topology::new(graph, MegaBytesPerSec(600.0)));
+        let (l0, l1) = (
+            p.topology.edge_latency(MegaBytes(1.0), ServerId(0), ServerId(2)).value(),
+            p.topology.edge_latency(MegaBytes(1.0), ServerId(1), ServerId(2)).value(),
+        );
+        assert!(l1 < l0 && l0 < l1 + 1e-12);
+
+        let mut alloc = Allocation::unallocated(2);
+        alloc.set(u0, Some((ServerId(2), ChannelIndex(0))));
+        alloc.set(u1, Some((ServerId(3), ChannelIndex(0))));
+        let mut placement = Placement::empty(4, 2);
+        for (server, data) in [(0, d0), (1, d0), (0, d1), (1, d1)] {
+            placement.place(ServerId(server), data, MegaBytes(1.0));
+        }
+        let mut reference = placement.clone();
+        assert_eq!(evict_reference(&p, &alloc, &mut reference), 2);
+        assert_eq!(evict_useless_replicas(&p, &alloc, &mut placement), 2);
+        assert_eq!(placement, reference);
+        // d0: v0 is the runner-up and goes; v1 then stands alone against
+        // the cloud. d1: v0 is first but within 1e-12 of v1, so it goes,
+        // and v1 again stands alone.
+        for data in [d0, d1] {
+            assert_eq!(placement.servers_with(data).collect::<Vec<_>>(), vec![ServerId(1)]);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! and the game work, which the `mobility` example compares against the
 //! cold re-solve.
 
-use idde_model::{Allocation, CoverageMap, DataId, MegaBytes, Placement, Scenario, ServerId};
+use idde_model::{Allocation, CoverageMap, MegaBytes, Placement, Scenario};
 use idde_radio::InterferenceField;
 use rand::Rng;
 
@@ -158,15 +158,13 @@ impl MobileSolver {
             report.evicted_replicas =
                 crate::delivery::evict_useless_replicas(problem, &allocation, &mut carried);
         }
-        let before: Vec<(ServerId, DataId)> =
-            scenario.server_ids().flat_map(|s| carried.data_on(s).map(move |d| (s, d))).collect();
         let delivery =
             GreedyDelivery::new(self.delivery).run_from(problem, &allocation, Some(&carried));
         report.new_replicas = delivery.iterations;
         let migrated: f64 = scenario
             .server_ids()
             .flat_map(|s| delivery.placement.data_on(s).map(move |d| (s, d)))
-            .filter(|pair| !before.contains(pair))
+            .filter(|&(s, d)| !carried.stores(s, d))
             .map(|(_, d)| scenario.data[d.index()].size.value())
             .sum();
         // An empty f64 sum is -0.0; normalise for clean reporting.

@@ -245,26 +245,6 @@ impl Topology {
         }
         (Milliseconds(best), source)
     }
-
-    /// Convenience for Phase #2 scoring: the latency (ms) of serving `size`
-    /// MB to `target` given a pre-extracted list of storing servers — same
-    /// semantics as [`Self::delivery_latency`] without the `Placement` walk.
-    pub fn delivery_latency_from(
-        &self,
-        origins: &[ServerId],
-        size: MegaBytes,
-        target: ServerId,
-    ) -> Milliseconds {
-        let mut best = self.cloud_latency(size).value();
-        let row = target.index();
-        for &origin in origins {
-            let cost = self.unit_cost[origin.index()][row];
-            if cost != UNREACHABLE {
-                best = best.min(size.value() * cost);
-            }
-        }
-        Milliseconds(best)
-    }
 }
 
 #[cfg(test)]
@@ -479,20 +459,6 @@ mod tests {
         // A no-op swap (identical bundle) recomputes nothing.
         let same = EdgeGraph::new(4, links[..1].to_vec());
         assert_eq!(topo.apply_link_update(same, ServerId(2), ServerId(3)), 0);
-    }
-
-    #[test]
-    fn delivery_latency_from_matches_placement_walk() {
-        let t = topo();
-        let mut p = Placement::empty(3, 1);
-        p.place(ServerId(0), DataId(0), MegaBytes(60.0));
-        p.place(ServerId(1), DataId(0), MegaBytes(60.0));
-        let origins: Vec<_> = p.servers_with(DataId(0)).collect();
-        for target in [ServerId(0), ServerId(1), ServerId(2)] {
-            let (a, _) = t.delivery_latency(&p, DataId(0), MegaBytes(60.0), target);
-            let b = t.delivery_latency_from(&origins, MegaBytes(60.0), target);
-            assert!((a.value() - b.value()).abs() < 1e-12);
-        }
     }
 
     mod fault_interleaving {
