@@ -25,14 +25,21 @@ idde() {
 # events plus Nash certificates after each converged repair. The
 # oversubscribed worker count drives the engine's parallel scoring path —
 # the audit certificates double as the determinism contract's witness.
+# Each certificate rescans every dirty player after a converged repair, so
+# it also independently witnesses the game's quiet-player skipping.
 scenario_audit() {
-  idde serve --servers 15 --users 70 --data 4 --seed 7 --ticks 200 --audit 50
+  idde serve --servers 15 --users 70 --data 4 --seed 7 --ticks 200 --audit 50 \
+    --csv "$out/audit.csv"
+  grep -E '^certificates,[1-9]' "$out/audit.csv"
+  grep -E '^certificate_violations,0$' "$out/audit.csv"
 }
 
 # The degradation contract end to end: a seeded 200-tick serve with a
 # deterministic fault schedule — a server outage, two link failures and a
 # jamming window, all with restoration ticks — audited every 25 events
-# (liveness checks included while servers are down).
+# (liveness checks included while servers are down). The CSV must be
+# byte-identical to ci/golden/serve_chaos.csv, which pins the game's
+# trajectory under jamming, outage and link faults.
 scenario_chaos() {
   idde serve \
     --servers 15 --users 70 --data 10 --seed 7 --ticks 200 --audit 25 \
@@ -42,6 +49,7 @@ scenario_chaos() {
   grep -E '^re_replications,[1-9]' "$out/chaos.csv"
   grep -E '^cloud_fallback_requests,[1-9]' "$out/chaos.csv"
   grep -E '^audit_violations,0$' "$out/chaos.csv"
+  cmp ci/golden/serve_chaos.csv "$out/chaos.csv"
 }
 
 # Exercises the spatial-index and incremental-repair fast paths at a

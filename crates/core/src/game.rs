@@ -60,8 +60,35 @@
 //! differ from [`ScoringMode::Serial`]'s — serial scans see earlier commits
 //! of the same pass, parallel scans see the pass-start snapshot — which is
 //! why both modes exist and `Serial` stays the default.
+//!
+//! ## Quiet-player skipping
+//!
+//! Most players of a repair find no move on most passes, and a rescan of
+//! such a *quiet* player (its last scan returned `None`) can only differ
+//! if a commit changed something that scan read.
+//! [`IddeUGame::run_restricted`] therefore skips it unless a commit touched
+//! its neighbourhood `D_j = V_j ∪ {j's current server}`; a skipped player
+//! contributes `None` in its pass position, so every policy and scoring
+//! mode keeps its trajectory bit for bit:
+//!
+//! * when mover `m` commits from server `a` to server `b`, every server of
+//!   `V_m ∪ {a, b}` is stamped with the new commit number;
+//! * a quiet player is rescanned iff some server of `D_j` carries a stamp
+//!   newer than its last scan — the commit count at the scan under serial
+//!   scoring, at the pass-start snapshot under parallel scoring and the
+//!   winner policies.
+//!
+//! Within one repair coverage, gains and jamming are fixed. A scan reads the
+//! channels of `V_j` (best response and the cross-server term `F`) and of
+//! `j`'s current server, which a stale decision left by
+//! `InterferenceField::allocate_unchecked` may place outside `V_j`. The
+//! Lyapunov guard also reads the listeners covered by `j`'s old or new
+//! server; a listener that moves stamps both, as they lie in its own `V`.
+//! So an unstamped `D_j` means an unchanged scan. The shuffle still
+//! permutes the full player order, so RNG draws and commit order are
+//! unchanged; [`GameOutcome::scans`] counts the scans actually performed.
 
-use idde_model::{ChannelIndex, ServerId, UserId};
+use idde_model::{ChannelIndex, Scenario, ServerId, UserId};
 use idde_radio::InterferenceField;
 use rand::Rng as _;
 use rand::SeedableRng as _;
@@ -198,6 +225,10 @@ pub struct GameOutcome<'a> {
     /// Number of committed improvement moves (the paper's iteration count
     /// `Y` of Theorem 4).
     pub moves: usize,
+    /// Number of player scans (best-response evaluations) performed. Quiet
+    /// players whose neighbourhood no commit touched are skipped, so this
+    /// can be well below `passes × players`.
+    pub scans: usize,
     /// Whether the game reached a state with no improving user (always true
     /// unless `max_passes` was hit).
     pub converged: bool,
@@ -311,7 +342,9 @@ impl IddeUGame {
     /// co-channel sharers, users within cross-interference range) are
     /// re-equilibrated, so the pass cost scales with the dirty set instead
     /// of `M`. Termination follows from the same argument as the full game —
-    /// restricting the player set only removes improvement steps.
+    /// restricting the player set only removes improvement steps. Players
+    /// whose last scan found no move are skipped until a commit touches
+    /// their neighbourhood (module docs, § Quiet-player skipping).
     pub fn run_restricted<'a>(
         &self,
         mut field: InterferenceField<'a>,
@@ -320,11 +353,14 @@ impl IddeUGame {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut passes = 0usize;
         let mut moves = 0usize;
+        let mut scans = 0usize;
         let mut converged = false;
         let mut order: Vec<UserId> = players.to_vec();
-        // One scan buffer for the whole run: every pass rescans the same
-        // player set, so the candidate vector is recycled instead of
-        // reallocated per pass (bit-neutral — the scan itself is unchanged).
+        let mut quiet = QuietPlayers::new(field.scenario());
+        // The players a pass actually scans, and their candidates. Both
+        // buffers live for the whole run instead of being reallocated per
+        // pass.
+        let mut todo: Vec<UserId> = Vec::new();
         let mut scan_buf: Vec<Option<(UserId, ServerId, ChannelIndex, f64)>> = Vec::new();
 
         while passes < self.config.max_passes {
@@ -339,9 +375,16 @@ impl IddeUGame {
                     match self.config.scoring {
                         ScoringMode::Serial => {
                             for &user in &order {
-                                if let Some(mv) = self.improving_move(&field, user) {
-                                    field.allocate(user, mv.0, mv.1);
+                                if quiet.skips(&field, user) {
+                                    continue;
+                                }
+                                scans += 1;
+                                let mv = self.improving_move(&field, user);
+                                quiet.record(user, mv.is_some(), moves);
+                                if let Some((s, x)) = mv {
                                     moves += 1;
+                                    quiet.stamp(&field, user, s, moves);
+                                    field.allocate(user, s, x);
                                     any = true;
                                 }
                             }
@@ -354,12 +397,17 @@ impl IddeUGame {
                             // is unchanged when it is re-checked), so a pass
                             // with candidates always makes progress and
                             // `!any` still certifies quiescence.
-                            self.scan_pass_into(&field, &order, &mut scan_buf);
-                            for cand in &scan_buf {
-                                let Some((user, s, x, _)) = *cand else { continue };
+                            let snapshot = moves;
+                            quiet.unskipped(&field, &order, &mut todo);
+                            self.scan_pass_into(&field, &todo, &mut scan_buf);
+                            scans += todo.len();
+                            for (&user, cand) in todo.iter().zip(&scan_buf) {
+                                quiet.record(user, cand.is_some(), snapshot);
+                                let Some((_, s, x, _)) = *cand else { continue };
                                 if self.revalidates(&field, user, s, x) {
-                                    field.allocate(user, s, x);
                                     moves += 1;
+                                    quiet.stamp(&field, user, s, moves);
+                                    field.allocate(user, s, x);
                                     any = true;
                                 }
                             }
@@ -374,7 +422,12 @@ impl IddeUGame {
                     // Collect all update requests of this pass. Both winner
                     // policies already score against the frozen pass-start
                     // field, so the parallel scan is a pure drop-in here.
-                    self.scan_pass_into(&field, players, &mut scan_buf);
+                    quiet.unskipped(&field, players, &mut todo);
+                    self.scan_pass_into(&field, &todo, &mut scan_buf);
+                    scans += todo.len();
+                    for (&user, cand) in todo.iter().zip(&scan_buf) {
+                        quiet.record(user, cand.is_some(), moves);
+                    }
                     let requests: Vec<(UserId, ServerId, ChannelIndex, f64)> =
                         scan_buf.iter().copied().flatten().collect();
                     if requests.is_empty() {
@@ -388,13 +441,14 @@ impl IddeUGame {
                             .expect("nonempty"),
                         _ => requests[rng.gen_range(0..requests.len())],
                     };
-                    field.allocate(user, s, x);
                     moves += 1;
+                    quiet.stamp(&field, user, s, moves);
+                    field.allocate(user, s, x);
                 }
             }
         }
 
-        GameOutcome { field, passes, moves, converged }
+        GameOutcome { field, passes, moves, scans, converged }
     }
 
     /// Scores every player of one pass against the frozen `field` snapshot,
@@ -539,9 +593,10 @@ impl IddeUGame {
             return false; // no-op
         }
         let p = field.scenario().users[user.index()].power.value();
-        let s_old = field.channel_power(old_server, old_channel); // includes p
-        let s_new = field.channel_power(server, channel); // excludes p
-                                                          // ΔΦ of the move for Φ = Σ_c S_c²; see crate::potential.
+        // ΔΦ of the move for Φ = Σ_c S_c² (see crate::potential): the old
+        // channel's sum still includes p, the new one's does not yet.
+        let s_old = field.channel_power(old_server, old_channel);
+        let s_new = field.channel_power(server, channel);
         let delta_phi = p * (s_new + p - s_old);
         let tol = 1e-9 * (s_old + s_new + p).max(1.0);
         if delta_phi < -tol {
@@ -560,6 +615,13 @@ impl IddeUGame {
     /// `old` to `new`: the user's own `F` changes, and the user's power
     /// leaves the `F` of old same-index listeners and enters the `F` of new
     /// same-index listeners.
+    ///
+    /// A listener `t` hears the user only through a server covering `t`, so
+    /// the affected listeners are among `users_of(old.0)` and
+    /// `users_of(new.0)` — no walk over all servers. Every term for one
+    /// listener server and kind is the same f64, so applying them in
+    /// ascending server order, old before new, reproduces the all-servers
+    /// sum bit for bit.
     fn delta_cross_interference(
         &self,
         field: &InterferenceField<'_>,
@@ -572,35 +634,93 @@ impl IddeUGame {
         let p_u = scenario.users[user.index()].power.value();
         let mut delta = field.cross_interference(user, new.0, new.1)
             - field.cross_interference(user, old.0, old.1);
-        for s in scenario.server_ids() {
-            let num_channels = scenario.servers[s.index()].num_channels as usize;
-            // Listeners on the old channel index lose u's contribution when
-            // u's old server is one of *their* other covering servers.
-            if old.1.index() < num_channels && old.0 != s {
-                for &t in field.occupants(s, old.1) {
-                    if t != user && scenario.coverage.covers(old.0, t) {
-                        delta -= env.gain(s, user) * p_u;
+        // (listener server, entering): listeners on the old channel index
+        // lose u's contribution, those on the new one gain it.
+        let mut terms: Vec<(ServerId, bool)> = Vec::new();
+        for (entering, (via, channel)) in [(false, old), (true, new)] {
+            for &t in scenario.coverage.users_of(via) {
+                if t == user {
+                    continue;
+                }
+                if let Some((s, x)) = field.allocation().decision(t) {
+                    if s != via && x == channel {
+                        terms.push((s, entering));
                     }
                 }
             }
-            // Listeners on the new channel index gain u's contribution.
-            if new.1.index() < num_channels && new.0 != s {
-                for &t in field.occupants(s, new.1) {
-                    if t != user && scenario.coverage.covers(new.0, t) {
-                        delta += env.gain(s, user) * p_u;
-                    }
-                }
+        }
+        terms.sort_unstable();
+        for (s, entering) in terms {
+            if entering {
+                delta += env.gain(s, user) * p_u;
+            } else {
+                delta -= env.gain(s, user) * p_u;
             }
         }
         delta
     }
 }
 
+/// Quiet-player skipping state of one [`IddeUGame::run_restricted`] call
+/// (module docs, § Quiet-player skipping).
+struct QuietPlayers {
+    /// Per server: the number of the last commit that touched it (0 when
+    /// none has).
+    touched: Vec<usize>,
+    /// Per user: the commit count when its last scan found no move, or
+    /// `None` when the user must be scanned.
+    quiet_since: Vec<Option<usize>>,
+}
+
+impl QuietPlayers {
+    fn new(scenario: &Scenario) -> Self {
+        Self {
+            touched: vec![0; scenario.num_servers()],
+            quiet_since: vec![None; scenario.num_users()],
+        }
+    }
+
+    /// Whether a scan of `user` would provably find no move again: its last
+    /// scan found none, and no commit since has touched a server of
+    /// `D_j = V_j ∪ {j's current server}`.
+    fn skips(&self, field: &InterferenceField<'_>, user: UserId) -> bool {
+        let Some(since) = self.quiet_since[user.index()] else { return false };
+        let untouched = |s: ServerId| self.touched[s.index()] <= since;
+        field.scenario().coverage.servers_of(user).iter().all(|&s| untouched(s))
+            && field.allocation().decision(user).is_none_or(|(s, _)| untouched(s))
+    }
+
+    /// The players that [`QuietPlayers::skips`] does not skip, in order.
+    fn unskipped(&self, field: &InterferenceField<'_>, players: &[UserId], out: &mut Vec<UserId>) {
+        out.clear();
+        out.extend(players.iter().copied().filter(|&u| !self.skips(field, u)));
+    }
+
+    /// Records a scan of `user` taken against the field after `commits`
+    /// commits.
+    fn record(&mut self, user: UserId, found_move: bool, commits: usize) {
+        self.quiet_since[user.index()] = (!found_move).then_some(commits);
+    }
+
+    /// Stamps commit number `commit`, `mover` leaving its current server
+    /// for `to`, on `V_m ∪ {from, to}`. Call it before the field applies
+    /// the move.
+    fn stamp(&mut self, field: &InterferenceField<'_>, mover: UserId, to: ServerId, commit: usize) {
+        for &s in field.scenario().coverage.servers_of(mover) {
+            self.touched[s.index()] = commit;
+        }
+        if let Some((from, _)) = field.allocation().decision(mover) {
+            self.touched[from.index()] = commit;
+        }
+        self.touched[to.index()] = commit;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idde_model::testkit;
-    use rand::SeedableRng;
+    use idde_model::{testkit, Allocation};
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     use crate::nash::is_nash_equilibrium;
@@ -810,5 +930,332 @@ mod tests {
         let game = IddeUGame::default();
         let field = p.field();
         assert!(game.best_response(&field, UserId(1)).is_none());
+    }
+
+    /// The pre-skipping game loop, kept as the oracle of the skipping
+    /// differential test: every pass rescans every player.
+    fn run_restricted_reference<'a>(
+        game: &IddeUGame,
+        mut field: InterferenceField<'a>,
+        players: &[UserId],
+    ) -> GameOutcome<'a> {
+        let mut rng = ChaCha8Rng::seed_from_u64(game.config.seed);
+        let (mut passes, mut moves, mut scans, mut converged) = (0usize, 0usize, 0usize, false);
+        let mut order: Vec<UserId> = players.to_vec();
+        let mut scan_buf = Vec::new();
+        while passes < game.config.max_passes {
+            passes += 1;
+            match game.config.arbitration {
+                ArbitrationPolicy::Sequential | ArbitrationPolicy::ShuffledSequential => {
+                    if game.config.arbitration == ArbitrationPolicy::ShuffledSequential {
+                        use rand::seq::SliceRandom;
+                        order.shuffle(&mut rng);
+                    }
+                    let mut any = false;
+                    match game.config.scoring {
+                        ScoringMode::Serial => {
+                            for &user in &order {
+                                scans += 1;
+                                if let Some(mv) = game.improving_move(&field, user) {
+                                    field.allocate(user, mv.0, mv.1);
+                                    moves += 1;
+                                    any = true;
+                                }
+                            }
+                        }
+                        ScoringMode::Parallel => {
+                            game.scan_pass_into(&field, &order, &mut scan_buf);
+                            scans += order.len();
+                            for cand in &scan_buf {
+                                let Some((user, s, x, _)) = *cand else { continue };
+                                if game.revalidates(&field, user, s, x) {
+                                    field.allocate(user, s, x);
+                                    moves += 1;
+                                    any = true;
+                                }
+                            }
+                        }
+                    }
+                    if !any {
+                        converged = true;
+                        break;
+                    }
+                }
+                ArbitrationPolicy::MaxGainWinner | ArbitrationPolicy::RandomWinner => {
+                    game.scan_pass_into(&field, players, &mut scan_buf);
+                    scans += players.len();
+                    let requests: Vec<(UserId, ServerId, ChannelIndex, f64)> =
+                        scan_buf.iter().copied().flatten().collect();
+                    if requests.is_empty() {
+                        converged = true;
+                        break;
+                    }
+                    let (user, s, x, _) = match game.config.arbitration {
+                        ArbitrationPolicy::MaxGainWinner => *requests
+                            .iter()
+                            .max_by(|a, b| a.3.partial_cmp(&b.3).expect("gains are finite"))
+                            .expect("nonempty"),
+                        _ => requests[rng.gen_range(0..requests.len())],
+                    };
+                    field.allocate(user, s, x);
+                    moves += 1;
+                }
+            }
+        }
+        GameOutcome { field, passes, moves, scans, converged }
+    }
+
+    /// The pre-neighbourhood guard term, kept as the oracle of the guard's
+    /// bitwise test: walks every server's listeners on both channel indices.
+    fn delta_cross_interference_reference(
+        field: &InterferenceField<'_>,
+        user: UserId,
+        old: (ServerId, ChannelIndex),
+        new: (ServerId, ChannelIndex),
+    ) -> f64 {
+        let scenario = field.scenario();
+        let env = field.environment();
+        let p_u = scenario.users[user.index()].power.value();
+        let mut delta = field.cross_interference(user, new.0, new.1)
+            - field.cross_interference(user, old.0, old.1);
+        for s in scenario.server_ids() {
+            let num_channels = scenario.servers[s.index()].num_channels as usize;
+            if old.1.index() < num_channels && old.0 != s {
+                for &t in field.occupants(s, old.1) {
+                    if t != user && scenario.coverage.covers(old.0, t) {
+                        delta -= env.gain(s, user) * p_u;
+                    }
+                }
+            }
+            if new.1.index() < num_channels && new.0 != s {
+                for &t in field.occupants(s, new.1) {
+                    if t != user && scenario.coverage.covers(new.0, t) {
+                        delta += env.gain(s, user) * p_u;
+                    }
+                }
+            }
+        }
+        delta
+    }
+
+    /// A random game instance over a `side`-metre square: 1–3 channels per
+    /// server, some foreign servers, an optional jamming floor, a random
+    /// partial profile, and stale decisions — users that moved after being
+    /// allocated and still sit, via `allocate_unchecked`, on a server that
+    /// no longer covers them.
+    struct Instance {
+        problem: Problem,
+        covered: Allocation,
+        stale: Vec<(UserId, ServerId, ChannelIndex)>,
+    }
+
+    impl Instance {
+        fn random(rng: &mut ChaCha8Rng, servers: usize, users: usize, side: f64) -> Self {
+            use idde_model::{MegaBytes, MegaBytesPerSec, Point, ScenarioBuilder, Watts};
+            let mut b = ScenarioBuilder::new();
+            let radius = rng.gen_range(0.12..0.3) * side;
+            for _ in 0..servers {
+                b.server(
+                    Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                    rng.gen_range(0.6..1.4) * radius,
+                    rng.gen_range(1..4),
+                    MegaBytesPerSec(rng.gen_range(50.0..400.0)),
+                    MegaBytes(100.0),
+                );
+            }
+            for _ in 0..users {
+                b.user(
+                    Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                    Watts(rng.gen_range(0.5..5.0)),
+                    MegaBytesPerSec(rng.gen_range(50.0..400.0)),
+                );
+            }
+            b.data(MegaBytes(10.0));
+            let mut scenario = b.build().unwrap();
+            if rng.gen_bool(0.5) {
+                for server in scenario.server_ids() {
+                    if rng.gen_bool(0.2) {
+                        scenario.coverage.set_foreign(server, true);
+                    }
+                }
+            }
+            let mut covered = Allocation::unallocated(users);
+            let mut stale = Vec::new();
+            for user in scenario.user_ids() {
+                let vs = scenario.coverage.servers_of(user);
+                if vs.is_empty() || rng.gen_bool(0.3) {
+                    continue;
+                }
+                let s = vs[rng.gen_range(0..vs.len())];
+                let x = ChannelIndex(rng.gen_range(0..scenario.servers[s.index()].num_channels));
+                if rng.gen_bool(0.15) {
+                    // The user moves after its allocation.
+                    let mut moved = scenario.users[user.index()].clone();
+                    moved.position = Point::new(
+                        moved.position.x + rng.gen_range(-1.0..1.0) * radius,
+                        moved.position.y + rng.gen_range(-1.0..1.0) * radius,
+                    );
+                    scenario.coverage.update_user(&scenario.servers, &moved);
+                    scenario.users[user.index()] = moved;
+                    if !scenario.coverage.covers(s, user) {
+                        stale.push((user, s, x));
+                        continue;
+                    }
+                }
+                covered.set(user, Some((s, x)));
+            }
+            let mut problem = Problem::with_density(scenario, 1.0, rng);
+            if rng.gen_bool(0.4) {
+                // A floor on the scale of the received power `g·p` of the
+                // server's own users, so it reroutes some of them.
+                for server in problem.scenario.server_ids() {
+                    let users = problem.scenario.coverage.users_of(server);
+                    if users.is_empty() || !rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    let received: f64 = users
+                        .iter()
+                        .map(|&u| {
+                            problem.radio.gain(server, u)
+                                * problem.scenario.users[u.index()].power.value()
+                        })
+                        .sum();
+                    let floor = received / users.len() as f64 * rng.gen_range(0.1..10.0);
+                    problem.radio.set_jamming(server, floor);
+                }
+            }
+            Self { problem, covered, stale }
+        }
+
+        /// 3–24 servers and up to 59 users on a kilometre square.
+        fn small(rng: &mut ChaCha8Rng) -> Self {
+            let (servers, users) = (rng.gen_range(3..25), rng.gen_range(1..60));
+            Self::random(rng, servers, users, 1000.0)
+        }
+
+        fn field(&self) -> InterferenceField<'_> {
+            let mut field = InterferenceField::from_allocation(
+                &self.problem.radio,
+                &self.problem.scenario,
+                &self.covered,
+            );
+            for &(user, s, x) in &self.stale {
+                field.allocate_unchecked(user, s, x);
+            }
+            field
+        }
+
+        /// Every user, or a random subset in random order.
+        fn players(&self, rng: &mut ChaCha8Rng) -> Vec<UserId> {
+            use rand::seq::SliceRandom;
+            let mut players: Vec<UserId> = self.problem.scenario.user_ids().collect();
+            if rng.gen_bool(0.6) {
+                players.retain(|_| rng.gen_bool(0.5));
+                players.shuffle(rng);
+            }
+            players
+        }
+    }
+
+    /// Asserts two game outcomes agree bit for bit: counters, every
+    /// decision and every channel power sum.
+    fn assert_same_outcome(a: &GameOutcome<'_>, b: &GameOutcome<'_>, what: &str) {
+        assert_eq!((a.passes, a.moves, a.converged), (b.passes, b.moves, b.converged), "{what}");
+        assert_eq!(a.field.allocation(), b.field.allocation(), "{what}");
+        let scenario = a.field.scenario();
+        for s in scenario.server_ids() {
+            for x in scenario.servers[s.index()].channels() {
+                assert_eq!(
+                    a.field.channel_power(s, x).to_bits(),
+                    b.field.channel_power(s, x).to_bits(),
+                    "{what}: channel ({s}, {x})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_player_skipping_matches_the_full_rescan_bit_for_bit() {
+        let (mut skipped, mut stale, mut capped) = (0usize, 0usize, 0usize);
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let inst = Instance::small(&mut rng);
+            let players = inst.players(&mut rng);
+            stale += inst.stale.len();
+            for arbitration in [
+                ArbitrationPolicy::ShuffledSequential,
+                ArbitrationPolicy::Sequential,
+                ArbitrationPolicy::MaxGainWinner,
+                ArbitrationPolicy::RandomWinner,
+            ] {
+                for scoring in [ScoringMode::Serial, ScoringMode::Parallel] {
+                    for benefit in [BenefitModel::PaperEq12, BenefitModel::Congestion] {
+                        for acceptance in
+                            [AcceptanceRule::LyapunovGuarded, AcceptanceRule::BenefitOnly]
+                        {
+                            let game = IddeUGame::new(GameConfig {
+                                arbitration,
+                                scoring,
+                                benefit,
+                                acceptance,
+                                max_passes: 60,
+                                seed,
+                                ..Default::default()
+                            });
+                            let what = format!(
+                                "seed {seed} {arbitration:?} {scoring:?} {benefit:?} {acceptance:?}"
+                            );
+                            let got = game.run_restricted(inst.field(), &players);
+                            let want = run_restricted_reference(&game, inst.field(), &players);
+                            assert_same_outcome(&got, &want, &what);
+                            assert!(got.scans <= want.scans, "{what}: skipping added scans");
+                            skipped += want.scans - got.scans;
+                            capped += usize::from(!got.converged);
+                        }
+                    }
+                }
+            }
+        }
+        // The seeds exercise skipping, stale decisions and the pass cap.
+        assert!(skipped > 0 && stale > 0 && capped > 0, "{skipped} {stale} {capped}");
+    }
+
+    #[test]
+    fn quiet_player_skipping_saves_scans_on_a_metro_sized_instance() {
+        // The serving engine's game (parallel scoring, shuffled order) on a
+        // dense instance with the metro workload's users-per-server ratio.
+        let mut rng = ChaCha8Rng::seed_from_u64(2022);
+        let inst = Instance::random(&mut rng, 150, 450, 2500.0);
+        let players: Vec<UserId> = inst.problem.scenario.user_ids().collect();
+        let game =
+            IddeUGame::new(GameConfig { scoring: ScoringMode::Parallel, ..Default::default() });
+        let got = game.run_restricted(inst.field(), &players);
+        let want = run_restricted_reference(&game, inst.field(), &players);
+        assert_same_outcome(&got, &want, "metro-sized");
+        assert!(got.converged);
+        assert!(got.scans < want.scans, "{} scans vs {} without skipping", got.scans, want.scans);
+    }
+
+    #[test]
+    fn neighbourhood_guard_matches_the_all_servers_walk_bit_for_bit() {
+        let mut compared = 0usize;
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let inst = Instance::small(&mut rng);
+            let field = inst.field();
+            let scenario = field.scenario();
+            let game = IddeUGame::default();
+            for _ in 0..40 {
+                let user = UserId::from_index(rng.gen_range(0..scenario.num_users()));
+                let Some(old) = field.allocation().decision(user) else { continue };
+                let s = ServerId::from_index(rng.gen_range(0..scenario.num_servers()));
+                let x = ChannelIndex(rng.gen_range(0..scenario.servers[s.index()].num_channels));
+                let got = game.delta_cross_interference(&field, user, old, (s, x));
+                let want = delta_cross_interference_reference(&field, user, old, (s, x));
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} user {user} to ({s}, {x})");
+                compared += 1;
+            }
+        }
+        assert!(compared > 1000, "{compared}");
     }
 }
