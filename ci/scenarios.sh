@@ -135,10 +135,14 @@ scenario_batch() {
 # the greps assert the cache actually carried traffic (hits), cycled under
 # the residual Eq. 6 budgets (insertions and evictions), and that every
 # cache-served latency survived the Eq. 7/8 re-derivation (zero audit
-# violations; the CLI exits nonzero otherwise). Then the off-switch
-# contract: --cache off must write the byte-identical serve CSV to a
-# cache-less invocation — across seeds, under drift, sharded and batched —
-# so the cache layer is provably absent when disabled.
+# violations; the CLI exits nonzero otherwise); its CSV must be
+# byte-identical to ci/golden/serve_cache.csv. Then every layer composed —
+# three shards, batches of eight, LCE caching, Steiner delivery and a fault
+# storm — must write ci/golden/serve_composed.csv, which pins how the
+# optional cache and distribution counter blocks merge across shards.
+# Then the off-switch contract: --cache off must write the byte-identical
+# serve CSV to a cache-less invocation — across seeds, under drift, sharded
+# and batched — so the cache layer is provably absent when disabled.
 scenario_cache() {
   idde serve \
     --servers 20 --users 100 --data 6 --seed 7 --ticks 150 --audit 50 \
@@ -148,6 +152,15 @@ scenario_cache() {
   grep -E '^cache_evictions,[1-9]' "$out/cache.csv"
   grep -E '^audit_violations,0$' "$out/cache.csv"
   grep -E '^certificate_violations,0$' "$out/cache.csv"
+  cmp ci/golden/serve_cache.csv "$out/cache.csv"
+  idde serve \
+    --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --shards 3 --batch 8 \
+    --cache lce --delivery steiner --audit 50 --chaos 'rand:2022:2:1:1@60+25' \
+    --csv "$out/composed.csv"
+  grep -E '^cache_hits,[1-9]' "$out/composed.csv"
+  grep -E '^dist_tree_installs,[1-9]' "$out/composed.csv"
+  grep -E '^audit_violations,0$' "$out/composed.csv"
+  cmp ci/golden/serve_composed.csv "$out/composed.csv"
   for seed in 7 2022; do
     idde serve \
       --servers 20 --users 100 --data 5 --seed "$seed" --ticks 100 \
@@ -178,7 +191,8 @@ scenario_cache() {
 # rounds actually planned trees and installed replicas, that no tree broke
 # the delay guarantee, and that every recorded plan survived the audit's
 # first-principles re-derivation (zero violations; the CLI exits nonzero
-# otherwise). Then the off-switch contract: --delivery unicast must write
+# otherwise); its CSV must be byte-identical to ci/golden/serve_dist.csv.
+# Then the off-switch contract: --delivery unicast must write
 # the byte-identical serve CSV to an unflagged invocation — across seeds and
 # under chaos — so the delivery planner is provably absent by default.
 scenario_dist() {
@@ -190,6 +204,7 @@ scenario_dist() {
   grep -E '^dist_replicas,[1-9]' "$out/dist.csv"
   grep -E '^dist_delay_violations,0$' "$out/dist.csv"
   grep -E '^audit_violations,0$' "$out/dist.csv"
+  cmp ci/golden/serve_dist.csv "$out/dist.csv"
   for seed in 7 2022; do
     idde serve \
       --servers 15 --users 70 --data 10 --seed "$seed" --ticks 100 \

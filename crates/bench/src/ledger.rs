@@ -1,6 +1,6 @@
 //! The benchmark ledger — reproducible, committed performance baselines.
 //!
-//! The ledger answers two questions the ad-hoc Criterion benches cannot:
+//! The ledger answers two questions:
 //!
 //! 1. **What did it cost on a known workload?** Each suite runs *seeded*
 //!    workloads (the paper-scale 125-server/816-user EUA sample for the

@@ -17,8 +17,9 @@
 //! repetition count), `--iddeip-ms B` (IDDE-IP budget, default 1000),
 //! `--skip-iddeip`, `--quick` (= `--reps 10 --iddeip-ms 200`), `--seed S`.
 //!
-//! Criterion benches (`cargo bench -p idde-bench`) cover the algorithmic
-//! building blocks and the design-choice ablations; see `benches/`.
+//! The [`ledger`] module is the crate's one timing harness: seeded,
+//! fingerprint-gated cases behind `idde bench`. `fig7_time` covers the
+//! paper's computation-time figure.
 
 #![warn(missing_docs)]
 

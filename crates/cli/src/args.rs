@@ -280,10 +280,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .parse::<usize>()
             .map_err(|_| format!("--{name}: bad integer"))
     };
+    // The real-valued flags (`--density`, `--drift`) are finite and
+    // non-negative: a negative density trips the topology generator's
+    // assert, and a NaN drift threshold is never exceeded.
     let parse_f64 = |name: &str, default: f64| -> Result<f64, String> {
-        take(name)
-            .map(|v| v.parse::<f64>().map_err(|_| format!("--{name}: bad number {v:?}")))
-            .unwrap_or(Ok(default))
+        let Some(v) = take(name) else { return Ok(default) };
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            Ok(_) => Err(format!("--{name}: expected a finite non-negative number, got {v:?}")),
+            Err(_) => Err(format!("--{name}: bad number {v:?}")),
+        }
     };
     let known = |allowed: &[&str]| -> Result<(), String> {
         for (k, _) in &opts {
@@ -625,6 +631,32 @@ mod tests {
         ));
         assert!(parse(&argv("serve --scale-servers many")).is_err());
         assert!(parse(&argv("generate --servers 5 --users 9 --data 1 --scale-servers 9")).is_err());
+    }
+
+    #[test]
+    fn rejects_negative_and_non_finite_densities() {
+        for command in
+            ["solve --scenario x", "compare --scenario x", "serve", "render", "chaos --spec x"]
+        {
+            assert!(parse(&argv(&format!("{command} --density 0"))).is_ok(), "{command}");
+            for bad in ["-1", "nan", "inf", "-0.5"] {
+                let err = parse(&argv(&format!("{command} --density {bad}"))).unwrap_err();
+                assert!(err.contains("--density: expected a finite non-negative"), "{err}");
+            }
+        }
+        assert!(parse(&argv("serve --density many")).unwrap_err().contains("bad number"));
+    }
+
+    #[test]
+    fn rejects_negative_and_non_finite_drift_thresholds() {
+        assert!(matches!(
+            parse(&argv("serve --drift 0")).unwrap(),
+            Command::Serve { drift, .. } if drift == 0.0
+        ));
+        for bad in ["nan", "NaN", "inf", "-0.05"] {
+            let err = parse(&argv(&format!("serve --drift {bad}"))).unwrap_err();
+            assert!(err.contains("--drift: expected a finite non-negative"), "{err}");
+        }
     }
 
     #[test]

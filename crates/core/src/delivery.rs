@@ -19,9 +19,9 @@
 //! only column `k` of the candidate score matrix needs rescoring — the
 //! scores of every other data item are untouched. This drops the per
 //! iteration cost from `O(N·K·|requests|)` to `O(N·|requests for d_k|)`
-//! with bitwise-identical results (asserted by tests, measured by
-//! `bench_ablation`). Set [`DeliveryConfig::incremental_rescoring`] to
-//! `false` for the naive full-rescan variant.
+//! with bitwise-identical results. Incremental rescoring is the only
+//! production path; the tests keep a full-rescan reference and assert that
+//! both commit the same placements.
 //!
 //! ## Parallel scoring
 //!
@@ -71,23 +71,13 @@ use idde_par::ScratchPool;
 use crate::problem::Problem;
 
 /// Tunables of the greedy delivery phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryConfig {
     /// Algorithm 1 line 26 stops at "no feasible delivery decision"; with
     /// the default `false` we additionally stop once the best feasible
     /// decision reduces latency by zero (placing it would only burn storage
     /// and never helps Eq. 9). `true` is the paper-literal mode.
     pub fill_zero_benefit: bool,
-    /// Rescore only the just-placed data item's candidates (`true`,
-    /// default) or the full candidate matrix (`false`). Results are
-    /// identical; see the module docs.
-    pub incremental_rescoring: bool,
-}
-
-impl Default for DeliveryConfig {
-    fn default() -> Self {
-        Self { fill_zero_benefit: false, incremental_rescoring: true }
-    }
 }
 
 /// Result of the greedy delivery phase.
@@ -143,6 +133,19 @@ impl GreedyDelivery {
         problem: &Problem,
         allocation: &Allocation,
         initial: Option<&Placement>,
+    ) -> DeliveryOutcome {
+        self.run_rescoring(problem, allocation, initial, rescore_data)
+    }
+
+    /// The greedy loop of [`GreedyDelivery::run_from`], rescoring after each
+    /// commit of `d_k` with `rescore(.., k, ..)`. Production passes
+    /// [`rescore_data`] (column `k` only); the tests also pass a full rescan.
+    fn run_rescoring(
+        &self,
+        problem: &Problem,
+        allocation: &Allocation,
+        initial: Option<&Placement>,
+        rescore: Rescore,
     ) -> DeliveryOutcome {
         let scenario = &problem.scenario;
         let topology = &problem.topology;
@@ -248,14 +251,7 @@ impl GreedyDelivery {
                     cur[k][r] = via;
                 }
             }
-            // Rescore.
-            if self.config.incremental_rescoring {
-                rescore_data(problem, &reqs_by_data, &cur, k, &mut scores, &mut scratch);
-            } else {
-                for kk in 0..k_total {
-                    rescore_data(problem, &reqs_by_data, &cur, kk, &mut scores, &mut scratch);
-                }
-            }
+            rescore(problem, &reqs_by_data, &cur, k, &mut scores, &mut scratch);
         }
 
         let final_total = cloud_pinned_total + cur.iter().flatten().sum::<f64>();
@@ -380,6 +376,11 @@ impl TopTwo {
         top
     }
 }
+
+/// A rescoring step of the greedy loop: `(problem, requests by data, current
+/// latencies, just-placed item, score matrix, scratch pool)`.
+type Rescore =
+    fn(&Problem, &[Vec<ServerId>], &[Vec<f64>], usize, &mut [f64], &mut ScratchPool<f64>);
 
 /// Recomputes column `k` of the score matrix: for every server `i`, the
 /// total latency reduction of placing `d_k` on `v_i`, divided by `s_k`.
@@ -590,12 +591,9 @@ mod tests {
             } else {
                 let solved_for =
                     if rng.gen_bool(0.5) { alloc.clone() } else { random_allocation(&p, &mut rng) };
-                GreedyDelivery::new(DeliveryConfig {
-                    fill_zero_benefit: true,
-                    ..Default::default()
-                })
-                .run(&p, &solved_for)
-                .placement
+                GreedyDelivery::new(DeliveryConfig { fill_zero_benefit: true })
+                    .run(&p, &solved_for)
+                    .placement
             };
             unreachable += p
                 .scenario
@@ -708,17 +706,28 @@ mod tests {
         assert!((total - outcome.final_total_latency.value()).abs() < 1e-6);
     }
 
+    /// The naive reference for incremental rescoring: rescans every column
+    /// of the score matrix after each commit, whichever item was placed.
+    fn rescore_all(
+        problem: &Problem,
+        reqs_by_data: &[Vec<ServerId>],
+        cur: &[Vec<f64>],
+        _placed: usize,
+        scores: &mut [f64],
+        scratch: &mut ScratchPool<f64>,
+    ) {
+        for k in 0..problem.scenario.num_data() {
+            rescore_data(problem, reqs_by_data, cur, k, scores, scratch);
+        }
+    }
+
     #[test]
     fn incremental_and_naive_rescoring_agree() {
         for seed in [1u64, 5, 9] {
             let p = problem(seed);
             let alloc = solved_allocation(&p);
             let fast = GreedyDelivery::default().run(&p, &alloc);
-            let naive = GreedyDelivery::new(DeliveryConfig {
-                incremental_rescoring: false,
-                ..Default::default()
-            })
-            .run(&p, &alloc);
+            let naive = GreedyDelivery::default().run_rescoring(&p, &alloc, None, rescore_all);
             assert_eq!(fast.placement, naive.placement, "seed {seed}");
             assert_eq!(fast.iterations, naive.iterations);
         }
@@ -729,9 +738,7 @@ mod tests {
         let p = problem(6);
         let alloc = solved_allocation(&p);
         let lean = GreedyDelivery::default().run(&p, &alloc);
-        let full =
-            GreedyDelivery::new(DeliveryConfig { fill_zero_benefit: true, ..Default::default() })
-                .run(&p, &alloc);
+        let full = GreedyDelivery::new(DeliveryConfig { fill_zero_benefit: true }).run(&p, &alloc);
         assert!(full.placement.num_placements() >= lean.placement.num_placements());
         // Zero-benefit filler must not change the achieved latency.
         assert!((full.final_total_latency.value() - lean.final_total_latency.value()).abs() < 1e-9);

@@ -15,9 +15,12 @@
 //!
 //! Field order: `server id x y radius channels bandwidth storage`,
 //! `user id x y power max_rate`, `data id size`, `request user data`.
-//! Ids must be dense and in order (they are validated on read).
+//! Ids, `channels` and the request fields are unsigned integers; every
+//! other field is a real number. Ids must be dense and in order (they are
+//! validated on read).
 
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 use crate::error::ModelError;
 use crate::geometry::{Point, Rect};
@@ -94,15 +97,6 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
     let mut data = 0usize;
     let mut requests: Vec<(UserId, DataId)> = Vec::new();
 
-    let bad =
-        |lineno: usize, msg: &str| ModelError::Inconsistent(format!("line {}: {msg}", lineno + 1));
-    let parse_f64 = |lineno: usize, field: Option<&&str>, what: &str| -> Result<f64, ModelError> {
-        field
-            .ok_or_else(|| bad(lineno, &format!("missing {what}")))?
-            .parse::<f64>()
-            .map_err(|_| bad(lineno, &format!("bad {what}")))
-    };
-
     for (lineno, raw) in lines {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -111,23 +105,23 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
         let fields: Vec<&str> = line.split_whitespace().collect();
         match fields[0] {
             "area" => {
-                let x0 = parse_f64(lineno, fields.get(1), "area min x")?;
-                let y0 = parse_f64(lineno, fields.get(2), "area min y")?;
-                let x1 = parse_f64(lineno, fields.get(3), "area max x")?;
-                let y1 = parse_f64(lineno, fields.get(4), "area max y")?;
+                let x0 = parse::<f64>(lineno, fields.get(1), "area min x")?;
+                let y0 = parse::<f64>(lineno, fields.get(2), "area min y")?;
+                let x1 = parse::<f64>(lineno, fields.get(3), "area max x")?;
+                let y1 = parse::<f64>(lineno, fields.get(4), "area max y")?;
                 area = Some(Rect::new(Point::new(x0, y0), Point::new(x1, y1)));
             }
             "server" => {
-                let id = parse_f64(lineno, fields.get(1), "server id")? as usize;
+                let id = parse::<usize>(lineno, fields.get(1), "server id")?;
                 if id != servers {
                     return Err(bad(lineno, &format!("server id {id} out of order")));
                 }
-                let x = parse_f64(lineno, fields.get(2), "x")?;
-                let y = parse_f64(lineno, fields.get(3), "y")?;
-                let radius = parse_f64(lineno, fields.get(4), "radius")?;
-                let channels = parse_f64(lineno, fields.get(5), "channels")? as u16;
-                let bandwidth = parse_f64(lineno, fields.get(6), "bandwidth")?;
-                let storage = parse_f64(lineno, fields.get(7), "storage")?;
+                let x = parse::<f64>(lineno, fields.get(2), "x")?;
+                let y = parse::<f64>(lineno, fields.get(3), "y")?;
+                let radius = parse::<f64>(lineno, fields.get(4), "radius")?;
+                let channels = parse::<u16>(lineno, fields.get(5), "channels")?;
+                let bandwidth = parse::<f64>(lineno, fields.get(6), "bandwidth")?;
+                let storage = parse::<f64>(lineno, fields.get(7), "storage")?;
                 builder.server(
                     Point::new(x, y),
                     radius,
@@ -138,29 +132,29 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
                 servers += 1;
             }
             "user" => {
-                let id = parse_f64(lineno, fields.get(1), "user id")? as usize;
+                let id = parse::<usize>(lineno, fields.get(1), "user id")?;
                 if id != users {
                     return Err(bad(lineno, &format!("user id {id} out of order")));
                 }
-                let x = parse_f64(lineno, fields.get(2), "x")?;
-                let y = parse_f64(lineno, fields.get(3), "y")?;
-                let power = parse_f64(lineno, fields.get(4), "power")?;
-                let max_rate = parse_f64(lineno, fields.get(5), "max_rate")?;
+                let x = parse::<f64>(lineno, fields.get(2), "x")?;
+                let y = parse::<f64>(lineno, fields.get(3), "y")?;
+                let power = parse::<f64>(lineno, fields.get(4), "power")?;
+                let max_rate = parse::<f64>(lineno, fields.get(5), "max_rate")?;
                 builder.user(Point::new(x, y), Watts(power), MegaBytesPerSec(max_rate));
                 users += 1;
             }
             "data" => {
-                let id = parse_f64(lineno, fields.get(1), "data id")? as usize;
+                let id = parse::<usize>(lineno, fields.get(1), "data id")?;
                 if id != data {
                     return Err(bad(lineno, &format!("data id {id} out of order")));
                 }
-                let size = parse_f64(lineno, fields.get(2), "size")?;
+                let size = parse::<f64>(lineno, fields.get(2), "size")?;
                 builder.data(MegaBytes(size));
                 data += 1;
             }
             "request" => {
-                let u = parse_f64(lineno, fields.get(1), "request user")? as u32;
-                let d = parse_f64(lineno, fields.get(2), "request data")? as u32;
+                let u = parse::<u32>(lineno, fields.get(1), "request user")?;
+                let d = parse::<u32>(lineno, fields.get(2), "request data")?;
                 if u as usize >= users {
                     return Err(bad(lineno, &format!("request references unknown user {u}")));
                 }
@@ -180,6 +174,19 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
         None => builder,
     };
     builder.build()
+}
+
+fn bad(lineno: usize, msg: &str) -> ModelError {
+    ModelError::Inconsistent(format!("line {}: {msg}", lineno + 1))
+}
+
+/// Parses one whitespace-separated field as a `T`; integer fields thus
+/// reject minus signs, fractions, exponents and out-of-range values.
+fn parse<T: FromStr>(lineno: usize, field: Option<&&str>, what: &str) -> Result<T, ModelError> {
+    field
+        .ok_or_else(|| bad(lineno, &format!("missing {what}")))?
+        .parse::<T>()
+        .map_err(|_| bad(lineno, &format!("bad {what}")))
 }
 
 #[cfg(test)]
@@ -274,6 +281,43 @@ mod tests {
             assert_eq!(parsed.data, scenario.data, "seed {seed}");
             assert_eq!(parsed.requests, scenario.requests, "seed {seed}");
         }
+    }
+
+    /// Asserts that `record`, after the header, is rejected as inconsistent
+    /// on line 2 with a message naming `what`.
+    fn assert_rejected(record: &str, what: &str) {
+        let text = format!("{HEADER}\n{record}\n");
+        match from_str(&text) {
+            Err(ModelError::Inconsistent(msg)) => {
+                assert!(msg.contains("line 2") && msg.contains(what), "{record:?}: {msg}")
+            }
+            other => panic!("{record:?} must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_request_fields_are_rejected() {
+        let valid = format!("{HEADER}\nuser 0 0 0 1 100\ndata 0 10\ndata 1 10\n");
+        assert!(from_str(&format!("{valid}request 0 1\n")).is_ok());
+        let err = from_str(&format!("{valid}request -1 1.9\n")).unwrap_err();
+        assert!(err.to_string().contains("line 5: bad request user"), "{err}");
+        assert_rejected("request 0 -2", "bad request data");
+        assert_rejected("request 0 1.9", "bad request data");
+    }
+
+    #[test]
+    fn fractional_ids_are_rejected() {
+        assert_rejected("server 0.4 0 0 100 1 200 30", "bad server id");
+        assert_rejected("user 0.0 0 0 1 100", "bad user id");
+        assert_rejected("data 1e0 10", "bad data id");
+    }
+
+    #[test]
+    fn out_of_range_channel_counts_are_rejected() {
+        assert!(from_str(&format!("{HEADER}\nserver 0 0 0 100 65535 200 30\n")).is_ok());
+        assert_rejected("server 0 0 0 100 1e11 200 30", "bad channels");
+        assert_rejected("server 0 0 0 100 65536 200 30", "bad channels");
+        assert_rejected("server 0 0 0 100 2.5 200 30", "bad channels");
     }
 
     #[test]

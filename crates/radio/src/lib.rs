@@ -15,8 +15,8 @@
 //!   game,
 //! * an **incremental interference field** ([`InterferenceField`]) that keeps
 //!   per-channel occupancy and power sums up to date in O(1) per move so
-//!   best-response scans are cheap. This is one of the design choices
-//!   benchmarked by `bench_ablation` in `idde-bench`.
+//!   best-response scans are cheap (DESIGN.md §5 lists it among the
+//!   design choices).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,9 +13,16 @@
 //! * a dense `rand:` fault storm pins that fault repairs also admit
 //!   *unallocated* users covered near the fault.
 //!
+//! Three further runs reproduce `idde serve` invocations whose CSVs are
+//! committed under `ci/golden/` (the `cache` and `dist` legs of
+//! `ci/scenarios.sh` `cmp` against them). They pin the rows no run above
+//! reaches: the `cache_*` and `dist_*` counter blocks, and how those
+//! optional blocks merge across shards.
+//!
 //! A fingerprint is the FNV-1a hash of the whole metrics CSV. If a change
 //! alters one on purpose, the new value must be justified in review.
 
+use idde::dist::{DistConfig, StrategyKind};
 use idde::prelude::*;
 
 fn sampled_problem(seed: u64, servers: usize, users: usize, data: usize) -> Problem {
@@ -79,4 +86,117 @@ fn fault_storm_serve_matches_its_golden_csv() {
     let csv = engine.metrics().to_csv();
     assert!(csv.contains("\nserver_outages,8\n"), "the storm must fire\n{csv}");
     assert_fingerprint("fault storm", &csv, 0x1b49_06b4_524a_f4dc);
+}
+
+/// The problem `idde serve --servers N --users M --data K --seed S` builds
+/// (default density and network seed).
+fn cli_problem(seed: u64, servers: usize, users: usize, data: usize) -> Problem {
+    let scenario =
+        SyntheticEua::default().sample(servers, users, data, &mut idde::seeded_rng(seed));
+    Problem::standard(scenario, &mut idde::seeded_rng(1))
+}
+
+/// `idde serve` over `problem` with `config`, optionally sharded and under
+/// a `--chaos` spec, ending with the CLI's final audit; returns its CSV.
+fn cli_serve(
+    problem: Problem,
+    config: EngineConfig,
+    workload: WorkloadConfig,
+    seed: u64,
+    ticks: u64,
+    shards: Option<usize>,
+    chaos: Option<&str>,
+) -> String {
+    let mut workload = WorkloadGenerator::new(workload, problem.scenario.num_data(), seed);
+    let initial = workload.initial_active(problem.scenario.num_users());
+    let mut plan = chaos.map(|spec| {
+        FaultSpec::parse(spec).and_then(|s| s.compile(problem.topology.graph())).unwrap()
+    });
+    match shards {
+        None => {
+            let mut engine = Engine::new(problem, config, initial);
+            match plan.as_mut() {
+                Some(plan) => engine.run_sources(&mut [plan, &mut workload], ticks),
+                None => engine.run(&mut workload, ticks),
+            }
+            engine.run_audit();
+            engine.metrics().to_csv()
+        }
+        Some(k) => {
+            let mut router = ShardRouter::new(problem, config, k, initial).unwrap();
+            match plan.as_mut() {
+                Some(plan) => router.run_sources(&mut [plan, &mut workload], ticks),
+                None => router.run(&mut workload, ticks),
+            }
+            router.run_audit();
+            assert_eq!(router.cross_audit_stats().2, 0, "cross-shard audit violations");
+            router.metrics().to_csv()
+        }
+    }
+}
+
+fn steiner() -> DistConfig {
+    DistConfig { strategy: StrategyKind::Steiner, record: true, ..DistConfig::default() }
+}
+
+/// `ci/golden/serve_cache.csv`: `serve --servers 20 --users 100 --data 6
+/// --seed 7 --ticks 150 --audit 50 --cache probcache --workload drift`.
+#[test]
+fn probcache_drift_serve_matches_its_golden_csv() {
+    let config = EngineConfig {
+        audit_every: 50,
+        cache: CacheConfig { policy: PolicyKind::ProbCache, seed: 7, ..CacheConfig::default() },
+        ..Default::default()
+    };
+    let workload = WorkloadConfig { drift: DriftProfile::drifting(), ..WorkloadConfig::default() };
+    let csv = cli_serve(cli_problem(7, 20, 100, 6), config, workload, 7, 150, None, None);
+    assert!(!csv.contains("\ncache_hits,0\n"), "the cache must carry traffic\n{csv}");
+    assert_fingerprint("probcache drift", &csv, 0x44db_6ee1_d27e_c51f);
+}
+
+/// `ci/golden/serve_dist.csv`: `serve --servers 15 --users 70 --data 10
+/// --seed 7 --ticks 200 --audit 25 --chaos 'rand:2022:2:1:1@120+50'
+/// --delivery steiner`.
+#[test]
+fn steiner_chaos_serve_matches_its_golden_csv() {
+    let config = EngineConfig { audit_every: 25, dist: steiner(), ..Default::default() };
+    let chaos = Some("rand:2022:2:1:1@120+50");
+    let csv = cli_serve(
+        cli_problem(7, 15, 70, 10),
+        config,
+        WorkloadConfig::default(),
+        7,
+        200,
+        None,
+        chaos,
+    );
+    assert!(csv.contains("\ndist_delay_violations,0\n"), "delay guarantee broken\n{csv}");
+    assert_fingerprint("steiner chaos", &csv, 0x5ff6_b632_8018_854f);
+}
+
+/// `ci/golden/serve_composed.csv`: `serve --servers 20 --users 100 --data 5
+/// --seed 7 --ticks 100 --shards 3 --batch 8 --cache lce --delivery steiner
+/// --audit 50 --chaos 'rand:2022:2:1:1@60+25'` — every layer at once, so
+/// the cache and distribution counter blocks merge across three shards.
+#[test]
+fn composed_sharded_serve_matches_its_golden_csv() {
+    let config = EngineConfig {
+        audit_every: 50,
+        batch: 8,
+        cache: CacheConfig { policy: PolicyKind::Lce, seed: 7, ..CacheConfig::default() },
+        dist: steiner(),
+        ..Default::default()
+    };
+    let chaos = Some("rand:2022:2:1:1@60+25");
+    let csv = cli_serve(
+        cli_problem(7, 20, 100, 5),
+        config,
+        WorkloadConfig::default(),
+        7,
+        100,
+        Some(3),
+        chaos,
+    );
+    assert!(csv.contains("\nserver_outages,1\n"), "the fault plan must fire\n{csv}");
+    assert_fingerprint("composed sharded", &csv, 0x0ede_f7d8_2fb3_ee6c);
 }

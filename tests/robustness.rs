@@ -166,7 +166,7 @@ fn fill_zero_benefit_mode_is_storage_feasible_end_to_end() {
     let mut rng = idde::seeded_rng(10);
     let problem = Problem::standard(scenario, &mut rng);
     let solver = IddeG {
-        delivery: idde::core::DeliveryConfig { fill_zero_benefit: true, ..Default::default() },
+        delivery: idde::core::DeliveryConfig { fill_zero_benefit: true },
         ..Default::default()
     };
     let strategy = solver.solve(&problem);
