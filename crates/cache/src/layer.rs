@@ -88,18 +88,6 @@ impl CacheCounters {
     pub fn total_evictions(&self) -> u64 {
         self.evictions + self.outage_evictions + self.reconcile_evictions
     }
-
-    /// Sums `other` into `self` (shard metrics aggregation).
-    pub fn merge(&mut self, other: &Self) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.outage_evictions += other.outage_evictions;
-        self.reconcile_evictions += other.reconcile_evictions;
-        self.rejected += other.rejected;
-        self.hit_checks += other.hit_checks;
-    }
 }
 
 /// One served request, as reported by the engine to the cache layer.

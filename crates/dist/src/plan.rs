@@ -186,17 +186,6 @@ impl DistCounters {
         self.dist_cost_ms += plan.total_cost_ms;
         self.dist_delay_ms += plan.total_delay_ms;
     }
-
-    /// Adds `other`'s counters into this one (the shard-router reduction).
-    pub fn merge(&mut self, other: &Self) {
-        self.bulk_installs += other.bulk_installs;
-        self.tree_installs += other.tree_installs;
-        self.replicas_installed += other.replicas_installed;
-        self.cloud_seeds += other.cloud_seeds;
-        self.delay_violations += other.delay_violations;
-        self.dist_cost_ms += other.dist_cost_ms;
-        self.dist_delay_ms += other.dist_delay_ms;
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +193,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_record_and_merge() {
+    fn counters_record_plans() {
         let plan = DistributionPlan {
             strategy: StrategyKind::Steiner,
             plans: Vec::new(),
@@ -220,9 +209,6 @@ mod tests {
         assert_eq!(counters.bulk_installs, 2);
         assert_eq!(counters.replicas_installed, 6);
         assert!((counters.dist_cost_ms - 25.0).abs() < 1e-12);
-        let mut merged = DistCounters::default();
-        merged.merge(&counters);
-        assert_eq!(merged, counters);
     }
 
     #[test]
