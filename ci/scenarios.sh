@@ -72,7 +72,9 @@ scenario_scale() {
 # must rebuild one coherent global field) and whose replica eviction runs
 # with foreign halo servers, then the migration-safety contract on real CLI
 # output — --shards 1 must write the byte-identical serve CSV to the
-# unsharded engine.
+# unsharded engine — and the merged counters' contract: under link faults
+# and cut-crossing handoffs, --shards 3 must count the event rows (the
+# CSV's first seven lines) and the fault rows exactly as --shards 1 does.
 scenario_shard() {
   idde serve \
     --scale-servers 2000 --scale-users 5000 \
@@ -93,6 +95,18 @@ scenario_shard() {
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/one.csv" \
     --shards 1
   cmp "$out/mono.csv" "$out/one.csv"
+  for k in 1 3; do
+    idde serve \
+      --servers 20 --users 100 --data 5 --seed 7 --ticks 120 \
+      --chaos 'rand:2022:3:1:1@20+40' --shards "$k" --csv "$out/faults_k$k.csv" \
+      2> "$out/faults_k$k.log"
+    head -n 7 "$out/faults_k$k.csv" > "$out/faults_k$k.proj"
+    grep -E '^(link_faults|server_outages|jam_events|restorations),' \
+      "$out/faults_k$k.csv" >> "$out/faults_k$k.proj"
+  done
+  grep -E '^link_faults,[1-9]' "$out/faults_k1.csv"
+  grep -E '^cross-shard: .*, [1-9][0-9]* handoffs$' "$out/faults_k3.log"
+  cmp "$out/faults_k1.proj" "$out/faults_k3.proj"
 }
 
 # The batching layer end to end (ARCHITECTURE.md §7): the group-commit path
@@ -101,10 +115,11 @@ scenario_shard() {
 # batch-of-one case (--batch 1, also under a two-shard router whose
 # handoffs go through one-event slices) must write the byte-identical serve
 # CSV to the golden files in ci/golden/, recorded when per-event serving
-# was a separate code path; and the ingest-time counter projection (the
-# CSV's first seven rows) must be identical across batch sizes —
-# equilibrium-derived gauges below that line may legitimately differ (a
-# union repair is one game, not N).
+# was a separate code path (serve_k2.csv's event rows equal the --shards 1
+# run's: each handoff counts as the one move it replaces); and the
+# ingest-time counter projection (the CSV's first seven rows) must be
+# identical across batch sizes — equilibrium-derived gauges below that line
+# may legitimately differ (a union repair is one game, not N).
 scenario_batch() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \

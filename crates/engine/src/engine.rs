@@ -766,13 +766,23 @@ impl Engine {
         self.metrics.re_replications += self.metrics.new_replicas - before;
     }
 
+    /// 1 when this engine counts faults of link `index`, else 0. A shard
+    /// router applies every link event in all K shard engines (each owns a
+    /// topology clone), but only the owner of the link's first endpoint
+    /// counts it, so the merged counters match the monolithic run. An
+    /// unsharded engine owns every server.
+    fn owns_link(&self, index: usize) -> u64 {
+        let first = self.base_graph.links()[index].a;
+        u64::from(!self.problem.scenario.coverage.is_foreign(first))
+    }
+
     fn apply_link_down(&mut self, a: ServerId, b: ServerId) {
         let Some(index) = self.base_graph.find_link(a, b) else { return };
         if self.faults.link_state(index) == LinkState::Down {
             return;
         }
         self.faults.set_link(index, LinkState::Down);
-        self.metrics.link_faults += 1;
+        self.metrics.link_faults += self.owns_link(index);
         self.update_topology_for_link(a, b);
         self.refresh_placement_after_fault();
     }
@@ -783,7 +793,7 @@ impl Engine {
             return;
         }
         self.faults.set_link(index, LinkState::Up);
-        self.metrics.restorations += 1;
+        self.metrics.restorations += self.owns_link(index);
         // Paths are back; the next placement repair or checkpoint reclaims
         // the capacity — restoration itself must not thrash the strategy.
         self.update_topology_for_link(a, b);
@@ -798,7 +808,7 @@ impl Engine {
             return;
         }
         self.faults.set_link(index, LinkState::Degraded(factor));
-        self.metrics.link_faults += 1;
+        self.metrics.link_faults += self.owns_link(index);
         self.update_topology_for_link(a, b);
         self.refresh_placement_after_fault();
     }

@@ -70,7 +70,7 @@ fn two_shard_handoff_serve_matches_its_golden_csv() {
     router.run(&mut workload, 100);
     assert!(router.handoffs() > 0, "the run must cross the shard cut");
     assert_eq!(router.cross_audit_stats().2, 0, "cross-shard audit violations");
-    assert_fingerprint("two-shard handoffs", &router.metrics().to_csv(), 0x0776_a090_e932_98e1);
+    assert_fingerprint("two-shard handoffs", &router.metrics().to_csv(), 0xd9d6_d600_bb0a_8672);
 }
 
 #[test]
@@ -198,5 +198,5 @@ fn composed_sharded_serve_matches_its_golden_csv() {
         chaos,
     );
     assert!(csv.contains("\nserver_outages,1\n"), "the fault plan must fire\n{csv}");
-    assert_fingerprint("composed sharded", &csv, 0x0ede_f7d8_2fb3_ee6c);
+    assert_fingerprint("composed sharded", &csv, 0x401f_e6c7_4efb_7075);
 }

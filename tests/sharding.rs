@@ -2,8 +2,9 @@
 //! `--shards 1` — a `ShardRouter` with a single shard — must produce a
 //! serve CSV *byte-identical* to the monolithic engine's, across seeds,
 //! worker counts and an injected fault schedule. Plus the `K > 1`
-//! guarantees the contract implies: deterministic output per `(seed, K)`
-//! and a clean cross-shard audit throughout.
+//! guarantees the contract implies: deterministic output per `(seed, K)`,
+//! a clean cross-shard audit throughout, and event and fault rows equal to
+//! the monolithic serve's.
 
 use idde::prelude::*;
 
@@ -32,14 +33,15 @@ fn monolithic_csv(problem: &Problem, seed: u64, ticks: u64, chaos: Option<&str>)
     engine.metrics().to_csv()
 }
 
-/// The same serve through a `ShardRouter` with `shards` shards.
-fn sharded_csv(
+/// The same serve through a `ShardRouter` with `shards` shards; returns
+/// the router after a clean cross-shard audit.
+fn sharded_router(
     problem: &Problem,
     shards: usize,
     seed: u64,
     ticks: u64,
     chaos: Option<&str>,
-) -> String {
+) -> ShardRouter {
     let mut workload =
         WorkloadGenerator::new(WorkloadConfig::default(), problem.scenario.num_data(), seed);
     let initial = workload.initial_active(problem.scenario.num_users());
@@ -55,7 +57,24 @@ fn sharded_csv(
     }
     let (_, _, violations) = router.cross_audit_stats();
     assert_eq!(violations, 0, "cross-shard audit violations at K = {shards}");
-    router.metrics().to_csv()
+    router
+}
+
+/// The metrics CSV of [`sharded_router`].
+fn sharded_csv(
+    problem: &Problem,
+    shards: usize,
+    seed: u64,
+    ticks: u64,
+    chaos: Option<&str>,
+) -> String {
+    sharded_router(problem, shards, seed, ticks, chaos).metrics().to_csv()
+}
+
+/// The value of CSV row `name`.
+fn row(csv: &str, name: &str) -> u64 {
+    let prefix = format!("{name},");
+    csv.lines().find_map(|l| l.strip_prefix(prefix.as_str())).unwrap().parse().unwrap()
 }
 
 #[test]
@@ -88,9 +107,38 @@ fn one_shard_serve_csv_is_byte_identical_under_chaos() {
     let one = sharded_csv(&p, 1, 5, 40, Some(spec));
     assert_eq!(mono, one, "--shards 1 diverged from the monolithic serve under chaos");
     // The spec really scheduled faults — the identity is not vacuous.
-    let outages: u64 =
-        mono.lines().find_map(|l| l.strip_prefix("server_outages,")).unwrap().parse().unwrap();
-    assert!(outages > 0, "fault spec scheduled no outages:\n{mono}");
+    assert!(row(&mono, "server_outages") > 0, "fault spec scheduled no outages:\n{mono}");
+}
+
+/// At every `K`, the event rows and the fault rows count the stream once:
+/// a handoff's `Depart`/`Arrive` pair stands for one `Move`, and a link
+/// fault broadcast to all K engines is one fault.
+#[test]
+fn event_and_fault_rows_are_shard_count_invariant() {
+    const ROWS: [&str; 10] = [
+        "ticks",
+        "events",
+        "arrivals",
+        "departures",
+        "moves",
+        "requests",
+        "link_faults",
+        "server_outages",
+        "jam_events",
+        "restorations",
+    ];
+    let spec = "rand:2022:3:1:1@15+20";
+    let p = sampled_problem(5);
+    let mono = monolithic_csv(&p, 5, 50, Some(spec));
+    assert!(row(&mono, "link_faults") > 0, "fault spec scheduled no link faults:\n{mono}");
+    for shards in [2usize, 3, 4] {
+        let router = sharded_router(&p, shards, 5, 50, Some(spec));
+        assert!(router.handoffs() > 0, "K = {shards}: no user crossed a cut");
+        let csv = router.metrics().to_csv();
+        for name in ROWS {
+            assert_eq!(row(&csv, name), row(&mono, name), "K = {shards}: {name}");
+        }
+    }
 }
 
 #[test]
