@@ -26,12 +26,24 @@ idde() {
 # oversubscribed worker count drives the engine's parallel scoring path —
 # the audit certificates double as the determinism contract's witness.
 # Each certificate rescans every dirty player after a converged repair, so
-# it also independently witnesses the game's quiet-player skipping.
+# it also independently witnesses the game's quiet-player skipping, and it
+# re-derives each player's best response candidate by candidate, so it
+# witnesses the gathered Eq. 12 scan too. Then the same deployment with 1,
+# 2 or 3 channels per server (every other golden has 3 on every server),
+# which drives the scan's skip of servers lacking a channel index: its CSV
+# must be byte-identical to ci/golden/serve_het.csv.
 scenario_audit() {
   idde serve --servers 15 --users 70 --data 4 --seed 7 --ticks 200 --audit 50 \
     --csv "$out/audit.csv"
   grep -E '^certificates,[1-9]' "$out/audit.csv"
   grep -E '^certificate_violations,0$' "$out/audit.csv"
+  idde generate --servers 15 --users 70 --data 4 --seed 7 --out "$out/uniform.idde"
+  awk '$1=="server"{$6=1+$2%3}1' "$out/uniform.idde" > "$out/het.idde"
+  idde serve --scenario "$out/het.idde" --seed 7 --ticks 200 --audit 50 \
+    --csv "$out/het.csv"
+  grep -E '^certificates,[1-9]' "$out/het.csv"
+  grep -E '^certificate_violations,0$' "$out/het.csv"
+  cmp ci/golden/serve_het.csv "$out/het.csv"
 }
 
 # The degradation contract end to end: a seeded 200-tick serve with a
