@@ -61,6 +61,19 @@
 //! of the same pass, parallel scans see the pass-start snapshot — which is
 //! why both modes exist and `Serial` stays the default.
 //!
+//! ## Gathered scan
+//!
+//! A best response scores every candidate `(i, x)` by Eq. 12, whose
+//! cross-server term `F_{i,x,j}` sums channel `x` over the other servers of
+//! `V_j`. Under [`BenefitModel::PaperEq12`] the scan runs
+//! [`InterferenceField::scan_benefits`]: it gathers each channel index's
+//! interferers over `V_j` once and sums that list per candidate, skipping
+//! the candidate's own server. These are the f64 additions of
+//! [`IddeUGame::benefit_at`] in the same order, so every benefit, and with
+//! it every trajectory, is bit-identical to a per-candidate walk. The scan
+//! also yields the benefit of the player's current decision, so the
+//! improvement test needs no second walk when that decision is a candidate.
+//!
 //! ## Quiet-player skipping
 //!
 //! Most players of a repair find no move on most passes, and a rescan of
@@ -305,20 +318,44 @@ impl IddeUGame {
         field: &InterferenceField<'_>,
         user: UserId,
     ) -> Option<(ServerId, ChannelIndex, f64)> {
-        let scenario = field.scenario();
-        let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
-        for &server in scenario.coverage.servers_of(user) {
-            if !scenario.coverage.is_candidate(server) {
-                continue;
+        self.scan(field, user).0
+    }
+
+    /// One best-response scan: the best candidate, and the benefit of the
+    /// user's current decision when the scan scored it. The Eq. 12 arm runs
+    /// the gathered kernel ([`InterferenceField::scan_benefits`]); both arms
+    /// score the candidates in the same order, and the first strict maximum
+    /// wins.
+    fn scan(
+        &self,
+        field: &InterferenceField<'_>,
+        user: UserId,
+    ) -> (Option<(ServerId, ChannelIndex, f64)>, Option<f64>) {
+        let decision = field.allocation().decision(user);
+        let (mut best, mut current) = (None, None);
+        let mut visit = |server, channel, b: f64| {
+            if best.is_none_or(|(_, _, cur)| b > cur) {
+                best = Some((server, channel, b));
             }
-            for channel in scenario.servers[server.index()].channels() {
-                let b = self.benefit_at(field, user, server, channel);
-                if best.is_none_or(|(_, _, cur)| b > cur) {
-                    best = Some((server, channel, b));
+            if decision == Some((server, channel)) {
+                current = Some(b);
+            }
+        };
+        match self.config.benefit {
+            BenefitModel::PaperEq12 => field.scan_benefits(user, visit),
+            BenefitModel::Congestion => {
+                let scenario = field.scenario();
+                for &server in scenario.coverage.servers_of(user) {
+                    if !scenario.coverage.is_candidate(server) {
+                        continue;
+                    }
+                    for channel in scenario.servers[server.index()].channels() {
+                        visit(server, channel, field.congestion_benefit_at(user, server, channel));
+                    }
                 }
             }
         }
-        best
+        (best, current)
     }
 
     /// Runs the game from the all-unallocated profile.
@@ -559,8 +596,9 @@ impl IddeUGame {
                 return None;
             }
         }
-        let (s, x, best) = self.best_response(field, user)?;
-        let current = self.current_benefit(field, user);
+        let (best, scanned) = self.scan(field, user);
+        let (s, x, best) = best?;
+        let current = scanned.unwrap_or_else(|| self.current_benefit(field, user));
         let gain = best - current;
         // Relative epsilon so the threshold scales with the benefit values.
         if gain > self.config.epsilon * current.abs().max(1e-30) && gain > 0.0 {
@@ -932,8 +970,48 @@ mod tests {
         assert!(game.best_response(&field, UserId(1)).is_none());
     }
 
-    /// The pre-skipping game loop, kept as the oracle of the skipping
-    /// differential test: every pass rescans every player.
+    /// The per-candidate best-response scan, kept as the oracle of the
+    /// gathered kernel: every candidate walks `V_j` through `benefit_at`.
+    fn best_response_reference(
+        game: &IddeUGame,
+        field: &InterferenceField<'_>,
+        user: UserId,
+    ) -> Option<(ServerId, ChannelIndex, f64)> {
+        let scenario = field.scenario();
+        let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
+        for &server in scenario.coverage.servers_of(user) {
+            if !scenario.coverage.is_candidate(server) {
+                continue;
+            }
+            for channel in scenario.servers[server.index()].channels() {
+                let b = game.benefit_at(field, user, server, channel);
+                if best.is_none_or(|(_, _, cur)| b > cur) {
+                    best = Some((server, channel, b));
+                }
+            }
+        }
+        best
+    }
+
+    /// `improving_move_with_gain` on the reference scan: `revalidates`
+    /// applies the same acceptance test to the reference best response,
+    /// against a separately derived current benefit.
+    fn improving_move_reference(
+        game: &IddeUGame,
+        field: &InterferenceField<'_>,
+        user: UserId,
+    ) -> Option<(UserId, ServerId, ChannelIndex, f64)> {
+        let decision = field.allocation().decision(user);
+        if decision.is_some_and(|(s, _)| field.scenario().coverage.is_foreign(s)) {
+            return None;
+        }
+        let (s, x, best) = best_response_reference(game, field, user)?;
+        let gain = best - game.current_benefit(field, user);
+        game.revalidates(field, user, s, x).then_some((user, s, x, gain))
+    }
+
+    /// The pre-skipping game loop on the reference scan, kept as the oracle
+    /// of the differential tests: every pass rescans every player.
     fn run_restricted_reference<'a>(
         game: &IddeUGame,
         mut field: InterferenceField<'a>,
@@ -942,7 +1020,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(game.config.seed);
         let (mut passes, mut moves, mut scans, mut converged) = (0usize, 0usize, 0usize, false);
         let mut order: Vec<UserId> = players.to_vec();
-        let mut scan_buf = Vec::new();
+        let scan = |field: &InterferenceField<'_>, players: &[UserId]| -> Vec<_> {
+            players.iter().map(|&u| improving_move_reference(game, field, u)).collect()
+        };
         while passes < game.config.max_passes {
             passes += 1;
             match game.config.arbitration {
@@ -956,15 +1036,17 @@ mod tests {
                         ScoringMode::Serial => {
                             for &user in &order {
                                 scans += 1;
-                                if let Some(mv) = game.improving_move(&field, user) {
-                                    field.allocate(user, mv.0, mv.1);
+                                if let Some((_, s, x, _)) =
+                                    improving_move_reference(game, &field, user)
+                                {
+                                    field.allocate(user, s, x);
                                     moves += 1;
                                     any = true;
                                 }
                             }
                         }
                         ScoringMode::Parallel => {
-                            game.scan_pass_into(&field, &order, &mut scan_buf);
+                            let scan_buf = scan(&field, &order);
                             scans += order.len();
                             for cand in &scan_buf {
                                 let Some((user, s, x, _)) = *cand else { continue };
@@ -982,7 +1064,7 @@ mod tests {
                     }
                 }
                 ArbitrationPolicy::MaxGainWinner | ArbitrationPolicy::RandomWinner => {
-                    game.scan_pass_into(&field, players, &mut scan_buf);
+                    let scan_buf = scan(&field, players);
                     scans += players.len();
                     let requests: Vec<(UserId, ServerId, ChannelIndex, f64)> =
                         scan_buf.iter().copied().flatten().collect();
@@ -1257,5 +1339,43 @@ mod tests {
             }
         }
         assert!(compared > 1000, "{compared}");
+    }
+
+    #[test]
+    fn gathered_scan_matches_the_per_candidate_walk_bit_for_bit() {
+        let bits =
+            |r: Option<(ServerId, ChannelIndex, f64)>| r.map(|(s, x, b)| (s, x, b.to_bits()));
+        let (mut scanned, mut foreign, mut jammed, mut stale) = (0usize, 0usize, 0usize, 0usize);
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let inst = Instance::small(&mut rng);
+            let field = inst.field();
+            let scenario = field.scenario();
+            foreign += scenario.server_ids().filter(|&s| scenario.coverage.is_foreign(s)).count();
+            jammed += usize::from(!inst.problem.radio.is_unjammed());
+            stale += inst.stale.len();
+            let players: Vec<UserId> = scenario.user_ids().collect();
+            for acceptance in [AcceptanceRule::LyapunovGuarded, AcceptanceRule::BenefitOnly] {
+                let game = IddeUGame::new(GameConfig {
+                    acceptance,
+                    scoring: ScoringMode::Parallel,
+                    ..Default::default()
+                });
+                let batch = game.scan_deviations(&field, &players);
+                for (&user, batched) in players.iter().zip(&batch) {
+                    let what = format!("seed {seed} user {user} {acceptance:?}");
+                    let want = best_response_reference(&game, &field, user);
+                    assert_eq!(bits(game.best_response(&field, user)), bits(want), "{what}");
+                    let want = improving_move_reference(&game, &field, user)
+                        .map(|(_, s, x, gain)| (s, x, gain));
+                    assert_eq!(bits(game.profitable_deviation(&field, user)), bits(want), "{what}");
+                    assert_eq!(bits(*batched), bits(want), "{what}");
+                    scanned += 1;
+                }
+            }
+        }
+        // The seeds exercise foreign servers, jamming floors and stale
+        // decisions.
+        assert!(scanned > 1000 && foreign > 0 && jammed > 0 && stale > 0);
     }
 }

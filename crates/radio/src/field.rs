@@ -8,9 +8,12 @@
 //! * the occupant list `U_{i,x}(α)`, and
 //! * the occupant power sum `Σ_{u_t ∈ U_{i,x}(α)} p_t`,
 //!
-//! updated in O(occupancy) on every move, so each hypothetical query costs
-//! `O(|V_j| · occupancy)` — dominated by the cross-server interference term
-//! `F_{i,x,j}` which genuinely needs per-occupant gains.
+//! updated in O(occupancy) on every move. One hypothetical query costs the
+//! total occupancy of channel index `x` over `V_j`: the cross-server term
+//! `F_{i,x,j}` genuinely needs per-occupant gains. A whole best-response
+//! scan ([`InterferenceField::scan_benefits`]) gathers those interferers
+//! once per channel index, not once per candidate, and then costs one
+//! multiply-add per candidate and gathered term.
 //!
 //! The occupant lists are stored as one flat CSR arena (`row_start` /
 //! `row_len` / `row_cap` per global channel over a shared `occ` payload)
@@ -25,6 +28,8 @@
 //! baselines and the metric evaluation share one implementation of Eqs. 2–5
 //! and 12.
 
+use std::cell::Cell;
+
 use idde_model::{Allocation, ChannelIndex, MegaBytesPerSec, Scenario, ServerId, UserId};
 
 use crate::rate::capped_rate;
@@ -33,6 +38,15 @@ use crate::RadioEnvironment;
 /// Arena slot value for occupant positions past a row's length — never read
 /// through the public API, only written as resize filler.
 const OCC_FILLER: UserId = UserId(u32::MAX);
+
+/// Scratch of [`InterferenceField::scan_benefits`]: the gathered
+/// `(k, t, p_t)` terms of every channel index, concatenated, and the start
+/// of each index's run.
+type ScanScratch = (Vec<(u32, UserId, f64)>, Vec<usize>);
+
+thread_local! {
+    static SCAN_SCRATCH: Cell<ScanScratch> = Cell::default();
+}
 
 /// The reusable backing buffers of an [`InterferenceField`]: the CSR
 /// occupancy arena, the per-channel power sums and the channel offset table.
@@ -348,6 +362,56 @@ impl<'a> InterferenceField<'a> {
         f
     }
 
+    /// Scores every best-response candidate of `user` by its Eq. 12 benefit,
+    /// calling `visit(server, channel, benefit)` in scan order: each
+    /// non-foreign server of `V_j` in coverage order, then its channels in
+    /// index order. Each benefit is bitwise equal to
+    /// [`InterferenceField::benefit_at`]'s.
+    ///
+    /// The cross-server terms are gathered once per channel index `x` as a
+    /// list of `(k, t, p_t)`, where `k` is the position in `V_j` of the
+    /// server hosting interferer `t`. That is the order
+    /// [`InterferenceField::cross_interference`] visits them in. Each
+    /// candidate `(V_j[k], x)` then sums the list minus its own server's
+    /// terms, starting from `0.0`: the same f64 additions in the same order.
+    /// The list lives in thread-local scratch, so a warm scan allocates
+    /// nothing, on any worker thread.
+    pub fn scan_benefits(&self, user: UserId, mut visit: impl FnMut(ServerId, ChannelIndex, f64)) {
+        let coverage = &self.scenario.coverage;
+        let servers = coverage.servers_of(user);
+        let channels = |s: ServerId| self.scenario.servers[s.index()].num_channels as usize;
+        let candidates = || servers.iter().enumerate().filter(|&(_, &s)| coverage.is_candidate(s));
+        let Some(max_channels) = candidates().map(|(_, &s)| channels(s)).max() else { return };
+        let (mut terms, mut start) = SCAN_SCRATCH.take();
+        terms.clear();
+        start.clear();
+        for x in 0..max_channels {
+            start.push(terms.len());
+            for (k, &other) in servers.iter().enumerate().filter(|&(_, &s)| x < channels(s)) {
+                for &t in self.row(self.channel_offset[other.index()] + x) {
+                    if t != user {
+                        terms.push((k as u32, t, self.scenario.users[t.index()].power.value()));
+                    }
+                }
+            }
+        }
+        start.push(terms.len());
+        for (k, &server) in candidates() {
+            let gains = self.env.gains.row(server);
+            for x in 0..channels(server) {
+                let mut cross = 0.0;
+                for &(k_t, t, p) in &terms[start[x]..start[x + 1]] {
+                    if k_t != k as u32 {
+                        cross += gains[t.index()] * p;
+                    }
+                }
+                let channel = ChannelIndex(x as u16);
+                visit(server, channel, self.benefit_with_cross(user, server, channel, cross));
+            }
+        }
+        SCAN_SCRATCH.set((terms, start));
+    }
+
     /// Power of the *other* occupants of `c_{i,x}` under the hypothesis that
     /// `user` is allocated there: `Σ_{u_t ∈ U_{i,x}(α) \ u_j} p_t`.
     #[inline]
@@ -431,10 +495,22 @@ impl<'a> InterferenceField<'a> {
     /// ([`InterferenceField::congestion_benefit_at`]) deliberately ignores
     /// jamming: the Theorem 3 potential argument is stated for it.
     pub fn benefit_at(&self, user: UserId, server: ServerId, channel: ChannelIndex) -> f64 {
+        let cross = self.cross_interference(user, server, channel);
+        self.benefit_with_cross(user, server, channel, cross)
+    }
+
+    /// Eq. 12 for the decision `(i, x)` given its cross-server term `F`.
+    #[inline]
+    fn benefit_with_cross(
+        &self,
+        user: UserId,
+        server: ServerId,
+        channel: ChannelIndex,
+        cross: f64,
+    ) -> f64 {
         let g = self.env.gain(server, user);
         let p = self.scenario.users[user.index()].power.value();
         let others = self.co_channel_power_excluding(user, server, channel);
-        let cross = self.cross_interference(user, server, channel);
         g * p / (g * (others + p) + cross + self.env.jamming_floor(server))
     }
 

@@ -101,6 +101,12 @@ impl GainTable {
         self.values[server.index() * self.num_users + user.index()]
     }
 
+    /// Server `server`'s gains to every user, indexed by user id.
+    #[inline]
+    pub fn row(&self, server: ServerId) -> &[f64] {
+        &self.values[server.index() * self.num_users..][..self.num_users]
+    }
+
     /// Recomputes one user's column after a position change in `O(N)` —
     /// the hook the online serving engine uses on mobility events. The
     /// scenario must already carry the user's new position.
