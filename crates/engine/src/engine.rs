@@ -922,7 +922,39 @@ impl Engine {
     /// allows. Co-channel sharers of a vacated slot need no rule of their
     /// own: the vacated server is a seed, so they are allocated on, or
     /// covered by, a `near` server.
+    ///
+    /// The set is gathered from `users_of(s)` for `s ∈ near`, not from a
+    /// walk over all M users. That finds every user allocated on a `near`
+    /// server, because an allocated user is covered by its server
+    /// (constraint (1)): flushes and [`Engine::set_position`] release
+    /// uncovered decisions, outages release the downed server's users, and
+    /// halo mirrors are inactive.
     fn dirty_union(&mut self, admit: Admit) {
+        let coverage = &self.problem.scenario.coverage;
+        let near = &mut self.near_scratch;
+        near.clear();
+        near.append(&mut self.pending.dirty_servers);
+        for &user in &self.pending.dirty_users {
+            near.extend_from_slice(coverage.servers_of(user));
+        }
+        near.sort_unstable();
+        near.dedup();
+
+        let dirty = &mut self.dirty_scratch;
+        dirty.clear();
+        dirty.extend(self.pending.dirty_users.drain(..).filter(|u| self.active[u.index()]));
+        dirty.extend(near.iter().flat_map(|&s| coverage.users_of(s)).copied().filter(|&u| {
+            self.active[u.index()]
+                && (admit == Admit::Unallocated || self.allocation.decision(u).is_some())
+        }));
+        dirty.sort_unstable();
+        dirty.dedup();
+    }
+
+    /// [`Engine::dirty_union`] by a walk over all M users, kept as its
+    /// oracle.
+    #[cfg(test)]
+    fn dirty_union_reference(&mut self, admit: Admit) {
         let coverage = &self.problem.scenario.coverage;
         let near = &mut self.near_scratch;
         near.clear();
@@ -1668,6 +1700,68 @@ mod tests {
             e.dirty_union(admit);
             assert_eq!(primed, e.dirty_scratch);
         }
+    }
+
+    /// The neighbourhood dirty set must equal the all-users walk under both
+    /// admission rules, at every state a seeded drive of moves, departures,
+    /// arrivals, jams, a server outage and a halo overlay passes through.
+    #[test]
+    fn neighbourhood_dirty_set_matches_the_all_users_walk() {
+        use rand::Rng;
+        let mut e = engine(19);
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let (m, n) = (e.active().len(), e.problem().scenario.num_servers());
+        let victim = ServerId::from_index(rng.gen_range(0..n));
+        let mut dirty_users = 0usize;
+        for step in 0..150 {
+            let user = UserId::from_index(rng.gen_range(0..m));
+            let server = ServerId::from_index(rng.gen_range(0..n));
+            match step {
+                40 => e.apply(&Event::ServerDown { server: victim }),
+                90 => e.apply(&Event::ServerRestore { server: victim }),
+                60 | 120 => {
+                    // A halo mirror of an inactive user, sitting on `server`.
+                    let mirror = (0..m).map(UserId::from_index).find(|u| !e.active()[u.index()]);
+                    let mirror = mirror.expect("an inactive user");
+                    let at = e.problem().scenario.servers[server.index()].position;
+                    e.set_overlay(&[(mirror, at, server, ChannelIndex(0))]);
+                    assert_eq!(e.overlay().len(), 1);
+                }
+                _ => match step % 6 {
+                    0 | 1 => {
+                        let (dx, dy) = (rng.gen_range(-300.0..300.0), rng.gen_range(-300.0..300.0));
+                        e.apply(&Event::Move { user, dx, dy });
+                    }
+                    2 => e.apply(&Event::Depart { user }),
+                    3 => {
+                        // The handoff order: strip the mirror, then arrive.
+                        e.strip_overlay_user(user);
+                        e.apply(&Event::Arrive { user });
+                    }
+                    4 => e.apply(&Event::Jam { server, floor_w: rng.gen_range(1e-9..1e-5) }),
+                    _ => e.apply(&Event::Unjam { server }),
+                },
+            }
+            let seed_users: Vec<UserId> =
+                (0..rng.gen_range(1..6)).map(|_| UserId::from_index(rng.gen_range(0..m))).collect();
+            let seed_servers: Vec<ServerId> = (0..rng.gen_range(0..3))
+                .map(|_| ServerId::from_index(rng.gen_range(0..n)))
+                .collect();
+            for admit in [Admit::Allocated, Admit::Unallocated] {
+                let mut got = e.clone();
+                let mut want = e.clone();
+                for x in [&mut got, &mut want] {
+                    x.pending.dirty_users.extend_from_slice(&seed_users);
+                    x.pending.dirty_servers.extend_from_slice(&seed_servers);
+                }
+                got.dirty_union(admit);
+                want.dirty_union_reference(admit);
+                assert_eq!(got.dirty_scratch, want.dirty_scratch, "step {step} {admit:?}");
+                dirty_users += got.dirty_scratch.len();
+            }
+        }
+        assert!(e.metrics().server_outages == 1 && e.metrics().jam_events > 0);
+        assert!(dirty_users > 1000, "{dirty_users}");
     }
 
     /// The batched ingestion determinism contract at `batch > 1`: positions
