@@ -138,6 +138,11 @@ impl Auditor {
     /// ([`IddeUGame::profitable_deviation`] — the relative-epsilon
     /// improvement threshold plus the Lyapunov guard when configured).
     ///
+    /// That check runs the same scan kernel that produced the equilibrium,
+    /// so each player also gets a second check, independent of the kernel:
+    /// [`IddeUGame::best_response`] must equal, bit for bit, a walk that
+    /// scores every candidate through [`IddeUGame::benefit_at`].
+    ///
     /// Certify the full player set only on profiles the full game converged
     /// on (offline outcomes, post-fallback checkpoints). After a *restricted*
     /// dirty-set repair, pass the repaired player set: users frozen during
@@ -163,6 +168,15 @@ impl Auditor {
             report.check(deviation.is_none(), || {
                 let (server, channel, gain) = deviation.expect("checked above");
                 Violation::ProfitableDeviation { user, server, channel, gain }
+            });
+            let live = game.best_response(field, user);
+            let reference = best_response_by_candidate(game, field, user);
+            let bits =
+                |r: Option<(ServerId, ChannelIndex, f64)>| r.map(|(s, x, b)| (s, x, b.to_bits()));
+            report.check(bits(live) == bits(reference), || Violation::BestResponseMismatch {
+                user,
+                live,
+                reference,
             });
         }
         report
@@ -444,6 +458,28 @@ fn reference_latency(
     best
 }
 
+/// `user`'s best response, scoring each candidate `(server, channel)` on its
+/// own through [`IddeUGame::benefit_at`]; the first strict maximum wins, as in
+/// the game's scan.
+fn best_response_by_candidate(
+    game: &IddeUGame,
+    field: &InterferenceField<'_>,
+    user: UserId,
+) -> Option<(ServerId, ChannelIndex, f64)> {
+    let scenario = field.scenario();
+    let coverage = &scenario.coverage;
+    let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
+    for &server in coverage.servers_of(user).iter().filter(|&&s| coverage.is_candidate(s)) {
+        for channel in scenario.servers[server.index()].channels() {
+            let b = game.benefit_at(field, user, server, channel);
+            if best.is_none_or(|(_, _, cur)| b > cur) {
+                best = Some((server, channel, b));
+            }
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +507,8 @@ mod tests {
 
         let cert = auditor.certify_equilibrium(&game, &outcome.field, None);
         assert!(cert.is_clean(), "{cert}");
-        assert_eq!(cert.checks, p.scenario.num_users() as u64);
+        // A deviation check and a best-response re-derivation per player.
+        assert_eq!(cert.checks, 2 * p.scenario.num_users() as u64);
 
         let alloc = outcome.field.allocation().clone();
         let delivery = GreedyDelivery::default().run(&p, &alloc);
@@ -503,22 +540,47 @@ mod tests {
         let outcome = game.run(&p);
         assert!(outcome.converged);
         let auditor = Auditor::default();
-        // On a converged profile a restricted certificate runs exactly one
-        // check per listed player and stays clean.
+        // On a converged profile a restricted certificate runs exactly two
+        // checks per listed player and stays clean.
         let subset = [UserId(0), UserId(2)];
         let cert = auditor.certify_equilibrium(&game, &outcome.field, Some(&subset));
-        assert_eq!(cert.checks, subset.len() as u64);
+        assert_eq!(cert.checks, 2 * subset.len() as u64);
         assert!(cert.is_clean(), "{cert}");
         // After knocking user 0 out, a certificate restricted to user 0
         // flags exactly that deviation and checks nobody else.
         let mut field = outcome.field;
         field.deallocate(UserId(0));
         let cert = auditor.certify_equilibrium(&game, &field, Some(&[UserId(0)]));
-        assert_eq!(cert.checks, 1);
+        assert_eq!(cert.checks, 2);
         assert!(matches!(
             cert.violations.as_slice(),
             [Violation::ProfitableDeviation { user: UserId(0), .. }]
         ));
+    }
+
+    #[test]
+    fn certificate_rederives_every_best_response_independently() {
+        use idde_core::{BenefitModel, GameConfig};
+        for seed in 10..16 {
+            let p = problem(seed);
+            let benefit =
+                if seed % 2 == 0 { BenefitModel::PaperEq12 } else { BenefitModel::Congestion };
+            let game = IddeUGame::new(GameConfig { benefit, ..Default::default() });
+            let outcome = game.run(&p);
+            assert!(outcome.converged);
+            let auditor = Auditor::default();
+            let cert = auditor.certify_equilibrium(&game, &outcome.field, None);
+            assert!(cert.is_clean(), "seed {seed}: {cert}");
+            assert_eq!(cert.checks, 2 * p.scenario.num_users() as u64, "seed {seed}");
+            // Off equilibrium the deviation check fires, but the scan still
+            // agrees with the per-candidate walk for every player.
+            let cert = auditor.certify_equilibrium(&game, &p.field(), None);
+            assert_eq!(cert.checks, 2 * p.scenario.num_users() as u64, "seed {seed}");
+            assert!(cert
+                .violations
+                .iter()
+                .all(|v| matches!(v, Violation::ProfitableDeviation { .. })));
+        }
     }
 
     #[test]

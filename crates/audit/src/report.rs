@@ -70,6 +70,16 @@ pub enum Violation {
         /// Benefit gain of the deviation.
         gain: f64,
     },
+    /// The game's best-response scan disagrees, in some bit, with a
+    /// per-candidate re-derivation through `IddeUGame::benefit_at`.
+    BestResponseMismatch {
+        /// The player.
+        user: UserId,
+        /// `(server, channel, benefit)` from the game's scan.
+        live: Option<(ServerId, ChannelIndex, f64)>,
+        /// `(server, channel, benefit)` from the per-candidate walk.
+        reference: Option<(ServerId, ChannelIndex, f64)>,
+    },
     /// A server's cached storage counter disagrees with the resummed
     /// placement column sizes.
     StorageCacheDrift {
@@ -257,6 +267,10 @@ impl fmt::Display for Violation {
             Violation::ProfitableDeviation { user, server, channel, gain } => write!(
                 f,
                 "user {user}: profitable deviation to ({server}, {channel}), gain {gain}"
+            ),
+            Violation::BestResponseMismatch { user, live, reference } => write!(
+                f,
+                "user {user}: best response mismatch (scan {live:?} vs per-candidate walk {reference:?})"
             ),
             Violation::StorageCacheDrift { server, cached, recomputed } => write!(
                 f,

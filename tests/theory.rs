@@ -196,7 +196,8 @@ mod certification {
             prop_assert!(outcome.converged, "seed {seed}: game hit the pass cap");
             let cert = Auditor::default().certify_equilibrium(&game, &outcome.field, None);
             prop_assert!(cert.is_clean(), "seed {seed}: {cert}");
-            prop_assert_eq!(cert.checks, problem.scenario.num_users() as u64);
+            // A deviation check and a best-response re-derivation per player.
+            prop_assert_eq!(cert.checks, 2 * problem.scenario.num_users() as u64);
         }
     }
 }
