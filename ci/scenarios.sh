@@ -67,7 +67,9 @@ scenario_chaos() {
 # Exercises the spatial-index and incremental-repair fast paths at a
 # geography the brute-force paths would crawl on: a density-preserving
 # 2000-site enlargement of the EUA extract, audited throughout. The
-# eviction grep proves the per-item top-2 sweep ran at this scale.
+# eviction grep proves the per-item top-2 sweep ran at this scale, and the
+# CSV must be byte-identical to ci/golden/serve_scale.csv, which pins the
+# lazy Eq. 17 greedy where it skips the most work.
 scenario_scale() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \
@@ -77,6 +79,7 @@ scenario_scale() {
   grep -E '^certificate_violations,0$' "$out/scale.csv"
   grep -E '^audits,[1-9]' "$out/scale.csv"
   grep -E '^evicted_replicas,[1-9]' "$out/scale.csv"
+  cmp ci/golden/serve_scale.csv "$out/scale.csv"
 }
 
 # The shard layer end to end at the scale geography: a 4-shard audited
