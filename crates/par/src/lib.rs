@@ -12,10 +12,8 @@
 //! * [`par_map`] — an order-preserving parallel map with a sequential
 //!   small-input fallback;
 //! * [`par_fill`] — an in-place variant writing into a caller-owned buffer
-//!   (the greedy's per-round scratch, reused across rounds so steady-state
-//!   rescoring allocates nothing);
-//! * [`ScratchPool`] — a trivial free-list of reusable `Vec` buffers for
-//!   callers that need whole owned buffers per round;
+//!   (the greedy's initial column scores, one buffer reused across
+//!   columns);
 //! * [`num_threads`] / [`set_threads`] — the worker-count surface the
 //!   bench ledger's thread sweep drives.
 //!
@@ -102,8 +100,8 @@ where
 
 /// In-place order-preserving parallel fill: resizes `out` to `len` and sets
 /// `out[i] = f(i)` for every index. The buffer is caller-owned, so a loop
-/// that rescoreed candidates every round reuses one allocation for the
-/// whole run (the "reusable scratch buffer" of the Eq. 17 greedy).
+/// that fills one column after another (the Eq. 17 greedy's initial
+/// scores) reuses one allocation for the whole run.
 ///
 /// Falls back to a sequential fill below [`PAR_THRESHOLD`] items or when
 /// only one worker is available; either path writes identical bytes.
@@ -175,41 +173,6 @@ where
     });
 }
 
-/// A trivial free-list of reusable `Vec<T>` buffers.
-///
-/// The greedy placement loop needs a few scratch vectors per round (one
-/// score column per rescored data item); acquiring from the pool instead of
-/// allocating keeps the steady state allocation-free. Buffers keep their
-/// capacity across acquire/release cycles.
-#[derive(Debug, Default)]
-pub struct ScratchPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> ScratchPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self { free: Vec::new() }
-    }
-
-    /// Takes a cleared buffer from the pool (or allocates a fresh one).
-    pub fn acquire(&mut self) -> Vec<T> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn release(&mut self, buf: Vec<T>) {
-        self.free.push(buf);
-    }
-
-    /// Number of buffers currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,19 +241,5 @@ mod tests {
         assert_eq!(one, [42]);
         let mut none: [u64; 0] = [];
         par_for_each_mut(&mut none, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn scratch_pool_round_trips_capacity() {
-        let mut pool: ScratchPool<f64> = ScratchPool::new();
-        let mut a = pool.acquire();
-        a.extend([1.0, 2.0, 3.0]);
-        let cap = a.capacity();
-        pool.release(a);
-        assert_eq!(pool.idle(), 1);
-        let b = pool.acquire();
-        assert!(b.is_empty());
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.idle(), 0);
     }
 }
