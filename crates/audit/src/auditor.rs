@@ -140,8 +140,9 @@ impl Auditor {
     ///
     /// That check runs the same scan kernel that produced the equilibrium,
     /// so each player also gets a second check, independent of the kernel:
-    /// [`IddeUGame::best_response`] must equal, bit for bit, a walk that
-    /// scores every candidate through [`IddeUGame::benefit_at`].
+    /// [`IddeUGame::best_response`] must equal, bit for bit,
+    /// [`IddeUGame::best_response_by_candidate`], a walk that scores every
+    /// candidate through [`IddeUGame::benefit_at`].
     ///
     /// Certify the full player set only on profiles the full game converged
     /// on (offline outcomes, post-fallback checkpoints). After a *restricted*
@@ -170,7 +171,7 @@ impl Auditor {
                 Violation::ProfitableDeviation { user, server, channel, gain }
             });
             let live = game.best_response(field, user);
-            let reference = best_response_by_candidate(game, field, user);
+            let reference = game.best_response_by_candidate(field, user);
             let bits =
                 |r: Option<(ServerId, ChannelIndex, f64)>| r.map(|(s, x, b)| (s, x, b.to_bits()));
             report.check(bits(live) == bits(reference), || Violation::BestResponseMismatch {
@@ -453,28 +454,6 @@ fn reference_latency(
         let via = problem.topology.edge_latency(size, origin, target).value();
         if via < best {
             best = via;
-        }
-    }
-    best
-}
-
-/// `user`'s best response, scoring each candidate `(server, channel)` on its
-/// own through [`IddeUGame::benefit_at`]; the first strict maximum wins, as in
-/// the game's scan.
-fn best_response_by_candidate(
-    game: &IddeUGame,
-    field: &InterferenceField<'_>,
-    user: UserId,
-) -> Option<(ServerId, ChannelIndex, f64)> {
-    let scenario = field.scenario();
-    let coverage = &scenario.coverage;
-    let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
-    for &server in coverage.servers_of(user).iter().filter(|&&s| coverage.is_candidate(s)) {
-        for channel in scenario.servers[server.index()].channels() {
-            let b = game.benefit_at(field, user, server, channel);
-            if best.is_none_or(|(_, _, cur)| b > cur) {
-                best = Some((server, channel, b));
-            }
         }
     }
     best

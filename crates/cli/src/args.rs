@@ -274,11 +274,23 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .map(|v| v.parse::<u64>().map_err(|_| format!("--{name}: bad integer {v:?}")))
             .unwrap_or(Ok(default))
     };
-    let parse_usize = |name: &str| -> Result<usize, String> {
+    let opt_usize = |name: &str| -> Result<Option<usize>, String> {
         take(name)
-            .ok_or(format!("--{name} is required"))?
-            .parse::<usize>()
-            .map_err(|_| format!("--{name}: bad integer"))
+            .map(|v| v.parse::<usize>().map_err(|_| format!("--{name}: bad integer {v:?}")))
+            .transpose()
+    };
+    let parse_usize = |name: &str| -> Result<usize, String> {
+        opt_usize(name)?.ok_or(format!("--{name} is required"))
+    };
+    let usize_or = |name: &str, default: usize| opt_usize(name).map(|v| v.unwrap_or(default));
+    // Sampling needs at least one server: with none, no user site is
+    // covered and the user sampler draws from an empty range.
+    let servers = |default: Option<usize>| -> Result<usize, String> {
+        match opt_usize("servers")?.or(default) {
+            Some(0) => Err("--servers needs a positive server count".into()),
+            Some(n) => Ok(n),
+            None => Err("--servers is required".into()),
+        }
     };
     // The real-valued flags (`--density`, `--drift`) are finite and
     // non-negative: a negative density trips the topology generator's
@@ -304,7 +316,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "generate" => {
             known(&["servers", "users", "data", "seed", "out"])?;
             Ok(Command::Generate {
-                servers: parse_usize("servers")?,
+                servers: servers(None)?,
                 users: parse_usize("users")?,
                 data: parse_usize("data")?,
                 seed: parse_u64("seed", 2022)?,
@@ -359,11 +371,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 "delivery",
                 "workload",
             ])?;
-            let opt_usize = |name: &str| -> Result<Option<usize>, String> {
-                take(name)
-                    .map(|v| v.parse::<usize>().map_err(|_| format!("--{name}: bad integer {v:?}")))
-                    .transpose()
-            };
             let shards = opt_usize("shards")?;
             if shards == Some(0) {
                 return Err("--shards needs a positive shard count".into());
@@ -391,15 +398,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Serve {
                 scenario: take("scenario").map(|v| path_arg(&v)),
-                servers: take("servers")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--servers: bad integer".to_string()))
-                    .unwrap_or(Ok(20))?,
-                users: take("users")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--users: bad integer".to_string()))
-                    .unwrap_or(Ok(100))?,
-                data: take("data")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--data: bad integer".to_string()))
-                    .unwrap_or(Ok(5))?,
+                servers: servers(Some(20))?,
+                users: usize_or("users", 100)?,
+                data: usize_or("data", 5)?,
                 scale_servers: opt_usize("scale-servers")?,
                 scale_users: opt_usize("scale-users")?,
                 seed: parse_u64("seed", 42)?,
@@ -425,15 +426,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Chaos {
                 spec: take("spec").ok_or("--spec is required")?,
                 scenario: take("scenario").map(|v| path_arg(&v)),
-                servers: take("servers")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--servers: bad integer".to_string()))
-                    .unwrap_or(Ok(20))?,
-                users: take("users")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--users: bad integer".to_string()))
-                    .unwrap_or(Ok(100))?,
-                data: take("data")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--data: bad integer".to_string()))
-                    .unwrap_or(Ok(5))?,
+                servers: servers(Some(20))?,
+                users: usize_or("users", 100)?,
+                data: usize_or("data", 5)?,
                 seed: parse_u64("seed", 42)?,
                 density: parse_f64("density", 1.0)?,
                 net_seed: parse_u64("net-seed", 1)?,
@@ -445,9 +440,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !["all", "engine", "solver"].contains(&suite.as_str()) {
                 return Err(format!("--suite: expected all|engine|solver, got {suite:?}"));
             }
-            let samples = take("samples")
-                .map(|v| v.parse::<usize>().map_err(|_| "--samples: bad integer".to_string()))
-                .unwrap_or(Ok(5))?;
+            let samples = usize_or("samples", 5)?;
             if samples == 0 {
                 return Err("--samples must be positive".into());
             }
@@ -530,6 +523,20 @@ mod tests {
     #[test]
     fn generate_requires_sizes() {
         assert!(parse(&argv("generate --servers 10 --users 50")).is_err());
+    }
+
+    #[test]
+    fn zero_servers_is_rejected() {
+        for line in [
+            "generate --servers 0 --users 5 --data 1",
+            "serve --servers 0",
+            "chaos --spec server:0@1+1 --servers 0",
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err, "--servers needs a positive server count", "{line}");
+        }
+        assert!(parse(&argv("generate --servers 1 --users 5 --data 1")).is_ok());
+        assert!(parse(&argv("serve --servers 1")).is_ok());
     }
 
     #[test]

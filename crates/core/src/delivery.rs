@@ -137,7 +137,7 @@ impl GreedyDelivery {
     }
 
     /// Runs Phase #2 starting from an existing delivery profile — the warm
-    /// start used by the mobility extension (`crate::mobility`): replicas
+    /// start of the online serving engine's placement repair: replicas
     /// already in the system stay free, and the greedy only *adds*
     /// placements whose marginal benefit justifies their storage.
     ///
@@ -337,12 +337,12 @@ fn serve_from(
 /// Removes replicas whose removal would not increase any request's Eq. 8
 /// latency under the given allocation. Returns the eviction count.
 ///
-/// Shared by the mobility extension (`crate::mobility`) and the online
-/// serving engine: after churn reshapes the demand geometry, dead replicas
-/// are dropped at zero latency cost before the greedy re-fills the freed
-/// storage. Each item is swept on its own with per-target top-2 minima;
-/// see the module docs for why this is exact and keeps every
-/// `Placement::used` accumulator bit-identical to a server-major sweep.
+/// The online serving engine's first repair step: after churn reshapes the
+/// demand geometry, dead replicas are dropped at zero latency cost before
+/// the greedy re-fills the freed storage. Each item is swept on its own
+/// with per-target top-2 minima; see the module docs for why this is exact
+/// and keeps every `Placement::used` accumulator bit-identical to a
+/// server-major sweep.
 pub fn evict_useless_replicas(
     problem: &Problem,
     allocation: &Allocation,

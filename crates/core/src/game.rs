@@ -15,19 +15,14 @@
 //!
 //! * [`ArbitrationPolicy::ShuffledSequential`] *(default)* — every improving
 //!   user commits immediately during a pass, with the user order reshuffled
-//!   every pass. Each commit is a unilateral improvement step, so the
-//!   potential-game termination argument applies unchanged under the
-//!   uniform-gain analysis of Theorem 3; the per-pass reshuffle additionally
-//!   breaks the rare deterministic best-response cycles that the *full*
-//!   Eq. 12 benefit (whose cross-server term `F` makes the game not an exact
-//!   potential game) can enter with a fixed order.
-//! * [`ArbitrationPolicy::Sequential`] — the same but with a fixed user-id
-//!   order (deterministic; can livelock on adversarial instances, guarded by
-//!   [`GameConfig::max_passes`]).
+//!   every pass from [`GameConfig::seed`]. Each commit is a unilateral
+//!   improvement step, so the potential-game termination argument applies
+//!   unchanged under the uniform-gain analysis of Theorem 3; the per-pass
+//!   reshuffle additionally breaks the deterministic best-response cycles
+//!   that the *full* Eq. 12 benefit (whose cross-server term `F` makes the
+//!   game not an exact potential game) enters under a fixed order.
 //! * [`ArbitrationPolicy::MaxGainWinner`] — the paper-literal reading: one
 //!   winner per pass, the user with the largest benefit gain.
-//! * [`ArbitrationPolicy::RandomWinner`] — one uniformly random improver per
-//!   pass (needs a seeded RNG via [`GameConfig::seed`]).
 //!
 //! The benefit itself is also pluggable ([`BenefitModel`]): the paper's
 //! Eq. 12 (default), or the pure congestion form `p_j / Σ_{t∈U_{i,x}} p_t`
@@ -89,7 +84,7 @@
 //! * a quiet player is rescanned iff some server of `D_j` carries a stamp
 //!   newer than its last scan — the commit count at the scan under serial
 //!   scoring, at the pass-start snapshot under parallel scoring and the
-//!   winner policies.
+//!   max-gain winner policy.
 //!
 //! Within one repair coverage, gains and jamming are fixed. A scan reads the
 //! channels of `V_j` (best response and the cross-server term `F`) and of
@@ -103,7 +98,7 @@
 
 use idde_model::{ChannelIndex, Scenario, ServerId, UserId};
 use idde_radio::InterferenceField;
-use rand::Rng as _;
+use rand::seq::SliceRandom as _;
 use rand::SeedableRng as _;
 
 use crate::problem::Problem;
@@ -113,17 +108,12 @@ use crate::problem::Problem;
 pub enum ArbitrationPolicy {
     /// Every improving user commits immediately, visiting users in a fresh
     /// random order each pass (asynchronous best response with random
-    /// serial order). The workspace default: as fast as `Sequential`,
-    /// empirically cycle-free on the full Eq. 12 benefit.
+    /// serial order). The workspace default: empirically cycle-free on the
+    /// full Eq. 12 benefit.
     #[default]
     ShuffledSequential,
-    /// Every improving user commits immediately, in fixed user-id order
-    /// (fully deterministic asynchronous best response).
-    Sequential,
     /// One winner per pass: the user with the largest benefit gain.
     MaxGainWinner,
-    /// One winner per pass, chosen uniformly at random among improvers.
-    RandomWinner,
 }
 
 /// Which benefit function drives best responses.
@@ -209,7 +199,8 @@ pub struct GameConfig {
     /// The potential-game property makes this a safety net, not a tuning
     /// knob — see Theorem 4.
     pub max_passes: usize,
-    /// Seed for [`ArbitrationPolicy::RandomWinner`].
+    /// Seed of the per-pass user shuffle of
+    /// [`ArbitrationPolicy::ShuffledSequential`].
     pub seed: u64,
 }
 
@@ -301,7 +292,7 @@ impl IddeUGame {
         field: &InterferenceField<'_>,
         user: UserId,
     ) -> Option<(ServerId, ChannelIndex, f64)> {
-        self.improving_move_with_gain(field, user).map(|(_, s, x, gain)| (s, x, gain))
+        self.improving_move(field, user).map(|(_, s, x, gain)| (s, x, gain))
     }
 
     /// Computes `user`'s best response: the decision in `δ_j` with the
@@ -319,6 +310,32 @@ impl IddeUGame {
         user: UserId,
     ) -> Option<(ServerId, ChannelIndex, f64)> {
         self.scan(field, user).0
+    }
+
+    /// [`IddeUGame::best_response`] computed the slow way: every candidate
+    /// `(server, channel)` is scored on its own through
+    /// [`IddeUGame::benefit_at`], and the first strict maximum wins.
+    ///
+    /// This is the oracle of the gathered scan: the two must agree bit for
+    /// bit. The `idde-audit` Nash certificate re-derives every player's best
+    /// response with it, and the game's own tests compare against it.
+    pub fn best_response_by_candidate(
+        &self,
+        field: &InterferenceField<'_>,
+        user: UserId,
+    ) -> Option<(ServerId, ChannelIndex, f64)> {
+        let scenario = field.scenario();
+        let coverage = &scenario.coverage;
+        let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
+        for &server in coverage.servers_of(user).iter().filter(|&&s| coverage.is_candidate(s)) {
+            for channel in scenario.servers[server.index()].channels() {
+                let b = self.benefit_at(field, user, server, channel);
+                if best.is_none_or(|(_, _, cur)| b > cur) {
+                    best = Some((server, channel, b));
+                }
+            }
+        }
+        best
     }
 
     /// One best-response scan: the best candidate, and the benefit of the
@@ -403,11 +420,8 @@ impl IddeUGame {
         while passes < self.config.max_passes {
             passes += 1;
             match self.config.arbitration {
-                ArbitrationPolicy::Sequential | ArbitrationPolicy::ShuffledSequential => {
-                    if self.config.arbitration == ArbitrationPolicy::ShuffledSequential {
-                        use rand::seq::SliceRandom;
-                        order.shuffle(&mut rng);
-                    }
+                ArbitrationPolicy::ShuffledSequential => {
+                    order.shuffle(&mut rng);
                     let mut any = false;
                     match self.config.scoring {
                         ScoringMode::Serial => {
@@ -418,7 +432,7 @@ impl IddeUGame {
                                 scans += 1;
                                 let mv = self.improving_move(&field, user);
                                 quiet.record(user, mv.is_some(), moves);
-                                if let Some((s, x)) = mv {
+                                if let Some((_, s, x, _)) = mv {
                                     moves += 1;
                                     quiet.stamp(&field, user, s, moves);
                                     field.allocate(user, s, x);
@@ -436,7 +450,7 @@ impl IddeUGame {
                             // `!any` still certifies quiescence.
                             let snapshot = moves;
                             quiet.unskipped(&field, &order, &mut todo);
-                            self.scan_pass_into(&field, &todo, &mut scan_buf);
+                            self.scan_pass(&field, &todo, &mut scan_buf);
                             scans += todo.len();
                             for (&user, cand) in todo.iter().zip(&scan_buf) {
                                 quiet.record(user, cand.is_some(), snapshot);
@@ -455,28 +469,19 @@ impl IddeUGame {
                         break;
                     }
                 }
-                ArbitrationPolicy::MaxGainWinner | ArbitrationPolicy::RandomWinner => {
-                    // Collect all update requests of this pass. Both winner
-                    // policies already score against the frozen pass-start
+                ArbitrationPolicy::MaxGainWinner => {
+                    // Collect all update requests of this pass. The winner
+                    // policy already scores against the frozen pass-start
                     // field, so the parallel scan is a pure drop-in here.
                     quiet.unskipped(&field, players, &mut todo);
-                    self.scan_pass_into(&field, &todo, &mut scan_buf);
+                    self.scan_pass(&field, &todo, &mut scan_buf);
                     scans += todo.len();
                     for (&user, cand) in todo.iter().zip(&scan_buf) {
                         quiet.record(user, cand.is_some(), moves);
                     }
-                    let requests: Vec<(UserId, ServerId, ChannelIndex, f64)> =
-                        scan_buf.iter().copied().flatten().collect();
-                    if requests.is_empty() {
+                    let Some(&(user, s, x, _)) = max_gain(&scan_buf) else {
                         converged = true;
                         break;
-                    }
-                    let (user, s, x, _) = match self.config.arbitration {
-                        ArbitrationPolicy::MaxGainWinner => *requests
-                            .iter()
-                            .max_by(|a, b| a.3.partial_cmp(&b.3).expect("gains are finite"))
-                            .expect("nonempty"),
-                        _ => requests[rng.gen_range(0..requests.len())],
                     };
                     moves += 1;
                     quiet.stamp(&field, user, s, moves);
@@ -488,31 +493,18 @@ impl IddeUGame {
         GameOutcome { field, passes, moves, scans, converged }
     }
 
-    /// Scores every player of one pass against the frozen `field` snapshot,
-    /// returning each player's committable improving move (or `None`), in
-    /// player order.
+    /// Scores every player of one pass against the frozen `field` snapshot
+    /// into `out`: each player's committable improving move (or `None`), in
+    /// player order. The pass loop threads one buffer through the whole run
+    /// instead of allocating a fresh one per pass.
     ///
     /// Under [`ScoringMode::Parallel`] the scan fans out over `idde-par`
     /// worker threads; under [`ScoringMode::Serial`] it runs inline. Both
-    /// paths evaluate the identical pure function per player, and the
-    /// parallel map preserves order, so the returned vector is bit-identical
+    /// paths evaluate the identical pure function per player, and
+    /// `idde_par::par_map_into` preserves order, so `out` is bit-identical
     /// across modes and worker counts — `tests/parallel.rs` asserts exactly
     /// that against a serial rescan.
     fn scan_pass(
-        &self,
-        field: &InterferenceField<'_>,
-        players: &[UserId],
-    ) -> Vec<Option<(UserId, ServerId, ChannelIndex, f64)>> {
-        let mut out = Vec::new();
-        self.scan_pass_into(field, players, &mut out);
-        out
-    }
-
-    /// [`IddeUGame::scan_pass`] into a caller-owned buffer: the pass loop
-    /// threads one scan vector through the whole run instead of allocating
-    /// a fresh one per pass. Both scoring modes fill identical bytes
-    /// (`idde_par::par_map_into` preserves order for any worker count).
-    fn scan_pass_into(
         &self,
         field: &InterferenceField<'_>,
         players: &[UserId],
@@ -521,10 +513,10 @@ impl IddeUGame {
         match self.config.scoring {
             ScoringMode::Serial => {
                 out.clear();
-                out.extend(players.iter().map(|&u| self.improving_move_with_gain(field, u)));
+                out.extend(players.iter().map(|&u| self.improving_move(field, u)));
             }
             ScoringMode::Parallel => {
-                idde_par::par_map_into(players, out, |&u| self.improving_move_with_gain(field, u));
+                idde_par::par_map_into(players, out, |&u| self.improving_move(field, u));
             }
         }
     }
@@ -543,10 +535,9 @@ impl IddeUGame {
         field: &InterferenceField<'_>,
         players: &[UserId],
     ) -> Vec<Option<(ServerId, ChannelIndex, f64)>> {
-        self.scan_pass(field, players)
-            .into_iter()
-            .map(|c| c.map(|(_, s, x, gain)| (s, x, gain)))
-            .collect()
+        let mut out = Vec::new();
+        self.scan_pass(field, players, &mut out);
+        out.into_iter().map(|c| c.map(|(_, s, x, gain)| (s, x, gain))).collect()
     }
 
     /// Re-validates a snapshot-scored candidate against the *current* field:
@@ -573,17 +564,10 @@ impl IddeUGame {
                 || self.guard_accepts(field, user, server, channel))
     }
 
-    /// The user's improving move, if any: its best response when it beats
-    /// the current benefit by more than epsilon (Algorithm 1 line 14).
+    /// The user's improving move and its gain, if any: its best response
+    /// when it beats the current benefit by more than epsilon (Algorithm 1
+    /// line 14) and, when configured, passes the Lyapunov guard.
     fn improving_move(
-        &self,
-        field: &InterferenceField<'_>,
-        user: UserId,
-    ) -> Option<(ServerId, ChannelIndex)> {
-        self.improving_move_with_gain(field, user).map(|(_, s, x, _)| (s, x))
-    }
-
-    fn improving_move_with_gain(
         &self,
         field: &InterferenceField<'_>,
         user: UserId,
@@ -699,6 +683,14 @@ impl IddeUGame {
     }
 }
 
+/// The update request with the largest gain (the last of equal gains), or
+/// `None` when no player of the pass requested an update.
+fn max_gain(
+    requests: &[Option<(UserId, ServerId, ChannelIndex, f64)>],
+) -> Option<&(UserId, ServerId, ChannelIndex, f64)> {
+    requests.iter().flatten().max_by(|a, b| a.3.partial_cmp(&b.3).expect("gains are finite"))
+}
+
 /// Quiet-player skipping state of one [`IddeUGame::run_restricted`] call
 /// (module docs, § Quiet-player skipping).
 struct QuietPlayers {
@@ -789,20 +781,28 @@ mod tests {
 
     #[test]
     fn all_policies_reach_nash() {
+        // Both policies under both scoring modes. MaxGainWinner scores
+        // against the frozen pass-start field in both modes, so its parallel
+        // trajectory must also equal its serial one, bit for bit.
         let p = problem();
-        for arbitration in [
-            ArbitrationPolicy::ShuffledSequential,
-            ArbitrationPolicy::Sequential,
-            ArbitrationPolicy::MaxGainWinner,
-            ArbitrationPolicy::RandomWinner,
-        ] {
-            let game = IddeUGame::new(GameConfig { arbitration, seed: 3, ..Default::default() });
-            let outcome = game.run(&p);
-            assert!(outcome.converged, "{arbitration:?} did not converge");
-            assert!(
-                is_nash_equilibrium(&game, &outcome.field, 1e-9),
-                "{arbitration:?} did not reach a Nash equilibrium"
-            );
+        let players: Vec<UserId> = p.scenario.user_ids().collect();
+        for arbitration in [ArbitrationPolicy::ShuffledSequential, ArbitrationPolicy::MaxGainWinner]
+        {
+            let [serial, parallel] = [ScoringMode::Serial, ScoringMode::Parallel].map(|scoring| {
+                let what = format!("{arbitration:?} {scoring:?}");
+                let config = GameConfig { arbitration, scoring, seed: 3, ..Default::default() };
+                let game = IddeUGame::new(config);
+                let outcome = game.run(&p);
+                assert!(outcome.converged, "{what} did not converge");
+                assert!(is_nash_equilibrium(&game, &outcome.field, 1e-9), "{what} is not Nash");
+                // Quiescence means the batch scan finds nothing either.
+                let deviations = game.scan_deviations(&outcome.field, &players);
+                assert!(deviations.iter().all(Option::is_none), "{what}");
+                (outcome.passes, outcome.moves, outcome.field.into_allocation())
+            });
+            if arbitration == ArbitrationPolicy::MaxGainWinner {
+                assert_eq!(serial, parallel, "MaxGainWinner is scoring-mode invariant");
+            }
         }
     }
 
@@ -895,55 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_converges_to_a_guarded_equilibrium() {
-        let p = problem();
-        for arbitration in [
-            ArbitrationPolicy::ShuffledSequential,
-            ArbitrationPolicy::Sequential,
-            ArbitrationPolicy::MaxGainWinner,
-            ArbitrationPolicy::RandomWinner,
-        ] {
-            let game = IddeUGame::new(GameConfig {
-                arbitration,
-                scoring: ScoringMode::Parallel,
-                seed: 3,
-                ..Default::default()
-            });
-            let outcome = game.run(&p);
-            assert!(outcome.converged, "{arbitration:?} (parallel) did not converge");
-            assert!(
-                is_nash_equilibrium(&game, &outcome.field, 1e-9),
-                "{arbitration:?} (parallel) did not reach a Nash equilibrium"
-            );
-            // Quiescence means the batch scan finds nothing either.
-            let players: Vec<UserId> = p.scenario.user_ids().collect();
-            assert!(game.scan_deviations(&outcome.field, &players).iter().all(Option::is_none));
-        }
-    }
-
-    #[test]
-    fn winner_policies_are_scoring_mode_invariant() {
-        // MaxGainWinner and RandomWinner score against the frozen pass-start
-        // field in both modes, so parallel scoring must reproduce the serial
-        // trajectory exactly — same equilibrium, same move count.
-        let p = problem();
-        for arbitration in [ArbitrationPolicy::MaxGainWinner, ArbitrationPolicy::RandomWinner] {
-            let serial =
-                IddeUGame::new(GameConfig { arbitration, seed: 5, ..Default::default() }).run(&p);
-            let parallel = IddeUGame::new(GameConfig {
-                arbitration,
-                scoring: ScoringMode::Parallel,
-                seed: 5,
-                ..Default::default()
-            })
-            .run(&p);
-            assert_eq!(serial.field.allocation(), parallel.field.allocation(), "{arbitration:?}");
-            assert_eq!(serial.moves, parallel.moves, "{arbitration:?}");
-            assert_eq!(serial.passes, parallel.passes, "{arbitration:?}");
-        }
-    }
-
-    #[test]
     fn scan_deviations_matches_the_serial_primitive() {
         let p = problem();
         let game =
@@ -970,30 +921,7 @@ mod tests {
         assert!(game.best_response(&field, UserId(1)).is_none());
     }
 
-    /// The per-candidate best-response scan, kept as the oracle of the
-    /// gathered kernel: every candidate walks `V_j` through `benefit_at`.
-    fn best_response_reference(
-        game: &IddeUGame,
-        field: &InterferenceField<'_>,
-        user: UserId,
-    ) -> Option<(ServerId, ChannelIndex, f64)> {
-        let scenario = field.scenario();
-        let mut best: Option<(ServerId, ChannelIndex, f64)> = None;
-        for &server in scenario.coverage.servers_of(user) {
-            if !scenario.coverage.is_candidate(server) {
-                continue;
-            }
-            for channel in scenario.servers[server.index()].channels() {
-                let b = game.benefit_at(field, user, server, channel);
-                if best.is_none_or(|(_, _, cur)| b > cur) {
-                    best = Some((server, channel, b));
-                }
-            }
-        }
-        best
-    }
-
-    /// `improving_move_with_gain` on the reference scan: `revalidates`
+    /// `improving_move` on the reference scan: `revalidates`
     /// applies the same acceptance test to the reference best response,
     /// against a separately derived current benefit.
     fn improving_move_reference(
@@ -1005,7 +933,7 @@ mod tests {
         if decision.is_some_and(|(s, _)| field.scenario().coverage.is_foreign(s)) {
             return None;
         }
-        let (s, x, best) = best_response_reference(game, field, user)?;
+        let (s, x, best) = game.best_response_by_candidate(field, user)?;
         let gain = best - game.current_benefit(field, user);
         game.revalidates(field, user, s, x).then_some((user, s, x, gain))
     }
@@ -1026,11 +954,8 @@ mod tests {
         while passes < game.config.max_passes {
             passes += 1;
             match game.config.arbitration {
-                ArbitrationPolicy::Sequential | ArbitrationPolicy::ShuffledSequential => {
-                    if game.config.arbitration == ArbitrationPolicy::ShuffledSequential {
-                        use rand::seq::SliceRandom;
-                        order.shuffle(&mut rng);
-                    }
+                ArbitrationPolicy::ShuffledSequential => {
+                    order.shuffle(&mut rng);
                     let mut any = false;
                     match game.config.scoring {
                         ScoringMode::Serial => {
@@ -1063,21 +988,12 @@ mod tests {
                         break;
                     }
                 }
-                ArbitrationPolicy::MaxGainWinner | ArbitrationPolicy::RandomWinner => {
+                ArbitrationPolicy::MaxGainWinner => {
                     let scan_buf = scan(&field, players);
                     scans += players.len();
-                    let requests: Vec<(UserId, ServerId, ChannelIndex, f64)> =
-                        scan_buf.iter().copied().flatten().collect();
-                    if requests.is_empty() {
+                    let Some(&(user, s, x, _)) = max_gain(&scan_buf) else {
                         converged = true;
                         break;
-                    }
-                    let (user, s, x, _) = match game.config.arbitration {
-                        ArbitrationPolicy::MaxGainWinner => *requests
-                            .iter()
-                            .max_by(|a, b| a.3.partial_cmp(&b.3).expect("gains are finite"))
-                            .expect("nonempty"),
-                        _ => requests[rng.gen_range(0..requests.len())],
                     };
                     field.allocate(user, s, x);
                     moves += 1;
@@ -1264,12 +1180,9 @@ mod tests {
             let inst = Instance::small(&mut rng);
             let players = inst.players(&mut rng);
             stale += inst.stale.len();
-            for arbitration in [
-                ArbitrationPolicy::ShuffledSequential,
-                ArbitrationPolicy::Sequential,
-                ArbitrationPolicy::MaxGainWinner,
-                ArbitrationPolicy::RandomWinner,
-            ] {
+            for arbitration in
+                [ArbitrationPolicy::ShuffledSequential, ArbitrationPolicy::MaxGainWinner]
+            {
                 for scoring in [ScoringMode::Serial, ScoringMode::Parallel] {
                     for benefit in [BenefitModel::PaperEq12, BenefitModel::Congestion] {
                         for acceptance in
@@ -1364,7 +1277,7 @@ mod tests {
                 let batch = game.scan_deviations(&field, &players);
                 for (&user, batched) in players.iter().zip(&batch) {
                     let what = format!("seed {seed} user {user} {acceptance:?}");
-                    let want = best_response_reference(&game, &field, user);
+                    let want = game.best_response_by_candidate(&field, user);
                     assert_eq!(bits(game.best_response(&field, user)), bits(want), "{what}");
                     let want = improving_move_reference(&game, &field, user)
                         .map(|(_, s, x, gain)| (s, x, gain));

@@ -17,11 +17,6 @@
 //!   property tests that verify the potential-game argument.
 //! * [`nash`] — a posteriori Nash-equilibrium verification.
 //! * [`IddeG`] — the two phases glued together (Algorithm 1).
-//! * [`mobility`] — the paper's stated future work: user movement epochs
-//!   with warm-started re-equilibration and accounted data migration.
-//! * [`joint`] — IDDE-G+: alternating refinement that couples the two
-//!   phases (ε-slack latency-aware re-allocation), an extension beyond the
-//!   paper's lexicographic treatment.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,9 +24,7 @@
 pub mod delivery;
 pub mod game;
 pub mod iddeg;
-pub mod joint;
 pub mod metrics;
-pub mod mobility;
 pub mod nash;
 pub mod potential;
 pub mod problem;
@@ -43,10 +36,8 @@ pub use game::{
     ScoringMode,
 };
 pub use iddeg::{IddeG, IddeGReport};
-pub use joint::{solve_joint, JointConfig, JointIddeG, JointReport};
 pub use metrics::Metrics;
-pub use mobility::{EpochReport, MobileSolver, RandomWaypoint};
-pub use nash::{best_response, is_nash_equilibrium};
+pub use nash::is_nash_equilibrium;
 pub use potential::{congestion_benefit, congestion_potential};
 pub use problem::Problem;
 pub use strategy::Strategy;

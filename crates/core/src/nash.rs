@@ -1,19 +1,8 @@
 //! A posteriori Nash-equilibrium verification (Definition 3).
 
-use idde_model::{ChannelIndex, ServerId, UserId};
 use idde_radio::InterferenceField;
 
 use crate::game::IddeUGame;
-
-/// The best response of `user` in `field` under `game`'s benefit model —
-/// re-exported convenience over [`IddeUGame::best_response`].
-pub fn best_response(
-    game: &IddeUGame,
-    field: &InterferenceField<'_>,
-    user: UserId,
-) -> Option<(ServerId, ChannelIndex, f64)> {
-    game.best_response(field, user)
-}
 
 /// Checks Definition 3: a profile is a Nash equilibrium iff no user can
 /// raise its benefit by more than `epsilon` (relative) with a unilateral

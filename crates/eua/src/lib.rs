@@ -23,14 +23,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod csv;
-pub mod geographies;
 pub mod population;
 pub mod sampling;
 pub mod synthetic;
 
-pub use geographies::{
-    all_geographies, CampusClusters, CorridorCity, Geography, GridCity, RingCity,
-};
 pub use population::BasePopulation;
 pub use sampling::{SampleConfig, ZipfPopularity};
 pub use synthetic::SyntheticEua;

@@ -41,8 +41,9 @@ impl SpatialGrid {
     /// Builds a grid over the bounding box of `points`, inserting every
     /// point under its slice index, with cells at least `min_cell_size` on
     /// a side. Returns `None` when the input cannot support an exact grid:
-    /// no points, a non-finite point, or a degenerate `min_cell_size` —
-    /// callers then fall back to linear scans.
+    /// no points, a non-finite point, a bounding box whose extent overflows
+    /// f64, or a degenerate `min_cell_size` — callers then fall back to
+    /// linear scans.
     pub fn build(points: &[Point], min_cell_size: f64) -> Option<Self> {
         if points.is_empty() || !(min_cell_size.is_finite() && min_cell_size > 0.0) {
             return None;
@@ -58,17 +59,20 @@ impl SpatialGrid {
             max.x = max.x.max(p.x);
             max.y = max.y.max(p.y);
         }
-        let dims = |cell: f64| {
-            let cols = ((max.x - min.x) / cell).floor() as usize + 1;
-            let rows = ((max.y - min.y) / cell).floor() as usize + 1;
-            (cols, rows)
-        };
+        let (width, height) = (max.x - min.x, max.y - min.y);
+        if !(width.is_finite() && height.is_finite()) {
+            return None; // finite points whose extent overflows f64
+        }
+        // Counted in f64, a huge extent cannot wrap; the loop enlarges the
+        // cells until the count fits, so the casts below are exact.
+        let dims = |cell: f64| ((width / cell).floor() + 1.0, (height / cell).floor() + 1.0);
         let mut cell_size = min_cell_size;
         let (mut cols, mut rows) = dims(cell_size);
-        while cols.saturating_mul(rows) > MAX_CELLS {
+        while cols * rows > MAX_CELLS as f64 {
             cell_size *= 2.0;
             (cols, rows) = dims(cell_size);
         }
+        let (cols, rows) = (cols as usize, rows as usize);
         let mut grid =
             Self { origin: min, cell_size, cols, rows, buckets: vec![Vec::new(); cols * rows] };
         for (i, p) in points.iter().enumerate() {
@@ -332,6 +336,23 @@ mod tests {
         assert!(SpatialGrid::build(&[Point::new(0.0, 0.0)], 0.0).is_none());
         assert!(SpatialGrid::build(&[Point::new(0.0, 0.0)], f64::NAN).is_none());
         assert!(SpatialGrid::build(&[Point::new(f64::INFINITY, 0.0)], 100.0).is_none());
+        // Finite points whose extent overflows f64, on either axis.
+        for points in [
+            [Point::new(-1e308, 0.0), Point::new(1e308, 0.0)],
+            [Point::new(0.0, -1e308), Point::new(0.0, 1e308)],
+        ] {
+            assert!(SpatialGrid::build(&points, 100.0).is_none(), "{points:?}");
+        }
+    }
+
+    #[test]
+    fn far_apart_points_enlarge_the_cells_instead_of_wrapping() {
+        let points = [Point::new(0.0, 0.0), Point::new(120.0, 80.0), Point::new(1e300, 1e300)];
+        let grid = SpatialGrid::build(&points, 100.0).unwrap();
+        assert!(grid.cols() >= 1 && grid.rows() >= 1 && grid.num_cells() <= MAX_CELLS);
+        for (i, p) in points.iter().enumerate() {
+            assert!(gathered(&grid, *p, 0).contains(&(i as u32)), "point {i} lost");
+        }
     }
 
     #[test]
