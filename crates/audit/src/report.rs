@@ -172,14 +172,6 @@ pub enum Violation {
         /// The stale cached item.
         data: DataId,
     },
-    /// A Bloom replica summary reported a negative for an item the exact
-    /// cache store holds — Bloom filters must never false-negative.
-    CacheSummaryFalseNegative {
-        /// The summarised server.
-        server: ServerId,
-        /// The item the summary missed.
-        data: DataId,
-    },
     /// A distribution route is structurally invalid: empty, ending away
     /// from its destination, hopping over a nonexistent link, or claiming
     /// an edge feed whose head holds no replica.
@@ -312,10 +304,6 @@ impl fmt::Display for Violation {
             Violation::CacheStaleReplica { server, data } => write!(
                 f,
                 "server {server}: cached replica of data {data} survives the outage"
-            ),
-            Violation::CacheSummaryFalseNegative { server, data } => write!(
-                f,
-                "server {server}: Bloom summary false-negative for cached data {data}"
             ),
             Violation::DistRouteInvalid { data, destination } => write!(
                 f,

@@ -10,9 +10,6 @@
 //!    the cache must never perturb the game.
 //! 3. **No stale paths** — no cached replica survives on a downed server,
 //!    where it would win Eq. 8 over a path that no longer exists.
-//! 4. **Bloom oracle** — every exactly-cached item probes positive in its
-//!    server's summary (no false negatives), keeping the collaborative
-//!    admission's one-sided-error contract honest.
 //!
 //! The Eq. 7/8 latency re-derivation on cache *hits* happens inline in the
 //! engine's serve path (it needs the per-request context); its counter is
@@ -55,10 +52,6 @@ pub fn audit_cache(
             report.checks += 1;
             if is_down {
                 report.violations.push(Violation::CacheStaleReplica { server: id, data });
-            }
-            report.checks += 1;
-            if !layer.bloom(id).contains(data.0) {
-                report.violations.push(Violation::CacheSummaryFalseNegative { server: id, data });
             }
         }
     }

@@ -21,8 +21,7 @@
 use idde_model::{DataId, Placement, Scenario, ServerId};
 use idde_net::{best_path, PathModel, Topology};
 
-use crate::bloom::BloomSummary;
-use crate::policy::{CachePolicy, PolicyImpl, PolicyKind, RequestContext};
+use crate::policy::{Admission, PolicyKind, RequestContext};
 
 /// Tuning knobs for the caching layer. `Copy` so it can ride inside the
 /// engine's (also `Copy`) configuration.
@@ -32,14 +31,8 @@ pub struct CacheConfig {
     pub policy: PolicyKind,
     /// Seed of the layer's private RNG (only ProbCache draws from it).
     pub seed: u64,
-    /// Bits per per-server Bloom replica summary.
-    pub bloom_bits: usize,
-    /// Probes per item in the Bloom summaries.
-    pub bloom_hashes: u32,
     /// ProbCache's base admission probability `p` (scaled by path length).
     pub admit_probability: f64,
-    /// Collaborative admission's popularity threshold.
-    pub collab_threshold: u64,
     /// Popularity counters are halved every this many observations, so the
     /// layer tracks the *recent* hot set under a drifting workload.
     pub decay_every: u64,
@@ -50,10 +43,7 @@ impl Default for CacheConfig {
         Self {
             policy: PolicyKind::Off,
             seed: 0x1dde_cac4e,
-            bloom_bits: 256,
-            bloom_hashes: 3,
             admit_probability: 0.3,
-            collab_threshold: 3,
             decay_every: 512,
         }
     }
@@ -104,24 +94,18 @@ pub struct Observation {
     pub served_from_cache: bool,
 }
 
-/// The online caching layer: cache store, popularity tracking, Bloom
-/// summaries and the admission/eviction flow.
+/// The online caching layer: cache store, popularity tracking and the
+/// admission/eviction flow.
 #[derive(Clone, Debug)]
 pub struct CacheLayer {
     config: CacheConfig,
-    policy: PolicyImpl,
+    policy: Admission,
     /// Cached replicas — disjoint from the solver placement by invariant.
     store: Placement,
     /// Decayed per-item request counts.
     popularity: Vec<u64>,
     /// Observations since construction (drives the popularity decay).
     observations: u64,
-    /// Per-server Bloom summaries over the **cache store** only (the
-    /// solver placement is exact-checked; see [`Self::likely_holds`]).
-    blooms: Vec<BloomSummary>,
-    /// Foreign summaries installed by the shard router's halo exchange;
-    /// these cover solver ∪ cache of the owning shard.
-    foreign: Vec<Option<BloomSummary>>,
     /// Servers this layer may install replicas on (all, except in shard
     /// mode where each shard admits only on owned servers).
     admissible: Vec<bool>,
@@ -133,20 +117,13 @@ pub struct CacheLayer {
 impl CacheLayer {
     /// Builds the layer, or `None` when the policy is [`PolicyKind::Off`].
     pub fn new(config: CacheConfig, num_servers: usize, num_data: usize) -> Option<Self> {
-        let policy = PolicyImpl::new(
-            config.policy,
-            config.admit_probability,
-            config.collab_threshold,
-            config.seed,
-        )?;
+        let policy = Admission::new(config.policy, config.admit_probability, config.seed)?;
         Some(Self {
             config,
             policy,
             store: Placement::empty(num_servers, num_data),
             popularity: vec![0; num_data],
             observations: 0,
-            blooms: vec![BloomSummary::new(config.bloom_bits, config.bloom_hashes); num_servers],
-            foreign: vec![None; num_servers],
             admissible: vec![true; num_servers],
             eviction_log: Vec::new(),
             counters: CacheCounters::default(),
@@ -158,20 +135,10 @@ impl CacheLayer {
         &self.config
     }
 
-    /// The active policy's stable name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The cache store (cached replicas only; disjoint from the solver
     /// placement).
     pub fn store(&self) -> &Placement {
         &self.store
-    }
-
-    /// The per-server Bloom summary over the cache store.
-    pub fn bloom(&self, server: ServerId) -> &BloomSummary {
-        &self.blooms[server.index()]
     }
 
     /// Aggregate counters.
@@ -201,39 +168,6 @@ impl CacheLayer {
         self.admissible.iter_mut().for_each(|a| *a = false);
         for &server in owned {
             self.admissible[server.index()] = true;
-        }
-    }
-
-    /// Installs a foreign Bloom summary for `server` (shard halo exchange).
-    /// Foreign summaries cover the owning shard's solver ∪ cache replica
-    /// sets and take precedence over local knowledge in
-    /// [`Self::likely_holds`].
-    pub fn install_foreign_summary(&mut self, server: ServerId, summary: BloomSummary) {
-        self.foreign[server.index()] = Some(summary);
-    }
-
-    /// Exports `server`'s replica summary (solver ∪ cache) for the halo
-    /// exchange. Built fresh so it reflects the post-repair state.
-    pub fn export_summary(&self, server: ServerId, solver: &Placement) -> BloomSummary {
-        let mut summary = BloomSummary::new(self.config.bloom_bits, self.config.bloom_hashes);
-        for data in solver.data_on(server) {
-            summary.insert(data.0);
-        }
-        for data in self.store.data_on(server) {
-            summary.insert(data.0);
-        }
-        summary
-    }
-
-    /// O(1) presence check: does `server` *likely* hold `data`? Uses the
-    /// foreign summary when one is installed (halo servers in shard mode),
-    /// otherwise the exact solver placement plus the local cache Bloom.
-    /// Either way a `false` answer is a true negative (Bloom filters have
-    /// no false negatives) as long as summaries are refreshed on change.
-    pub fn likely_holds(&self, server: ServerId, data: DataId, solver: &Placement) -> bool {
-        match &self.foreign[server.index()] {
-            Some(summary) => summary.contains(data.0),
-            None => solver.stores(server, data) || self.blooms[server.index()].contains(data.0),
         }
     }
 
@@ -291,29 +225,20 @@ impl CacheLayer {
         // The delivery path is only materialised for the policies that
         // read it (LCD walks it, ProbCache weights by its length).
         let path: Vec<ServerId> = match (&self.policy, obs.source) {
-            (PolicyImpl::Lcd(_) | PolicyImpl::Prob(_), Some(origin)) if origin != obs.target => {
+            (Admission::Lcd | Admission::ProbCache { .. }, Some(origin))
+                if origin != obs.target =>
+            {
                 let minimax = topology.path_model() == PathModel::Pipelined;
                 best_path(topology.graph(), origin, obs.target, minimax).unwrap_or_default()
             }
             _ => Vec::new(),
         };
 
-        // Neighbour presence only matters to collaborative admission.
-        let neighbour_holds = matches!(self.policy, PolicyImpl::Collab(_))
-            && topology
-                .graph()
-                .neighbors(obs.target)
-                .iter()
-                .any(|&(n, _)| self.likely_holds(ServerId(n), obs.data, solver));
-
         let ctx = RequestContext {
-            data: obs.data,
             target: obs.target,
             source: obs.source,
             path: &path,
-            popularity: self.popularity[obs.data.index()],
             already_at_target,
-            neighbour_holds,
         };
         let Some(site) = self.policy.admit(&ctx) else { return };
 
@@ -360,27 +285,16 @@ impl CacheLayer {
             self.counters.evictions += 1;
         }
         if self.store.place(site, data, size) {
-            self.blooms[site.index()].insert(data.0);
             self.counters.insertions += 1;
         }
     }
 
-    /// Removes one cached replica and rebuilds the server's summary
-    /// (plain Bloom filters cannot delete). Appends to the eviction log.
+    /// Removes one cached replica and appends it to the eviction log.
     fn evict(&mut self, scenario: &Scenario, server: ServerId, data: DataId) {
         let size = scenario.data[data.index()].size;
         if self.store.remove(server, data, size) {
-            self.rebuild_bloom(server);
             self.eviction_log.push((server, data));
         }
-    }
-
-    fn rebuild_bloom(&mut self, server: ServerId) {
-        let mut summary = BloomSummary::new(self.config.bloom_bits, self.config.bloom_hashes);
-        for data in self.store.data_on(server) {
-            summary.insert(data.0);
-        }
-        self.blooms[server.index()] = summary;
     }
 
     /// Drops every cached replica on a server that went down — a cached
@@ -465,7 +379,6 @@ mod tests {
         let mut cache = layer(PolicyKind::Lce, 4, 4);
         cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
         assert!(cache.store().stores(ServerId(0), DataId(0)));
-        assert!(cache.bloom(ServerId(0)).contains(0));
         assert_eq!(cache.counters().insertions, 1);
         // Second miss for the same item at the same server is a no-op.
         cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
@@ -489,11 +402,6 @@ mod tests {
         assert!(cache.store().stores(v0, DataId(2)));
         assert_eq!(cache.eviction_log(), &[(v0, DataId(0))]);
         assert_eq!(cache.counters().evictions, 1);
-        // The Bloom summary was rebuilt without the victim... it may still
-        // report it (false positive), but the surviving items must probe
-        // positive.
-        assert!(cache.bloom(v0).contains(1));
-        assert!(cache.bloom(v0).contains(2));
     }
 
     #[test]
@@ -579,40 +487,6 @@ mod tests {
         assert!(cache.store().stores(ServerId(2), DataId(0)));
     }
 
-    #[test]
-    fn foreign_summary_overrides_local_knowledge() {
-        let (scenario, topology) = fixture();
-        let solver = Placement::empty(4, 4);
-        let mut cache = layer(PolicyKind::Collab, 4, 4);
-        let mut summary = BloomSummary::new(256, 3);
-        summary.insert(0);
-        cache.install_foreign_summary(ServerId(1), summary);
-        assert!(cache.likely_holds(ServerId(1), DataId(0), &solver));
-        // Collaborative admission at server 0 (neighbour 1 holds item 0)
-        // is suppressed even past the popularity threshold.
-        for _ in 0..5 {
-            cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        }
-        assert!(!cache.store().stores(ServerId(0), DataId(0)));
-        // Item 1 is unknown to every neighbour: admitted once hot enough.
-        for _ in 0..5 {
-            cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(1)));
-        }
-        assert!(cache.store().stores(ServerId(0), DataId(1)));
-    }
-
-    #[test]
-    fn export_summary_covers_solver_and_cache() {
-        let (scenario, topology) = fixture();
-        let mut solver = Placement::empty(4, 4);
-        assert!(solver.place(ServerId(0), DataId(3), MegaBytes(60.0)));
-        let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        let summary = cache.export_summary(ServerId(0), &solver);
-        assert!(summary.contains(0), "cached replica must probe positive");
-        assert!(summary.contains(3), "solver replica must probe positive");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -623,10 +497,10 @@ mod tests {
         #[test]
         fn identical_streams_replay_identically(
             stream in proptest::collection::vec((0u32..4, 0u32..4), 1..200),
-            policy_pick in 0usize..4,
+            policy_pick in 0usize..3,
             seed in 0u64..1024,
         ) {
-            let policy = [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache, PolicyKind::Collab][policy_pick];
+            let policy = [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache][policy_pick];
             let (scenario, topology) = fixture();
             let solver = Placement::empty(4, 4);
             let config = CacheConfig { policy, seed, ..CacheConfig::default() };

@@ -9,15 +9,11 @@
 //! replicas**, installed per served request by a pluggable admission policy
 //! and evicted by popularity under the Eq. 6 storage budget.
 //!
-//! * [`bloom`] — per-server Bloom-filter replica summaries: O(1)
-//!   cross-server presence checks for collaborative admission, with the
-//!   exact replica set retained as the oracle (a Bloom negative is always a
-//!   true negative; the audits and proptests pin this).
-//! * [`policy`] — the [`CachePolicy`] trait and its four implementations:
-//!   leave-copy-everywhere (LCE), leave-copy-down (LCD), probabilistic
-//!   admission (ProbCache) and popularity-based collaborative admission.
+//! * [`policy`] — the three admission policies, one enum selected by
+//!   [`PolicyKind`]: leave-copy-everywhere (LCE), leave-copy-down (LCD)
+//!   and probabilistic admission (ProbCache).
 //! * [`layer`] — the [`CacheLayer`]: the engine-side state (cached replica
-//!   store, popularity counters, seeded RNG, summaries) with the
+//!   store, popularity counters, seeded RNG) with the
 //!   admission/eviction flow. Cached replicas live **outside** the solver's
 //!   placement, in the *residual* Eq. 6 budget `A_i − used_i(σ)`, so the
 //!   cache never perturbs the game: with the policy off the serve CSV is
@@ -25,8 +21,8 @@
 //!   state fingerprint is invariant (the bench ledger's `cache_drift` case
 //!   observes exactly this).
 //! * [`audit`] — the cache extension of the invariant auditor: combined
-//!   storage budgets, store/placement disjointness, no replicas on downed
-//!   servers (stale paths) and the Bloom true-negative oracle.
+//!   storage budgets, store/placement disjointness and no replicas on
+//!   downed servers (stale paths).
 //!
 //! Everything is deterministic: admission randomness comes from a
 //! `ChaCha8Rng` seeded by [`CacheConfig::seed`], eviction is ordered by
@@ -37,14 +33,9 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod bloom;
 pub mod layer;
 pub mod policy;
 
 pub use audit::audit_cache;
-pub use bloom::BloomSummary;
 pub use layer::{CacheConfig, CacheCounters, CacheLayer, Observation};
-pub use policy::{
-    CachePolicy, LeaveCopyDown, LeaveCopyEverywhere, PolicyImpl, PolicyKind,
-    PopularityCollaborative, ProbCache, RequestContext,
-};
+pub use policy::PolicyKind;

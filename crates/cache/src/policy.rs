@@ -1,4 +1,5 @@
-//! The [`CachePolicy`] trait and its four on-path admission policies.
+//! The admission policies: three on-path admission rules in one enum,
+//! selected by [`PolicyKind`].
 //!
 //! A policy answers one question per served request: *which server, if
 //! any, should opportunistically install a replica of the item that just
@@ -16,11 +17,6 @@
 //!   grows with the path length the transfer actually crossed: expensive
 //!   deliveries are the ones worth shortcutting. Randomness is drawn from
 //!   a dedicated seeded `ChaCha8Rng`, so runs replay bit-identically.
-//! * **Popularity-based collaborative** — admit only items whose observed
-//!   request count has crossed a threshold *and* that no neighbouring
-//!   server already holds; the neighbour check goes through the Bloom
-//!   replica summaries (one-sided error: a false positive suppresses a
-//!   copy, a negative is always true — see [`crate::bloom`]).
 //!
 //! Policies only *choose a site*; the [`crate::layer::CacheLayer`] owns
 //! budget enforcement and victim selection (least-popular first, ties to
@@ -30,7 +26,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use idde_model::{DataId, ServerId};
+use idde_model::ServerId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -47,8 +43,6 @@ pub enum PolicyKind {
     Lcd,
     /// Probabilistic admission weighted by path length.
     ProbCache,
-    /// Popularity-threshold admission gated on Bloom neighbour summaries.
-    Collab,
 }
 
 impl FromStr for PolicyKind {
@@ -60,10 +54,7 @@ impl FromStr for PolicyKind {
             "lce" => Ok(Self::Lce),
             "lcd" => Ok(Self::Lcd),
             "probcache" | "prob" => Ok(Self::ProbCache),
-            "collab" | "collaborative" => Ok(Self::Collab),
-            other => {
-                Err(format!("unknown cache policy {other:?} (try off|lce|lcd|probcache|collab)"))
-            }
+            other => Err(format!("unknown cache policy {other:?} (try off|lce|lcd|probcache)")),
         }
     }
 }
@@ -75,7 +66,6 @@ impl fmt::Display for PolicyKind {
             Self::Lce => "lce",
             Self::Lcd => "lcd",
             Self::ProbCache => "probcache",
-            Self::Collab => "collab",
         })
     }
 }
@@ -84,9 +74,7 @@ impl fmt::Display for PolicyKind {
 /// the [`crate::layer::CacheLayer`] from committed engine state only, so
 /// admission decisions are a pure function of `(seed, event stream)`.
 #[derive(Clone, Debug)]
-pub struct RequestContext<'a> {
-    /// The requested item.
-    pub data: DataId,
+pub(crate) struct RequestContext<'a> {
     /// The serving edge server of the requesting user (Eq. 8's `v_i`).
     pub target: ServerId,
     /// The edge origin the request was actually delivered from; `None`
@@ -95,168 +83,66 @@ pub struct RequestContext<'a> {
     /// The delivery path from the origin to `target`, endpoints inclusive.
     /// Empty for cloud deliveries and local hits (`source == target`).
     pub path: &'a [ServerId],
-    /// Observed request count of `data` (decayed; includes this request).
-    pub popularity: u64,
     /// Whether `target` already holds the item (solver placement or cache).
     pub already_at_target: bool,
-    /// Whether any graph neighbour of `target` likely holds the item,
-    /// according to the Bloom replica summaries (false ⇒ certainly not).
-    pub neighbour_holds: bool,
 }
 
-/// Per-request admission decision: where to install an opportunistic
-/// replica of the item, or `None` to leave the placement untouched.
-pub trait CachePolicy {
-    /// Stable policy name (matches the `--cache` spelling).
-    fn name(&self) -> &'static str;
-
-    /// Chooses the admission site for one served request.
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId>;
-}
-
-/// LCE: every miss installs a replica at the serving server.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LeaveCopyEverywhere;
-
-impl CachePolicy for LeaveCopyEverywhere {
-    fn name(&self) -> &'static str {
-        "lce"
-    }
-
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
-        (!ctx.already_at_target).then_some(ctx.target)
-    }
-}
-
-/// LCD: the replica moves one hop down the delivery path per request —
-/// `path[1]` for edge deliveries, the serving server itself for cloud
-/// deliveries (the cloud sits "above" every edge node).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LeaveCopyDown;
-
-impl CachePolicy for LeaveCopyDown {
-    fn name(&self) -> &'static str {
-        "lcd"
-    }
-
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
-        match ctx.source {
-            // Cloud delivery: the first node below the source is the target.
-            None => (!ctx.already_at_target).then_some(ctx.target),
-            // Local hit: the copy is already as far down as it gets.
-            Some(origin) if origin == ctx.target => None,
-            // Edge delivery: one hop from the origin toward the target.
-            Some(_) => ctx.path.get(1).copied(),
-        }
-    }
-}
-
-/// ProbCache (path-weighted probabilistic admission): admit at the serving
-/// server with probability `min(1, p · hops)` where `hops` is the edge
-/// path length the delivery crossed (1 for cloud deliveries). The longer
-/// the path the transfer paid, the likelier the shortcut replica.
+/// A running admission policy: chooses, per served request, where to
+/// install an opportunistic replica of the item, or nowhere.
 #[derive(Clone, Debug)]
-pub struct ProbCache {
-    /// Base admission probability `p`.
-    pub admit_probability: f64,
-    rng: ChaCha8Rng,
-}
-
-impl ProbCache {
-    /// A seeded instance; the RNG stream is consumed only on admissible
-    /// misses, in event order, so replays are bit-identical.
-    pub fn new(admit_probability: f64, seed: u64) -> Self {
-        Self { admit_probability, rng: ChaCha8Rng::seed_from_u64(seed) }
-    }
-}
-
-impl CachePolicy for ProbCache {
-    fn name(&self) -> &'static str {
-        "probcache"
-    }
-
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
-        if ctx.already_at_target {
-            return None;
-        }
-        let hops = ctx.path.len().saturating_sub(1).max(1);
-        let p = (self.admit_probability * hops as f64).clamp(0.0, 1.0);
-        (p > 0.0 && self.rng.gen_bool(p)).then_some(ctx.target)
-    }
-}
-
-/// Popularity-based collaborative admission: install at the serving server
-/// once the item's observed popularity crosses the threshold, unless a
-/// neighbouring server already (likely) holds it — the collaboration is
-/// the O(1) Bloom presence check across neighbours.
-#[derive(Clone, Copy, Debug)]
-pub struct PopularityCollaborative {
-    /// Minimum decayed request count before an item is cache-worthy.
-    pub threshold: u64,
-}
-
-impl CachePolicy for PopularityCollaborative {
-    fn name(&self) -> &'static str {
-        "collab"
-    }
-
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
-        (!ctx.already_at_target && ctx.popularity >= self.threshold && !ctx.neighbour_holds)
-            .then_some(ctx.target)
-    }
-}
-
-/// Enum dispatch over the four concrete policies — keeps the engine
-/// `Clone` (no boxed trait objects) while the [`CachePolicy`] trait stays
-/// the extension point.
-#[derive(Clone, Debug)]
-pub enum PolicyImpl {
-    /// Leave copy everywhere.
-    Lce(LeaveCopyEverywhere),
-    /// Leave copy down.
-    Lcd(LeaveCopyDown),
-    /// Path-weighted probabilistic admission.
-    Prob(ProbCache),
-    /// Popularity-based collaborative admission.
-    Collab(PopularityCollaborative),
-}
-
-impl PolicyImpl {
-    /// Instantiates the policy for `kind`; `None` for [`PolicyKind::Off`].
-    pub fn new(
-        kind: PolicyKind,
+pub(crate) enum Admission {
+    /// LCE: every miss installs a replica at the serving server.
+    Lce,
+    /// LCD: the replica moves one hop down the delivery path per request —
+    /// `path[1]` for edge deliveries, the serving server itself for cloud
+    /// deliveries (the cloud sits "above" every edge node).
+    Lcd,
+    /// ProbCache: admit at the serving server with probability
+    /// `min(1, p · hops)`, where `hops` is the edge path length the
+    /// delivery crossed (1 for cloud deliveries). The RNG is consumed only
+    /// on admissible misses, in event order, so replays are bit-identical.
+    ProbCache {
+        /// Base admission probability `p`.
         admit_probability: f64,
-        collab_threshold: u64,
-        seed: u64,
-    ) -> Option<Self> {
+        /// The policy's private, seeded RNG.
+        rng: ChaCha8Rng,
+    },
+}
+
+impl Admission {
+    /// Instantiates the policy for `kind`; `None` for [`PolicyKind::Off`].
+    /// Only ProbCache reads `admit_probability` and `seed`.
+    pub(crate) fn new(kind: PolicyKind, admit_probability: f64, seed: u64) -> Option<Self> {
         match kind {
             PolicyKind::Off => None,
-            PolicyKind::Lce => Some(Self::Lce(LeaveCopyEverywhere)),
-            PolicyKind::Lcd => Some(Self::Lcd(LeaveCopyDown)),
-            PolicyKind::ProbCache => Some(Self::Prob(ProbCache::new(admit_probability, seed))),
-            PolicyKind::Collab => {
-                Some(Self::Collab(PopularityCollaborative { threshold: collab_threshold }))
+            PolicyKind::Lce => Some(Self::Lce),
+            PolicyKind::Lcd => Some(Self::Lcd),
+            PolicyKind::ProbCache => {
+                Some(Self::ProbCache { admit_probability, rng: ChaCha8Rng::seed_from_u64(seed) })
             }
         }
     }
-}
 
-impl CachePolicy for PolicyImpl {
-    fn name(&self) -> &'static str {
+    /// Chooses the admission site for one served request.
+    pub(crate) fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
         match self {
-            Self::Lce(p) => p.name(),
-            Self::Lcd(p) => p.name(),
-            Self::Prob(p) => p.name(),
-            Self::Collab(p) => p.name(),
-        }
-    }
-
-    fn admit(&mut self, ctx: &RequestContext<'_>) -> Option<ServerId> {
-        match self {
-            Self::Lce(p) => p.admit(ctx),
-            Self::Lcd(p) => p.admit(ctx),
-            Self::Prob(p) => p.admit(ctx),
-            Self::Collab(p) => p.admit(ctx),
+            Self::Lce => (!ctx.already_at_target).then_some(ctx.target),
+            Self::Lcd => match ctx.source {
+                // Cloud delivery: the first node below the source is the target.
+                None => (!ctx.already_at_target).then_some(ctx.target),
+                // Local hit: the copy is already as far down as it gets.
+                Some(origin) if origin == ctx.target => None,
+                // Edge delivery: one hop from the origin toward the target.
+                Some(_) => ctx.path.get(1).copied(),
+            },
+            Self::ProbCache { admit_probability, rng } => {
+                if ctx.already_at_target {
+                    return None;
+                }
+                let hops = ctx.path.len().saturating_sub(1).max(1);
+                let p = (*admit_probability * hops as f64).clamp(0.0, 1.0);
+                (p > 0.0 && rng.gen_bool(p)).then_some(ctx.target)
+            }
         }
     }
 }
@@ -266,26 +152,16 @@ mod tests {
     use super::*;
 
     fn ctx<'a>(path: &'a [ServerId], source: Option<ServerId>) -> RequestContext<'a> {
-        RequestContext {
-            data: DataId(0),
-            target: ServerId(3),
-            source,
-            path,
-            popularity: 1,
-            already_at_target: false,
-            neighbour_holds: false,
-        }
+        RequestContext { target: ServerId(3), source, path, already_at_target: false }
+    }
+
+    fn admission(kind: PolicyKind, admit_probability: f64, seed: u64) -> Admission {
+        Admission::new(kind, admit_probability, seed).expect("policy is not Off")
     }
 
     #[test]
     fn kind_round_trips_through_strings() {
-        for kind in [
-            PolicyKind::Off,
-            PolicyKind::Lce,
-            PolicyKind::Lcd,
-            PolicyKind::ProbCache,
-            PolicyKind::Collab,
-        ] {
+        for kind in [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache] {
             assert_eq!(kind.to_string().parse::<PolicyKind>().unwrap(), kind);
         }
         assert!("weird".parse::<PolicyKind>().is_err());
@@ -294,7 +170,7 @@ mod tests {
 
     #[test]
     fn lce_admits_at_target_unless_present() {
-        let mut p = LeaveCopyEverywhere;
+        let mut p = admission(PolicyKind::Lce, 0.0, 0);
         assert_eq!(p.admit(&ctx(&[], None)), Some(ServerId(3)));
         let mut present = ctx(&[], None);
         present.already_at_target = true;
@@ -303,7 +179,7 @@ mod tests {
 
     #[test]
     fn lcd_steps_one_hop_down() {
-        let mut p = LeaveCopyDown;
+        let mut p = admission(PolicyKind::Lcd, 0.0, 0);
         let path = [ServerId(7), ServerId(5), ServerId(3)];
         // Edge delivery from 7: copy lands one hop down, at 5.
         assert_eq!(p.admit(&ctx(&path, Some(ServerId(7)))), Some(ServerId(5)));
@@ -317,25 +193,12 @@ mod tests {
     fn probcache_is_seeded_and_path_weighted() {
         let path = [ServerId(7), ServerId(5), ServerId(3)];
         let run = |seed| {
-            let mut p = ProbCache::new(0.3, seed);
+            let mut p = admission(PolicyKind::ProbCache, 0.3, seed);
             (0..64).map(|_| p.admit(&ctx(&path, Some(ServerId(7)))).is_some()).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9), "same seed must replay identically");
-        let mut sure = ProbCache::new(0.5, 1);
+        let mut sure = admission(PolicyKind::ProbCache, 0.5, 1);
         // Two hops at p = 0.5 saturate to certainty.
         assert_eq!(sure.admit(&ctx(&path, Some(ServerId(7)))), Some(ServerId(3)));
-    }
-
-    #[test]
-    fn collab_gates_on_popularity_and_neighbours() {
-        let mut p = PopularityCollaborative { threshold: 3 };
-        let mut cold = ctx(&[], None);
-        cold.popularity = 2;
-        assert_eq!(p.admit(&cold), None);
-        let mut hot = ctx(&[], None);
-        hot.popularity = 3;
-        assert_eq!(p.admit(&hot), Some(ServerId(3)));
-        hot.neighbour_holds = true;
-        assert_eq!(p.admit(&hot), None);
     }
 }

@@ -26,7 +26,7 @@ commands:
              [--seed S] [--ticks T] [--density D] [--net-seed S]
              [--checkpoint T] [--drift X] [--csv FILE] [--audit N]
              [--chaos SPEC] [--shards K] [--batch N]
-             [--cache off|lce|lcd|probcache|collab]
+             [--cache off|lce|lcd|probcache]
              [--delivery unicast|steiner] [--workload steady|drift]
   chaos      compile a fault spec against a scenario's topology and
              print the scheduled fault timeline (dry run)
@@ -64,7 +64,7 @@ identical but may settle a different (equally valid) restricted
 equilibrium.
 `--cache POLICY` puts a deterministic on-path cache between the
 serve loop and the placement solver: opportunistic replicas admitted
-by the policy (lce, lcd, probcache or collab) into each server's
+by the policy (lce, lcd or probcache) into each server's
 residual Eq. 6 storage budget join the Eq. 8 delivery minimum.
 `--cache off` (the default) is byte-identical to a cache-less serve;
 cached runs append `cache_*` rows to the CSV. `--delivery steiner`
@@ -180,8 +180,8 @@ pub enum Command {
         /// Group-commit size of the ingestion layer (1 = a repair after
         /// every churn event).
         batch: u64,
-        /// Caching policy name (normalised, lowercase; `"off"` = no cache).
-        cache: String,
+        /// Caching policy (parse-time validated; `Off` = no cache).
+        cache: idde_cache::PolicyKind,
         /// Bulk-distribution strategy (parse-time validated; `Unicast` is
         /// the byte-identical default).
         delivery: idde_dist::StrategyKind,
@@ -379,14 +379,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if batch == 0 {
                 return Err("--batch needs a positive group-commit size".into());
             }
-            let cache = take("cache").unwrap_or_else(|| "off".into()).to_lowercase();
-            if !["off", "none", "lce", "lcd", "probcache", "prob", "collab", "collaborative"]
-                .contains(&cache.as_str())
-            {
-                return Err(format!(
-                    "--cache: expected off|lce|lcd|probcache|collab, got {cache:?}"
-                ));
-            }
+            let cache = take("cache")
+                .unwrap_or_else(|| "off".into())
+                .parse::<idde_cache::PolicyKind>()
+                .map_err(|e| format!("--cache: {e}"))?;
             let delivery = take("delivery")
                 .unwrap_or_else(|| "unicast".into())
                 .to_lowercase()
@@ -769,28 +765,43 @@ mod tests {
 
     #[test]
     fn parses_serve_cache_and_workload() {
+        use idde_cache::PolicyKind;
         // Defaults: no cache, the stationary workload.
         assert!(matches!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve { ref cache, ref workload, .. }
-                if cache == "off" && workload == "steady"
+            Command::Serve { cache: PolicyKind::Off, ref workload, .. } if workload == "steady"
         ));
-        // Policies are normalised to lowercase; aliases pass the allowlist.
+        // Policy names are case-insensitive, and the aliases parse.
         assert!(matches!(
             parse(&argv("serve --cache ProbCache --workload drift --ticks 50")).unwrap(),
-            Command::Serve { ref cache, ref workload, ticks: 50, .. }
-                if cache == "probcache" && workload == "drift"
+            Command::Serve { cache: PolicyKind::ProbCache, ref workload, ticks: 50, .. }
+                if workload == "drift"
         ));
-        for policy in ["off", "none", "lce", "lcd", "prob", "collab", "collaborative"] {
-            assert!(parse(&argv(&format!("serve --cache {policy}"))).is_ok(), "{policy}");
+        for (policy, kind) in [
+            ("off", PolicyKind::Off),
+            ("none", PolicyKind::Off),
+            ("lce", PolicyKind::Lce),
+            ("lcd", PolicyKind::Lcd),
+            ("prob", PolicyKind::ProbCache),
+        ] {
+            assert!(
+                matches!(
+                    parse(&argv(&format!("serve --cache {policy}"))).unwrap(),
+                    Command::Serve { cache, .. } if cache == kind
+                ),
+                "{policy}"
+            );
         }
         // The cache composes with sharding and batching.
         assert!(matches!(
             parse(&argv("serve --cache lcd --shards 4 --batch 8")).unwrap(),
-            Command::Serve { ref cache, shards: Some(4), batch: 8, .. } if cache == "lcd"
+            Command::Serve { cache: PolicyKind::Lcd, shards: Some(4), batch: 8, .. }
         ));
         // Unknown values are parse-time errors, not serve-time surprises.
-        assert!(parse(&argv("serve --cache lru")).is_err());
+        for policy in ["lru", "collab"] {
+            let err = parse(&argv(&format!("serve --cache {policy}"))).unwrap_err();
+            assert!(err.contains("--cache") && err.contains("probcache"), "{err}");
+        }
         assert!(parse(&argv("serve --workload bursty")).is_err());
         assert!(parse(&argv("generate --servers 5 --users 9 --data 1 --cache lce")).is_err());
     }

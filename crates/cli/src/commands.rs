@@ -433,7 +433,7 @@ struct ServeOptions {
     chaos: Option<String>,
     shards: Option<usize>,
     batch: u64,
-    cache: String,
+    cache: PolicyKind,
     delivery: StrategyKind,
     workload: String,
 }
@@ -494,7 +494,6 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
     // `--cache off` leaves `CacheConfig::default()` (policy Off) in place,
     // so the engine constructs no layer and the serve is byte-identical to
     // a cache-less build. The layer's RNG derives from the master seed.
-    let policy: PolicyKind = opts.cache.parse().map_err(|e| format!("--cache: {e}"))?;
     // `--delivery unicast` leaves recording off, so no distribution plan is
     // built and the serve CSV stays byte-identical to pre-dist builds;
     // `--delivery steiner` records every bulk install round and appends the
@@ -505,12 +504,12 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
         checkpoint_interval: opts.checkpoint,
         audit_every: opts.audit,
         batch: opts.batch,
-        cache: CacheConfig { policy, seed: opts.seed, ..CacheConfig::default() },
+        cache: CacheConfig { policy: opts.cache, seed: opts.seed, ..CacheConfig::default() },
         dist: DistConfig { strategy: opts.delivery, record: record_dist, ..DistConfig::default() },
         ..Default::default()
     };
-    if policy != PolicyKind::Off {
-        eprintln!("cache: {policy} policy, on-path admission into residual Eq. 6 budgets");
+    if opts.cache != PolicyKind::Off {
+        eprintln!("cache: {} policy, on-path admission into residual Eq. 6 budgets", opts.cache);
     }
     if record_dist {
         eprintln!("delivery: {} bulk distribution over the surviving topology", opts.delivery);
@@ -752,7 +751,7 @@ mod tests {
                 chaos: None,
                 shards: None,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -790,7 +789,7 @@ mod tests {
             chaos: None,
             shards: None,
             batch: 1,
-            cache: "off".into(),
+            cache: PolicyKind::Off,
             delivery: StrategyKind::Unicast,
             workload: "steady".into(),
         })
@@ -828,7 +827,7 @@ mod tests {
                 chaos: None,
                 shards,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -853,7 +852,7 @@ mod tests {
     fn cached_drift_serve_reports_traffic_and_off_is_the_identity() {
         let dir = std::env::temp_dir().join("idde-cli-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, cache: &str, workload: &str| -> String {
+        let run = |name: &str, cache: PolicyKind, workload: &str| -> String {
             let path = dir.join(name);
             serve(ServeOptions {
                 scenario: None,
@@ -873,23 +872,27 @@ mod tests {
                 chaos: None,
                 shards: None,
                 batch: 1,
-                cache: cache.into(),
+                cache,
                 delivery: StrategyKind::Unicast,
                 workload: workload.into(),
             })
             .unwrap();
             std::fs::read_to_string(path).unwrap()
         };
-        let cached = run("cached.csv", "probcache", "drift");
+        let cached = run("cached.csv", PolicyKind::ProbCache, "drift");
         let hits = csv_metric(&cached, "cache_hits");
         let insertions = csv_metric(&cached, "cache_insertions");
         assert!(insertions > 0, "the drift workload must drive admissions:\n{cached}");
         assert!(hits > 0, "cached items must be re-served:\n{cached}");
         assert!(cached.contains("audit_violations,0\n"), "{cached}");
 
-        let off = run("off.csv", "off", "drift");
+        let off = run("off.csv", PolicyKind::Off, "drift");
         assert!(!off.contains("cache_"), "--cache off must not emit cache rows:\n{off}");
-        assert_eq!(off, run("off2.csv", "off", "drift"), "off serve must be deterministic");
+        assert_eq!(
+            off,
+            run("off2.csv", PolicyKind::Off, "drift"),
+            "off serve must be deterministic"
+        );
         assert_ne!(off, cached, "the cache must actually change served latencies");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -923,7 +926,7 @@ mod tests {
                 chaos: None,
                 shards,
                 batch,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -977,7 +980,7 @@ mod tests {
                 chaos: Some("rand:2022:2:1:1@15+6".into()),
                 shards,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery,
                 workload: "steady".into(),
             })
@@ -1090,7 +1093,7 @@ mod tests {
                 chaos: Some("rand:2022:2:1:1@20+8".into()),
                 shards: None,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -1123,7 +1126,7 @@ mod tests {
             chaos: Some("meteor:3@4".into()),
             shards: None,
             batch: 1,
-            cache: "off".into(),
+            cache: PolicyKind::Off,
             delivery: StrategyKind::Unicast,
             workload: "steady".into(),
         })

@@ -18,12 +18,6 @@ use crate::plan::{DemandPlan, DestInstall, DistConfig, DistributionPlan, Strateg
 /// resulting [`Placement`](idde_model::Placement) is strategy-invariant by
 /// construction and strategies differ only in cost and delay.
 pub trait DistributionStrategy {
-    /// Which [`StrategyKind`] this strategy implements.
-    fn kind(&self) -> StrategyKind;
-
-    /// Stable human-readable name (the `--delivery` flag value).
-    fn name(&self) -> &'static str;
-
     /// Plans a bulk-install round over the effective (fault-masked)
     /// topology. Demands are [merged](merge_demands) first, so overlapping
     /// rounds for the same item share one plan.
@@ -53,14 +47,6 @@ impl StrategyKind {
 pub struct Unicast;
 
 impl DistributionStrategy for Unicast {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Unicast
-    }
-
-    fn name(&self) -> &'static str {
-        "unicast"
-    }
-
     fn plan(
         &self,
         topology: &Topology,
@@ -132,14 +118,6 @@ impl DistributionStrategy for Unicast {
 pub struct SteinerTree;
 
 impl DistributionStrategy for SteinerTree {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Steiner
-    }
-
-    fn name(&self) -> &'static str {
-        "steiner"
-    }
-
     fn plan(
         &self,
         topology: &Topology,

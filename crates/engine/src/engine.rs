@@ -623,7 +623,7 @@ impl Engine {
             ));
         }
         // Cache invariants: combined Eq. 6 budget, store/placement
-        // disjointness, no stale replicas on downed servers, Bloom oracle.
+        // disjointness, no stale replicas on downed servers.
         if let Some(cache) = &self.cache {
             report.merge(audit_cache(&self.problem.scenario, &self.placement, cache, &down));
         }
@@ -1155,27 +1155,18 @@ impl Engine {
         let started = Instant::now();
         let active_ids = self.active_users();
         let repaired_rate = self.average_active_rate();
-        // Without halo mirrors the re-solve starts from the pristine empty
-        // field, exactly as it always has (the `--shards 1` byte-identity
-        // contract rides on this branch). With mirrors, the re-solve must
-        // start from an overlay-only profile instead: the frozen mirrors
+        // The re-solve starts from an overlay-only profile: halo mirrors
         // then exert their cross-shard interference on every best-response
         // scan, and adopting the full solution preserves them (non-players
-        // survive `into_allocation` untouched).
-        let outcome = if self.overlay.is_empty() {
-            IddeUGame::new(self.config.game).run_restricted(self.problem.field(), &active_ids)
-        } else {
-            let mut base = Allocation::unallocated(self.problem.scenario.num_users());
-            for &(user, server, channel) in &self.overlay {
-                base.set(user, Some((server, channel)));
-            }
-            let field = InterferenceField::from_allocation(
-                &self.problem.radio,
-                &self.problem.scenario,
-                &base,
-            );
-            IddeUGame::new(self.config.game).run_restricted(field, &active_ids)
-        };
+        // survive `into_allocation` untouched). Without mirrors this is the
+        // pristine empty field (zero sums, empty rows).
+        let mut base = Allocation::unallocated(self.problem.scenario.num_users());
+        for &(user, server, channel) in &self.overlay {
+            base.set(user, Some((server, channel)));
+        }
+        let field =
+            InterferenceField::from_allocation(&self.problem.radio, &self.problem.scenario, &base);
+        let outcome = IddeUGame::new(self.config.game).run_restricted(field, &active_ids);
         let full_rate = Self::active_rate_of(&outcome.field, &self.active);
         let drift =
             if full_rate > 0.0 { ((full_rate - repaired_rate) / full_rate).max(0.0) } else { 0.0 };

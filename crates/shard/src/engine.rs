@@ -71,9 +71,9 @@ impl ShardEngine {
             .collect();
         let mut engine = Engine::new(problem, config, local_active);
         // In cached mode each shard's layer admits replicas only onto the
-        // servers it owns — foreign servers carry halo mirrors and Bloom
-        // summaries, never locally cached bytes. At `K = 1` every server is
-        // owned and the restriction is the identity.
+        // servers it owns — foreign servers carry halo mirrors, never
+        // locally cached bytes. At `K = 1` every server is owned and the
+        // restriction is the identity.
         if let Some(cache) = engine.cache_mut() {
             cache.restrict_admission(&owned);
         }

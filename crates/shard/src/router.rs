@@ -59,7 +59,6 @@
 //! [`ServeMetrics`], so the CSV schema is identical in every mode.
 
 use idde_audit::{AuditConfig, AuditReport, Auditor};
-use idde_cache::BloomSummary;
 use idde_core::Problem;
 use idde_engine::{EngineConfig, Event, EventQueue, EventSource, ScheduledEvent, ServeMetrics};
 use idde_model::{Allocation, ChannelIndex, Point, ServerId, UserId};
@@ -391,35 +390,6 @@ impl ShardRouter {
         for (target, slot) in entries.into_iter().enumerate() {
             self.engines[target].engine_mut().set_overlay(&slot);
         }
-        self.exchange_cache_summaries();
-    }
-
-    /// Piggybacks per-server Bloom replica summaries on the halo exchange:
-    /// for every halo server, the owning shard exports its solver ∪ cache
-    /// replica summary and the importing shard installs it, giving that
-    /// shard's cache layer an O(1) cross-shard presence check
-    /// ([`idde_cache::CacheLayer::likely_holds`]) without shipping replica
-    /// lists. Deterministic (shards then halo servers ascending) and a
-    /// no-op when caching is off or `K = 1` (no halo exists).
-    fn exchange_cache_summaries(&mut self) {
-        if self.engines.iter().all(|e| e.engine().cache().is_none()) {
-            return;
-        }
-        let mut imports: Vec<(usize, ServerId, BloomSummary)> = Vec::new();
-        for target in 0..self.plan.num_shards() {
-            for &server in self.plan.halo(target) {
-                let owner = self.plan.owner_of_server(server);
-                let src = self.engines[owner].engine();
-                if let Some(cache) = src.cache() {
-                    imports.push((target, server, cache.export_summary(server, src.placement())));
-                }
-            }
-        }
-        for (target, server, summary) in imports {
-            if let Some(cache) = self.engines[target].engine_mut().cache_mut() {
-                cache.install_foreign_summary(server, summary);
-            }
-        }
     }
 
     /// Runs the cross-shard consistency audit over the live shard states:
@@ -544,8 +514,8 @@ mod tests {
     }
 
     /// The cached sharded serve: K = 3 with an on-path cache and a
-    /// drifting workload. Admission stays owner-restricted, the halo Bloom
-    /// exchange installs foreign summaries, and the run is deterministic.
+    /// drifting workload. Admission stays owner-restricted and the run is
+    /// deterministic.
     #[test]
     fn cached_sharded_serve_is_owner_restricted_and_deterministic() {
         use idde_cache::{CacheConfig, PolicyKind};
@@ -598,8 +568,7 @@ mod tests {
     }
 
     /// `--shards 1 --cache lce` degenerates to the monolithic cached
-    /// engine byte for byte, halo Bloom exchange included (no halo at
-    /// K = 1, so the exchange is a no-op).
+    /// engine byte for byte.
     #[test]
     fn one_shard_cached_reproduces_the_monolithic_cached_csv() {
         use idde_cache::{CacheConfig, PolicyKind};

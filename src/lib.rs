@@ -57,7 +57,7 @@ pub fn seeded_rng(seed: u64) -> rand_chacha::ChaCha8Rng {
 pub mod prelude {
     pub use idde_audit::{AuditConfig, AuditReport, Auditor};
     pub use idde_baselines::{Cdp, DupG, IddeGStrategy, IddeIp, Saa, SolveStrategy};
-    pub use idde_cache::{CacheConfig, CacheLayer, CachePolicy, PolicyKind};
+    pub use idde_cache::{CacheConfig, CacheLayer, PolicyKind};
     pub use idde_chaos::{FaultPlan, FaultSpec};
     pub use idde_core::{IddeG, Metrics, Problem, Strategy};
     pub use idde_engine::{DriftProfile, Engine, EngineConfig, WorkloadConfig, WorkloadGenerator};

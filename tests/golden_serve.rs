@@ -151,7 +151,7 @@ fn probcache_drift_serve_matches_its_golden_csv() {
     let workload = WorkloadConfig { drift: DriftProfile::drifting(), ..WorkloadConfig::default() };
     let csv = cli_serve(cli_problem(7, 20, 100, 6), config, workload, 7, 150, None, None);
     assert!(!csv.contains("\ncache_hits,0\n"), "the cache must carry traffic\n{csv}");
-    assert_fingerprint("probcache drift", &csv, 0x44db_6ee1_d27e_c51f);
+    assert_fingerprint("probcache drift", &csv, 0xd1fe_1798_8a59_d0b3);
 }
 
 /// `ci/golden/serve_dist.csv`: `serve --servers 15 --users 70 --data 10
@@ -198,5 +198,5 @@ fn composed_sharded_serve_matches_its_golden_csv() {
         chaos,
     );
     assert!(csv.contains("\nserver_outages,1\n"), "the fault plan must fire\n{csv}");
-    assert_fingerprint("composed sharded", &csv, 0x401f_e6c7_4efb_7075);
+    assert_fingerprint("composed sharded", &csv, 0xd2ce_42d9_00c9_35cd);
 }
