@@ -6,7 +6,7 @@
 
 use idde_dist::{DestInstall, DistConfig, DistributionPlan, StrategyKind};
 use idde_model::ServerId;
-use idde_net::{EdgeGraph, PathModel, Topology, UNREACHABLE};
+use idde_net::{EdgeGraph, Topology, UNREACHABLE};
 
 use crate::auditor::Auditor;
 use crate::report::{AuditReport, Violation};
@@ -28,27 +28,23 @@ fn link_unit(graph: &EdgeGraph, a: ServerId, b: ServerId) -> f64 {
         .fold(UNREACHABLE, f64::min)
 }
 
-/// The re-derived analytic delay of one install route under the topology's
-/// path model, or `None` when the route is structurally invalid.
+/// The re-derived analytic (pipelined) delay of one install route: `size`
+/// times its bottleneck link cost, plus the cloud latency when cloud-fed.
+/// `None` when the route is structurally invalid.
 fn route_delay(topology: &Topology, size: f64, install: &DestInstall) -> Option<f64> {
     let route = &install.route;
     if route.is_empty() || *route.last()? != install.destination {
         return None;
     }
-    let mut additive = 0.0;
     let mut bottleneck = 0.0f64;
     for w in route.windows(2) {
         let unit = link_unit(topology.graph(), w[0], w[1]);
         if unit == UNREACHABLE {
             return None;
         }
-        additive += unit;
         bottleneck = bottleneck.max(unit);
     }
-    let transit = match topology.path_model() {
-        PathModel::StoreAndForward => size * additive,
-        PathModel::Pipelined => size * bottleneck,
-    };
+    let transit = size * bottleneck;
     let cloud = if install.from_cloud {
         topology.cloud_latency(idde_model::MegaBytes(size)).value()
     } else {
@@ -64,7 +60,7 @@ impl Auditor {
     ///    its destination, hops only over physical links, and (when
     ///    edge-fed) starts at a server the demand lists as a source.
     /// 2. **Delay** — the recorded analytic delay of every route is
-    ///    recomputed under the topology's path model (plus the cloud
+    ///    recomputed as its pipelined bottleneck latency (plus the cloud
     ///    latency for cloud-fed routes) and compared at
     ///    [`AuditConfig::dist_rel_tol`](crate::AuditConfig::dist_rel_tol).
     /// 3. **Cost** — each demand's cost is re-derived under its strategy's
@@ -214,7 +210,7 @@ mod tests {
     use idde_model::{DataId, MegaBytes, MegaBytesPerSec};
     use idde_net::Link;
 
-    fn topo(model: PathModel) -> Topology {
+    fn topo() -> Topology {
         let link = |a: u32, b: u32, s: f64| Link {
             a: ServerId(a),
             b: ServerId(b),
@@ -224,7 +220,7 @@ mod tests {
             5,
             vec![link(0, 1, 2000.0), link(1, 2, 3000.0), link(2, 3, 4000.0), link(1, 4, 2500.0)],
         );
-        Topology::with_model(g, MegaBytesPerSec(600.0), model)
+        Topology::new(g, MegaBytesPerSec(600.0))
     }
 
     fn demands() -> Vec<InstallDemand> {
@@ -248,16 +244,13 @@ mod tests {
     fn clean_plans_audit_clean_under_both_models_and_strategies() {
         let auditor = Auditor::default();
         let config = DistConfig::default();
-        for model in [PathModel::StoreAndForward, PathModel::Pipelined] {
-            let topo = topo(model);
-            for plan in [
-                Unicast.plan(&topo, &demands(), &config),
-                SteinerTree.plan(&topo, &demands(), &config),
-            ] {
-                let report = auditor.audit_distribution(&topo, &plan, &config);
-                assert!(report.is_clean(), "{} under {model:?}: {report}", plan.strategy);
-                assert!(report.checks > 0);
-            }
+        let topo = topo();
+        for plan in
+            [Unicast.plan(&topo, &demands(), &config), SteinerTree.plan(&topo, &demands(), &config)]
+        {
+            let report = auditor.audit_distribution(&topo, &plan, &config);
+            assert!(report.is_clean(), "{}: {report}", plan.strategy);
+            assert!(report.checks > 0);
         }
     }
 
@@ -265,7 +258,7 @@ mod tests {
     fn tampered_plans_are_flagged() {
         let auditor = Auditor::default();
         let config = DistConfig::default();
-        let topo = topo(PathModel::StoreAndForward);
+        let topo = topo();
         let clean = SteinerTree.plan(&topo, &demands(), &config);
 
         // Undercut a demand's cost: both the re-derivation and the lower

@@ -182,7 +182,7 @@ pub enum Violation {
         destination: ServerId,
     },
     /// An install's recorded analytic delay disagrees with the re-derived
-    /// route latency under the topology's path model.
+    /// (bottleneck) route latency.
     DistDelayMismatch {
         /// The distributed item.
         data: DataId,

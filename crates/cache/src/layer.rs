@@ -19,7 +19,7 @@
 //!   compared replica-by-replica, not just by aggregate counters.
 
 use idde_model::{DataId, Placement, Scenario, ServerId};
-use idde_net::{best_path, PathModel, Topology};
+use idde_net::{best_path, Topology};
 
 use crate::policy::{Admission, PolicyKind, RequestContext};
 
@@ -130,11 +130,6 @@ impl CacheLayer {
         })
     }
 
-    /// The layer's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// The cache store (cached replicas only; disjoint from the solver
     /// placement).
     pub fn store(&self) -> &Placement {
@@ -155,11 +150,6 @@ impl CacheLayer {
     /// The ordered eviction log `(server, data)` since construction.
     pub fn eviction_log(&self) -> &[(ServerId, DataId)] {
         &self.eviction_log
-    }
-
-    /// Decayed popularity of one item.
-    pub fn popularity(&self, data: DataId) -> u64 {
-        self.popularity[data.index()]
     }
 
     /// Restricts admission to `owned` servers (shard mode: each shard's
@@ -228,8 +218,7 @@ impl CacheLayer {
             (Admission::Lcd | Admission::ProbCache { .. }, Some(origin))
                 if origin != obs.target =>
             {
-                let minimax = topology.path_model() == PathModel::Pipelined;
-                best_path(topology.graph(), origin, obs.target, minimax).unwrap_or_default()
+                best_path(topology.graph(), origin, obs.target).unwrap_or_default()
             }
             _ => Vec::new(),
         };

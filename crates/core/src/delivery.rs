@@ -515,11 +515,11 @@ mod tests {
 
     /// A seeded random instance: 4–30 servers at a random network density,
     /// optionally fault-masked (down servers and links leave unreachable
-    /// pairs), under either path model, with a cloud that is sometimes
-    /// faster than edge paths and some servers marked foreign.
+    /// pairs), with a cloud that is sometimes faster than edge paths and
+    /// some servers marked foreign.
     fn random_problem(rng: &mut ChaCha8Rng) -> Problem {
         use idde_model::{MegaBytesPerSec, Point, ScenarioBuilder, Watts};
-        use idde_net::{LinkState, NetworkFaults, PathModel};
+        use idde_net::{LinkState, NetworkFaults, Topology};
         use rand::Rng;
 
         let mut b = ScenarioBuilder::new();
@@ -559,8 +559,6 @@ mod tests {
             }
         }
         let base = Problem::with_density(scenario, rng.gen_range(0.5..2.0), rng);
-        let model =
-            if rng.gen_bool(0.5) { PathModel::Pipelined } else { PathModel::StoreAndForward };
         let graph = base.topology.graph();
         let mut faults = NetworkFaults::healthy(n, graph.links().len());
         if rng.gen_bool(0.5) {
@@ -576,7 +574,7 @@ mod tests {
             }
         }
         let cloud = MegaBytesPerSec(rng.gen_range(300.0..8000.0));
-        let topology = faults.effective_topology(graph, cloud, model);
+        let topology = Topology::new(faults.effective_graph(graph), cloud);
         Problem::new(base.scenario, base.radio, topology)
     }
 

@@ -38,14 +38,15 @@
 //! traversed link contributes `size · unit_cost` ms per copy carried
 //! (Steiner carries one copy per tree link; unicast one per destination
 //! whose path crosses it), and every cloud feed contributes the Eq. 7
-//! cloud latency. The *analytic delay* of a destination is the end-to-end
-//! latency of its delivery route under the topology's [`PathModel`]
-//! (additive for store-and-forward, bottleneck for pipelined, plus the
-//! cloud latency when the route starts with a cloud feed). A destination
-//! violates the **delay guarantee** when its analytic delay exceeds
-//! [`DistConfig::delay_factor`] times its unconstrained direct-delivery
-//! optimum — the price the tree detour (or the additive-optimal unicast
-//! path) pays over the per-destination best path. `idde-audit` re-derives
+//! cloud latency. The *analytic delay* of a destination is the pipelined
+//! end-to-end latency of its delivery route: `size` times the route's
+//! bottleneck unit cost, plus the cloud latency when the route starts with
+//! a cloud feed. Cost is additive because every copy crosses every link;
+//! delay is not, because a streamed copy is gated by its slowest link. A
+//! destination violates the **delay guarantee** when its analytic delay
+//! exceeds [`DistConfig::delay_factor`] times its unconstrained
+//! direct-delivery optimum — the price the tree detour pays over the
+//! per-destination widest path. `idde-audit` re-derives
 //! every recorded cost, delay and violation count from the plan's routes.
 
 #![warn(missing_docs)]
@@ -58,6 +59,3 @@ pub mod strategy;
 pub use demand::{merge_demands, InstallDemand};
 pub use plan::{DemandPlan, DestInstall, DistConfig, DistCounters, DistributionPlan, StrategyKind};
 pub use strategy::{DistributionStrategy, SteinerTree, Unicast};
-
-#[doc(no_inline)]
-pub use idde_net::PathModel;

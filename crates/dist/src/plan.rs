@@ -75,8 +75,8 @@ pub struct DestInstall {
     /// Whether the feed point (the route's first server) pulls the item
     /// from the cloud rather than holding it as a surviving source.
     pub from_cloud: bool,
-    /// Analytic end-to-end delay (ms) of this route under the topology's
-    /// path model, including the cloud latency when `from_cloud`.
+    /// Analytic end-to-end (pipelined, bottleneck-gated) delay (ms) of this
+    /// route, including the cloud latency when `from_cloud`.
     pub delay_ms: f64,
     /// Whether `delay_ms` exceeds the configured delay guarantee.
     pub violated: bool,

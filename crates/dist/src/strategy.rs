@@ -6,8 +6,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use idde_model::ServerId;
 use idde_net::{
-    best_path, dijkstra_from_set, simulate_concurrent, EdgeGraph, PathModel, Topology, Transfer,
-    UNREACHABLE,
+    best_path, dijkstra_from_set, simulate_concurrent, EdgeGraph, Topology, Transfer, UNREACHABLE,
 };
 
 use crate::demand::{merge_demands, InstallDemand};
@@ -40,9 +39,8 @@ impl StrategyKind {
 }
 
 /// The item-by-item baseline: every destination independently pulls a full
-/// copy from its cheapest feed (the closest surviving source under the
-/// topology's path-model metric, or the cloud), each copy paying every
-/// link of its own route.
+/// copy from its cheapest feed (the surviving source with the widest path,
+/// or the cloud), each copy paying every link of its own route.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Unicast;
 
@@ -53,7 +51,6 @@ impl DistributionStrategy for Unicast {
         demands: &[InstallDemand],
         config: &DistConfig,
     ) -> DistributionPlan {
-        let minimax = topology.path_model() == PathModel::Pipelined;
         let mut plans = Vec::new();
         for demand in merge_demands(demands) {
             let size = demand.size.value();
@@ -61,8 +58,8 @@ impl DistributionStrategy for Unicast {
             let mut installs = Vec::with_capacity(demand.destinations.len());
             let mut cost_ms = 0.0;
             for &dest in &demand.destinations {
-                // Cheapest surviving source under the model metric; ties go
-                // to the lowest server id (sources are sorted).
+                // Cheapest surviving source; ties go to the lowest server id
+                // (sources are sorted).
                 let mut best: Option<(f64, ServerId)> = None;
                 for &s in &demand.sources {
                     if let Some(unit) = topology.try_unit_cost(s, dest) {
@@ -74,7 +71,7 @@ impl DistributionStrategy for Unicast {
                 }
                 let (route, from_cloud, delay_ms) = match best {
                     Some((edge_ms, source)) if edge_ms <= cloud_ms => {
-                        let route = best_path(topology.graph(), source, dest, minimax)
+                        let route = best_path(topology.graph(), source, dest)
                             .expect("a finite unit cost implies a path");
                         (route, false, edge_ms)
                     }
@@ -213,39 +210,19 @@ fn plan_tree(topology: &Topology, demand: &InstallDemand, config: &DistConfig) -
     let feed_inits: Vec<(usize, f64)> = feeds.iter().map(|&s| (net.index(s), 0.0)).collect();
     let landing_inits: Vec<(usize, f64)> = landings.iter().map(|&l| (net.index(l), 0.0)).collect();
     let mut installs = Vec::with_capacity(dn);
-    match topology.path_model() {
-        PathModel::StoreAndForward => {
-            // One additive field: sources at 0, landings at the cloud cost.
-            let mut all_inits = feed_inits;
-            all_inits.extend(landings.iter().map(|&l| (net.index(l), cloud_unit)));
-            let (dist, parent) = net.search(&all_inits, false);
-            for &dest in &demand.destinations {
-                let idx = net.index(dest.0);
-                let route = net.route_to(&parent, idx);
-                let from_cloud = landings.contains(&route[0].0);
-                installs.push((dest, route, from_cloud, size * dist[idx]));
-            }
-        }
-        PathModel::Pipelined => {
-            // Bottleneck fields from the sources and from the landings; the
-            // cloud hop is a separate stage, so its latency adds on top.
-            let (src_w, src_p) = net.search(&feed_inits, true);
-            let (cld_w, cld_p) = net.search(&landing_inits, true);
-            for &dest in &demand.destinations {
-                let idx = net.index(dest.0);
-                let edge_ms =
-                    if src_w[idx] == UNREACHABLE { UNREACHABLE } else { size * src_w[idx] };
-                let cloud_del = if cld_w[idx] == UNREACHABLE {
-                    UNREACHABLE
-                } else {
-                    cloud_ms + size * cld_w[idx]
-                };
-                if edge_ms <= cloud_del {
-                    installs.push((dest, net.route_to(&src_p, idx), false, edge_ms));
-                } else {
-                    installs.push((dest, net.route_to(&cld_p, idx), true, cloud_del));
-                }
-            }
+    // Bottleneck fields from the sources and from the landings; the cloud
+    // hop is a separate stage, so its latency adds on top.
+    let (src_w, src_p) = net.search(&feed_inits);
+    let (cld_w, cld_p) = net.search(&landing_inits);
+    for &dest in &demand.destinations {
+        let idx = net.index(dest.0);
+        let edge_ms = if src_w[idx] == UNREACHABLE { UNREACHABLE } else { size * src_w[idx] };
+        let cloud_del =
+            if cld_w[idx] == UNREACHABLE { UNREACHABLE } else { cloud_ms + size * cld_w[idx] };
+        if edge_ms <= cloud_del {
+            installs.push((dest, net.route_to(&src_p, idx), false, edge_ms));
+        } else {
+            installs.push((dest, net.route_to(&cld_p, idx), true, cloud_del));
         }
     }
 
@@ -364,9 +341,8 @@ impl TreeNet {
         self.nodes.binary_search(&node).expect("queried node is on the tree")
     }
 
-    /// Multi-source Dijkstra over the tree: additive when `widest` is
-    /// false, bottleneck (minimax) when true.
-    fn search(&self, inits: &[(usize, f64)], widest: bool) -> (Vec<f64>, Vec<Option<usize>>) {
+    /// Multi-source bottleneck (minimax) Dijkstra over the tree.
+    fn search(&self, inits: &[(usize, f64)]) -> (Vec<f64>, Vec<Option<usize>>) {
         let mut dist = vec![UNREACHABLE; self.nodes.len()];
         let mut parent: Vec<Option<usize>> = vec![None; self.nodes.len()];
         for &(i, cost) in inits {
@@ -385,7 +361,7 @@ impl TreeNet {
                 continue; // stale entry
             }
             for &(next, unit) in &self.adj[node] {
-                let candidate = if widest { cost.max(unit) } else { cost + unit };
+                let candidate = cost.max(unit);
                 if candidate < dist[next] {
                     dist[next] = candidate;
                     parent[next] = Some(node);
@@ -444,12 +420,12 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn topo(n: usize, links: &[(u32, u32, f64)], model: PathModel) -> Topology {
+    fn topo(n: usize, links: &[(u32, u32, f64)]) -> Topology {
         let links = links
             .iter()
             .map(|&(a, b, s)| Link { a: ServerId(a), b: ServerId(b), speed: MegaBytesPerSec(s) })
             .collect();
-        Topology::with_model(EdgeGraph::new(n, links), MegaBytesPerSec(600.0), model)
+        Topology::new(EdgeGraph::new(n, links), MegaBytesPerSec(600.0))
     }
 
     fn demand(data: u32, size: f64, sources: &[u32], dests: &[u32]) -> InstallDemand {
@@ -465,8 +441,7 @@ mod tests {
     fn line_graph_tree_shares_the_trunk() {
         // 0 —0.5— 1 —0.5— 2 —0.5— 3 (all 2000 MB/s), cloud 600 MB/s.
         // 60 MB from source 0 to {2, 3}: cloud feed costs 100 ms.
-        let topo =
-            topo(4, &[(0, 1, 2000.0), (1, 2, 2000.0), (2, 3, 2000.0)], PathModel::StoreAndForward);
+        let topo = topo(4, &[(0, 1, 2000.0), (1, 2, 2000.0), (2, 3, 2000.0)]);
         let demands = [demand(0, 60.0, &[0], &[2, 3])];
         let config = DistConfig::default();
 
@@ -487,8 +462,9 @@ mod tests {
             st.plans[0].installs.iter().map(|i| i.route.as_slice()).collect();
         assert_eq!(routes[0], &[ServerId(0), ServerId(1), ServerId(2)]);
         assert_eq!(routes[1], &[ServerId(0), ServerId(1), ServerId(2), ServerId(3)]);
-        assert!((st.plans[0].installs[0].delay_ms - 60.0).abs() < 1e-9);
-        assert!((st.plans[0].installs[1].delay_ms - 90.0).abs() < 1e-9);
+        // Both stream behind the same 2000 MB/s bottleneck: 30 ms each.
+        assert!((st.plans[0].installs[0].delay_ms - 30.0).abs() < 1e-9);
+        assert!((st.plans[0].installs[1].delay_ms - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -496,7 +472,7 @@ mod tests {
         // No survivors hold the item: unicast pulls the 100 ms cloud feed
         // per destination, the tree lands one seed and fans out over the
         // 30 ms link.
-        let topo = topo(2, &[(0, 1, 2000.0)], PathModel::StoreAndForward);
+        let topo = topo(2, &[(0, 1, 2000.0)]);
         let demands = [demand(0, 60.0, &[], &[0, 1])];
         let config = DistConfig::default();
 
@@ -517,7 +493,7 @@ mod tests {
     fn delay_guarantee_flags_routes_past_the_factor() {
         // With a sub-1 factor even the direct-optimal unicast routes break
         // the guarantee, so the violation counter must see every install.
-        let topo = topo(4, &[(0, 1, 2000.0), (1, 2, 2000.0)], PathModel::StoreAndForward);
+        let topo = topo(4, &[(0, 1, 2000.0), (1, 2, 2000.0)]);
         let demands = [demand(0, 60.0, &[0], &[1, 2])];
         let strict = DistConfig { delay_factor: 0.5, ..DistConfig::default() };
         let uni = Unicast.plan(&topo, &demands, &strict);
@@ -530,7 +506,7 @@ mod tests {
     fn pipelined_delays_are_bottleneck_gated() {
         // 60 MB over 0→1→2 with a 4000 MB/s bottleneck streams in 15 ms,
         // not the 45 ms store-and-forward sum.
-        let topo = topo(3, &[(0, 1, 6000.0), (1, 2, 4000.0)], PathModel::Pipelined);
+        let topo = topo(3, &[(0, 1, 6000.0), (1, 2, 4000.0)]);
         let demands = [demand(0, 60.0, &[0], &[2])];
         let st = SteinerTree.plan(&topo, &demands, &DistConfig::default());
         assert!((st.plans[0].installs[0].delay_ms - 15.0).abs() < 1e-9);
@@ -540,7 +516,7 @@ mod tests {
 
     #[test]
     fn overlapping_demands_are_planned_once() {
-        let topo = topo(3, &[(0, 1, 2000.0), (1, 2, 2000.0)], PathModel::StoreAndForward);
+        let topo = topo(3, &[(0, 1, 2000.0), (1, 2, 2000.0)]);
         let demands =
             [demand(0, 60.0, &[0], &[1]), demand(0, 60.0, &[0], &[2]), demand(1, 10.0, &[], &[1])];
         let st = SteinerTree.plan(&topo, &demands, &DistConfig::default());
@@ -561,12 +537,7 @@ mod tests {
                 links.push((a, b, rng.gen_range(500.0..8000.0f64)));
             }
         }
-        let model = if rng.gen_range(0..2) == 0 {
-            PathModel::Pipelined
-        } else {
-            PathModel::StoreAndForward
-        };
-        let topo = topo(n, &links, model);
+        let topo = topo(n, &links);
         let items = rng.gen_range(1..=3);
         let mut demands = Vec::new();
         for data in 0..items {

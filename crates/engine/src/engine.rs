@@ -736,24 +736,12 @@ impl Engine {
     }
 
     /// Re-derives `problem.topology` from the healthy baseline through the
-    /// current fault overlay (all-pairs recompute on the surviving graph).
-    /// Used for server-scoped faults, which change many links at once.
+    /// current fault overlay: the surviving graph goes to
+    /// [`Topology::set_graph`](idde_net::Topology::set_graph), which refills
+    /// the cost matrix in place. The one path for every link and server
+    /// fault and restoration.
     fn rebuild_topology(&mut self) {
-        let cloud_speed = self.problem.topology.cloud_speed();
-        let path_model = self.problem.topology.path_model();
-        self.problem.topology =
-            self.faults.effective_topology(&self.base_graph, cloud_speed, path_model);
-    }
-
-    /// Incremental counterpart of [`Engine::rebuild_topology`] for faults
-    /// scoped to the single link `{a, b}`: derives the surviving graph from
-    /// the overlay as usual, but repairs only the all-pairs rows that could
-    /// route through the changed link (`Topology::apply_link_update`, which
-    /// is bitwise equal to the full rebuild — the chaos proptests compare
-    /// the live matrix against a from-scratch recompute exactly).
-    fn update_topology_for_link(&mut self, a: ServerId, b: ServerId) {
-        let graph = self.faults.effective_graph(&self.base_graph);
-        self.problem.topology.apply_link_update(graph, a, b);
+        self.problem.topology.set_graph(self.faults.effective_graph(&self.base_graph));
     }
 
     /// A placement repair triggered by a fault: same machinery as churn
@@ -783,7 +771,7 @@ impl Engine {
         }
         self.faults.set_link(index, LinkState::Down);
         self.metrics.link_faults += self.owns_link(index);
-        self.update_topology_for_link(a, b);
+        self.rebuild_topology();
         self.refresh_placement_after_fault();
     }
 
@@ -796,7 +784,7 @@ impl Engine {
         self.metrics.restorations += self.owns_link(index);
         // Paths are back; the next placement repair or checkpoint reclaims
         // the capacity — restoration itself must not thrash the strategy.
-        self.update_topology_for_link(a, b);
+        self.rebuild_topology();
     }
 
     fn apply_link_degrade(&mut self, a: ServerId, b: ServerId, factor: f64) {
@@ -809,7 +797,7 @@ impl Engine {
         }
         self.faults.set_link(index, LinkState::Degraded(factor));
         self.metrics.link_faults += self.owns_link(index);
-        self.update_topology_for_link(a, b);
+        self.rebuild_topology();
         self.refresh_placement_after_fault();
     }
 
@@ -1577,9 +1565,9 @@ mod tests {
         assert!(e.problem().is_feasible(&e.strategy()));
     }
 
-    /// The incremental single-link repair inside the engine stays bitwise
-    /// equal to a from-scratch all-pairs rebuild on the surviving graph
-    /// through a cut → degrade → restore sequence.
+    /// The engine's in-place topology refill stays bitwise equal to a
+    /// from-scratch build on the surviving graph through a cut → degrade →
+    /// restore sequence.
     #[test]
     fn incremental_link_repair_matches_full_rebuild() {
         let problem = small_problem(13);
@@ -1597,16 +1585,15 @@ mod tests {
         for event in script {
             e.apply(&event);
             let live = &e.problem().topology;
-            let rebuilt = e.faults().effective_topology(
-                e.base_graph(),
+            let rebuilt = idde_net::Topology::new(
+                e.faults().effective_graph(e.base_graph()),
                 live.cloud_speed(),
-                live.path_model(),
             );
             for o in e.problem().scenario.server_ids() {
                 for i in e.problem().scenario.server_ids() {
                     assert_eq!(
-                        live.try_unit_cost(o, i),
-                        rebuilt.try_unit_cost(o, i),
+                        live.unit_cost(o, i).to_bits(),
+                        rebuilt.unit_cost(o, i).to_bits(),
                         "{o}->{i} after {event:?}"
                     );
                 }

@@ -3,18 +3,15 @@
 //!
 //! Fault injection never mutates the base [`EdgeGraph`] — it owns a small
 //! overlay ([`NetworkFaults`]) of per-link [`LinkState`]s and per-server
-//! liveness bits from which the surviving graph is derived. Server-scoped
-//! faults (which change many links at once) rebuild an effective
-//! [`Topology`] from scratch; single-link cuts, restorations and
-//! degradations go through [`Topology::apply_link_update`], which re-runs
-//! the single-source pass only for rows that could route through the
-//! changed link. Both paths are bitwise equal to a from-scratch rebuild —
-//! the property the chaos proptests pin.
+//! liveness bits from which the surviving graph is derived. Every fault and
+//! every restoration, link- or server-scoped, hands that graph to
+//! [`Topology::set_graph`](crate::Topology::set_graph), which refills the
+//! cost matrix in place; the result is bitwise a from-scratch build — the
+//! property the chaos proptests pin.
 
 use idde_model::{MegaBytesPerSec, ServerId};
 
 use crate::graph::{EdgeGraph, Link};
-use crate::topology::{PathModel, Topology};
 
 /// The health of one link in the overlay.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,24 +99,17 @@ impl NetworkFaults {
     pub fn effective_graph(&self, base: &EdgeGraph) -> EdgeGraph {
         EdgeGraph::new(base.num_nodes(), self.surviving_links(base))
     }
-
-    /// Rebuilds the full all-pairs topology on the surviving graph. This is
-    /// the single source of truth the engine swaps in after every fault or
-    /// restoration event.
-    pub fn effective_topology(
-        &self,
-        base: &EdgeGraph,
-        cloud_speed: MegaBytesPerSec,
-        path_model: PathModel,
-    ) -> Topology {
-        Topology::with_model(self.effective_graph(base), cloud_speed, path_model)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
     use idde_model::MegaBytes;
+
+    fn effective_topology(faults: &NetworkFaults, base: &EdgeGraph) -> Topology {
+        Topology::new(faults.effective_graph(base), MegaBytesPerSec(600.0))
+    }
 
     fn line_graph() -> EdgeGraph {
         // 0 -(3000)- 1 -(6000)- 2
@@ -137,9 +127,8 @@ mod tests {
         let base = line_graph();
         let faults = NetworkFaults::healthy(3, 2);
         assert!(faults.is_healthy());
-        let eff = faults.effective_topology(&base, MegaBytesPerSec(600.0), PathModel::Pipelined);
-        let ref_t =
-            Topology::with_model(base.clone(), MegaBytesPerSec(600.0), PathModel::Pipelined);
+        let eff = effective_topology(&faults, &base);
+        let ref_t = Topology::new(base.clone(), MegaBytesPerSec(600.0));
         for a in 0..3u32 {
             for b in 0..3u32 {
                 assert_eq!(
@@ -158,13 +147,13 @@ mod tests {
         let idx = base.find_link(ServerId(1), ServerId(2)).unwrap();
         faults.set_link(idx, LinkState::Down);
         assert!(!faults.is_healthy());
-        let eff = faults.effective_topology(&base, MegaBytesPerSec(600.0), PathModel::Pipelined);
+        let eff = effective_topology(&faults, &base);
         assert!(eff.try_unit_cost(ServerId(0), ServerId(2)).is_none());
         assert!(eff.try_unit_cost(ServerId(0), ServerId(1)).is_some());
 
         faults.set_link(idx, LinkState::Up);
         assert!(faults.is_healthy());
-        let eff = faults.effective_topology(&base, MegaBytesPerSec(600.0), PathModel::Pipelined);
+        let eff = effective_topology(&faults, &base);
         assert!(eff.is_reachable(ServerId(0), ServerId(2)));
     }
 
@@ -174,7 +163,7 @@ mod tests {
         let mut faults = NetworkFaults::healthy(3, 2);
         let idx = base.find_link(ServerId(0), ServerId(1)).unwrap();
         faults.set_link(idx, LinkState::Degraded(0.5));
-        let eff = faults.effective_topology(&base, MegaBytesPerSec(600.0), PathModel::Pipelined);
+        let eff = effective_topology(&faults, &base);
         // 3000 MB/s halved to 1500 → 60 MB takes 40 ms instead of 20 ms.
         let lat = eff.try_edge_latency(MegaBytes(60.0), ServerId(0), ServerId(1)).unwrap();
         assert!((lat.value() - 40.0).abs() < 1e-9, "{lat:?}");

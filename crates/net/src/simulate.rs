@@ -1,9 +1,9 @@
 //! A discrete-event transfer simulator — the micro-level validation of the
 //! analytic latency model.
 //!
-//! `Topology` prices an edge-to-edge delivery with a closed-form unit cost
-//! (additive for store-and-forward, bottleneck for pipelined). This module
-//! *simulates* those transfers chunk by chunk over the actual links:
+//! `Topology` prices an edge-to-edge delivery with a closed-form unit cost:
+//! the path's bottleneck link (pipelined transfer). This module *simulates*
+//! those transfers chunk by chunk over the actual links:
 //!
 //! * an object of `size` MB is split into `chunks` equal chunks;
 //! * each link forwards one chunk at a time at its transmission speed;
@@ -20,14 +20,15 @@
 //! typed [`ModelError`] instead of panicking or propagating NaN latencies
 //! into the metrics.
 //!
-//! The `path_cost_models_match_simulation` test pins the relationship: the
-//! closed-form pipelined cost is the `chunks → ∞` limit of the simulated
-//! transfer, and the additive cost is exactly the single-chunk case.
+//! The `path_cost_models_match_simulation_on_random_topologies` test pins the
+//! relationship: the closed-form bottleneck cost is the `chunks → ∞` limit
+//! of the simulated transfer. A single chunk is the store-and-forward case,
+//! whose time is the hop-by-hop sum.
 
 use idde_model::{MegaBytes, Milliseconds, ModelError, ServerId};
 
 use crate::shortest::best_path;
-use crate::topology::{PathModel, Topology};
+use crate::topology::Topology;
 
 /// Validates the shared degenerate-input arms of both simulators.
 fn check_chunks(chunks: usize) -> Result<(), ModelError> {
@@ -107,8 +108,8 @@ pub struct Transfer {
 }
 
 /// Simulates a batch of transfers over a topology with per-link FIFO
-/// contention. Each transfer follows the path its `Topology` cost model
-/// would price; chunks of different transfers interleave on shared links
+/// contention. Each transfer follows the widest path its `Topology` prices
+/// ([`best_path`]); chunks of different transfers interleave on shared links
 /// in arrival order. Returns each transfer's completion time (ms since
 /// simulation start), or `None` when no path exists. Rejects `chunks == 0`
 /// and transfers with non-finite sizes or start times.
@@ -127,7 +128,6 @@ pub fn simulate_concurrent(
             )));
         }
     }
-    let minimax = topology.path_model() == PathModel::Pipelined;
     // Per directed link (a→b collapsed to unordered pair) availability time.
     use std::collections::HashMap;
     let mut link_free: HashMap<(u32, u32), f64> = HashMap::new();
@@ -156,7 +156,7 @@ pub fn simulate_concurrent(
             results[idx] = Some(Milliseconds(t.start_ms));
             continue;
         }
-        let Some(path) = best_path(topology.graph(), t.from, t.to, minimax) else {
+        let Some(path) = best_path(topology.graph(), t.from, t.to) else {
             continue;
         };
         let hops: Vec<(u32, u32)> = path.windows(2).map(|w| (w[0].0, w[1].0)).collect();
@@ -188,7 +188,7 @@ mod tests {
     use crate::graph::{EdgeGraph, Link};
     use idde_model::MegaBytesPerSec;
 
-    fn line_topology(model: PathModel) -> Topology {
+    fn line_topology() -> Topology {
         let g = EdgeGraph::new(
             3,
             vec![
@@ -196,7 +196,7 @@ mod tests {
                 Link { a: ServerId(1), b: ServerId(2), speed: MegaBytesPerSec(4000.0) },
             ],
         );
-        Topology::with_model(g, MegaBytesPerSec(600.0), model)
+        Topology::new(g, MegaBytesPerSec(600.0))
     }
 
     #[test]
@@ -204,18 +204,19 @@ mod tests {
         // 60 MB over 2000 then 4000 MB/s: 30 ms + 15 ms = 45 ms.
         let t = simulate_transfer(&[2000.0, 4000.0], MegaBytes(60.0), 1).unwrap();
         assert!((t.value() - 45.0).abs() < 1e-9);
-        // …which is exactly the additive closed form.
-        let topo = line_topology(PathModel::StoreAndForward);
-        let analytic = topo.edge_latency(MegaBytes(60.0), ServerId(0), ServerId(2));
-        assert!((t.value() - analytic.value()).abs() < 1e-9);
+        // …which is exactly the hop-by-hop sum of the per-link times.
+        let hops: f64 = [2000.0, 4000.0]
+            .iter()
+            .map(|&v| MegaBytes(60.0).transfer_time(MegaBytesPerSec(v)).value())
+            .sum();
+        assert!((t.value() - hops).abs() < 1e-9);
     }
 
     #[test]
     fn many_chunks_approach_the_bottleneck_closed_form() {
         let size = MegaBytes(60.0);
-        let analytic = line_topology(PathModel::Pipelined)
-            .edge_latency(size, ServerId(0), ServerId(2))
-            .value(); // 60/2000 = 30 ms
+        // 60 MB behind the 2000 MB/s bottleneck: 30 ms.
+        let analytic = line_topology().edge_latency(size, ServerId(0), ServerId(2)).value();
         let simulated = simulate_transfer(&[2000.0, 4000.0], size, 512).unwrap().value();
         // The pipeline adds one bottleneck-chunk of fill latency; with 512
         // chunks the overshoot is < 1%.
@@ -269,7 +270,7 @@ mod tests {
     /// the offending transfer.
     #[test]
     fn degenerate_concurrent_inputs_are_typed_errors() {
-        let topo = line_topology(PathModel::Pipelined);
+        let topo = line_topology();
         let transfer = |size: f64, start_ms: f64| Transfer {
             from: ServerId(0),
             to: ServerId(2),
@@ -289,7 +290,7 @@ mod tests {
 
     #[test]
     fn concurrent_transfers_contend_on_shared_links() {
-        let topo = line_topology(PathModel::Pipelined);
+        let topo = line_topology();
         let one = simulate_concurrent(
             &topo,
             &[Transfer {
@@ -372,7 +373,7 @@ mod tests {
             let size = MegaBytes(60.0);
             for (from, to) in [(0u32, 7u32), (3, 11), (5, 2)] {
                 let (from, to) = (ServerId(from), ServerId(to));
-                let Some(path) = best_path(topo.graph(), from, to, true) else { continue };
+                let Some(path) = best_path(topo.graph(), from, to) else { continue };
                 let speeds: Vec<f64> = path
                     .windows(2)
                     .map(|w| {

@@ -1,20 +1,10 @@
-//! Channel gain models and the pre-computed gain table.
+//! The channel gain law and the pre-computed gain table.
 //!
 //! The paper uses the distance power-law `g_{i,x,j} = η · H_{i,j}^{-loss}`
-//! and explicitly notes that "the SINR can be calculated based on other
-//! wireless communication models … without impacting the IDDE problem
-//! fundamentally". We therefore expose the gain law behind the [`GainModel`]
-//! trait, with [`PowerLaw`] as the paper's default and [`LogDistance`] as an
-//! alternative used in robustness tests.
+//! ([`PowerLaw`]); every gain in the table, at construction and after every
+//! user move, is evaluated under it.
 
 use idde_model::{Scenario, ServerId, UserId};
-
-/// A distance-driven channel gain law.
-pub trait GainModel {
-    /// Gain for a transmitter–receiver separation of `distance_m` metres.
-    /// Must be finite, positive and non-increasing in distance.
-    fn gain(&self, distance_m: f64) -> f64;
-}
 
 /// The paper's power law `g = η · H^{-loss}` (with a minimum-distance clamp
 /// so co-located endpoints stay finite).
@@ -33,41 +23,13 @@ impl PowerLaw {
     pub fn new(eta: f64, loss_exponent: f64) -> Self {
         Self { eta, loss_exponent, min_distance_m: 1.0 }
     }
-}
 
-impl GainModel for PowerLaw {
+    /// Gain for a transmitter–receiver separation of `distance_m` metres:
+    /// finite, positive and non-increasing in distance.
     #[inline]
-    fn gain(&self, distance_m: f64) -> f64 {
+    pub fn gain(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(self.min_distance_m);
         self.eta * d.powf(-self.loss_exponent)
-    }
-}
-
-/// A log-distance shadowing-free path-loss law, expressed as a linear gain:
-/// `g = g0 · (d0 / d)^γ` with reference gain `g0` at reference distance
-/// `d0`. Equivalent in shape to [`PowerLaw`] but parameterised the way the
-/// wireless literature usually does; used to demonstrate model-pluggability.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LogDistance {
-    /// Gain at the reference distance.
-    pub reference_gain: f64,
-    /// Reference distance `d0` (metres).
-    pub reference_distance_m: f64,
-    /// Path-loss exponent `γ`.
-    pub exponent: f64,
-}
-
-impl Default for LogDistance {
-    fn default() -> Self {
-        Self { reference_gain: 1e-3, reference_distance_m: 10.0, exponent: 3.5 }
-    }
-}
-
-impl GainModel for LogDistance {
-    #[inline]
-    fn gain(&self, distance_m: f64) -> f64 {
-        let d = distance_m.max(self.reference_distance_m * 1e-3);
-        self.reference_gain * (self.reference_distance_m / d).powf(self.exponent)
     }
 }
 
@@ -83,8 +45,8 @@ pub struct GainTable {
 }
 
 impl GainTable {
-    /// Computes all server–user gains of the scenario under the given model.
-    pub fn compute(scenario: &Scenario, model: &dyn GainModel) -> Self {
+    /// Computes all server–user gains of the scenario under the given law.
+    pub fn compute(scenario: &Scenario, model: &PowerLaw) -> Self {
         let num_users = scenario.num_users();
         let mut values = Vec::with_capacity(scenario.num_servers() * num_users);
         for server in &scenario.servers {
@@ -110,7 +72,7 @@ impl GainTable {
     /// Recomputes one user's column after a position change in `O(N)` —
     /// the hook the online serving engine uses on mobility events. The
     /// scenario must already carry the user's new position.
-    pub fn update_user(&mut self, scenario: &Scenario, model: &dyn GainModel, user: UserId) {
+    pub fn update_user(&mut self, scenario: &Scenario, model: &PowerLaw, user: UserId) {
         let position = scenario.users[user.index()].position;
         for server in &scenario.servers {
             self.values[server.id.index() * self.num_users + user.index()] =
@@ -126,7 +88,7 @@ impl GainTable {
     pub fn update_user_among(
         &mut self,
         scenario: &Scenario,
-        model: &dyn GainModel,
+        model: &PowerLaw,
         user: UserId,
         servers: &[ServerId],
     ) {
@@ -162,25 +124,13 @@ mod tests {
     #[test]
     fn gain_laws_are_monotone_decreasing() {
         let pl = PowerLaw::new(1.0, 3.0);
-        let ld = LogDistance::default();
-        let mut prev_pl = f64::INFINITY;
-        let mut prev_ld = f64::INFINITY;
+        let mut prev = f64::INFINITY;
         for d in [1.0, 5.0, 20.0, 100.0, 400.0, 1600.0] {
-            let g_pl = pl.gain(d);
-            let g_ld = ld.gain(d);
-            assert!(g_pl > 0.0 && g_pl.is_finite());
-            assert!(g_ld > 0.0 && g_ld.is_finite());
-            assert!(g_pl <= prev_pl);
-            assert!(g_ld <= prev_ld);
-            prev_pl = g_pl;
-            prev_ld = g_ld;
+            let g = pl.gain(d);
+            assert!(g > 0.0 && g.is_finite());
+            assert!(g <= prev);
+            prev = g;
         }
-    }
-
-    #[test]
-    fn log_distance_reference_point() {
-        let ld = LogDistance::default();
-        assert!((ld.gain(10.0) - 1e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! Implements §2.2 of the paper: the user–server communication model that
 //! makes the IDDE problem *interference-aware*.
 //!
-//! * Channel gain `g_{i,x,j} = η · H_{i,j}^{-loss}` — [`gain`] (with
-//!   alternative path-loss laws, since the paper notes the SINR model is
-//!   pluggable),
+//! * Channel gain `g_{i,x,j} = η · H_{i,j}^{-loss}` — [`gain`],
 //! * SINR `r_{i,x,j}` (Eq. 2) including the cross-server interference field
 //!   `F_{i,x,j}`,
 //! * Shannon data rate `R_{i,x,j} = B·log2(1 + r)` (Eq. 3) and the capped
@@ -27,7 +25,7 @@ pub mod params;
 pub mod rate;
 
 pub use field::{FieldBuffers, InterferenceField};
-pub use gain::{GainModel, GainTable, LogDistance, PowerLaw};
+pub use gain::{GainTable, PowerLaw};
 pub use params::RadioParams;
 pub use rate::{capped_rate, shannon_rate};
 
@@ -57,14 +55,8 @@ impl RadioEnvironment {
     /// gain model with the given parameters.
     pub fn new(scenario: &Scenario, params: RadioParams) -> Self {
         let model = PowerLaw::new(params.eta, params.loss_exponent);
-        Self::with_model(scenario, params, &model)
-    }
-
-    /// Builds the environment with an explicit gain model (e.g.
-    /// [`LogDistance`]) — the paper's "other wireless communication models".
-    pub fn with_model(scenario: &Scenario, params: RadioParams, model: &dyn GainModel) -> Self {
         let jamming = vec![0.0; scenario.num_servers()];
-        Self { params, gains: GainTable::compute(scenario, model), jamming }
+        Self { params, gains: GainTable::compute(scenario, &model), jamming }
     }
 
     /// Channel gain `g_{i,·,j}` between server `i` and user `j`.
@@ -73,20 +65,20 @@ impl RadioEnvironment {
         self.gains.get(server, user)
     }
 
-    /// Recomputes one user's gains after a position change (power-law
-    /// model), in `O(N)` instead of the full `O(N·M)` table rebuild.
+    /// Recomputes one user's gains after a position change, in `O(N)`
+    /// instead of the full `O(N·M)` table rebuild.
     pub fn update_user(&mut self, scenario: &Scenario, user: idde_model::UserId) {
         let model = PowerLaw::new(self.params.eta, self.params.loss_exponent);
         self.gains.update_user(scenario, &model, user);
     }
 
-    /// Recomputes one user's gains for the given servers only (power-law
-    /// model) — the spatial-index-restricted variant of
-    /// [`RadioEnvironment::update_user`]. Bit-identical to the full column
-    /// refresh for every refreshed entry; entries outside `servers` are
-    /// left untouched and must never be read by any consumer (the engine
-    /// derives the slice from `CoverageMap::gain_refresh_candidates`, whose
-    /// superset guarantee establishes exactly that).
+    /// Recomputes one user's gains for the given servers only — the
+    /// spatial-index-restricted variant of [`RadioEnvironment::update_user`].
+    /// Bit-identical to the full column refresh for every refreshed entry;
+    /// entries outside `servers` are left untouched and must never be read
+    /// by any consumer (the engine derives the slice from
+    /// `CoverageMap::gain_refresh_candidates`, whose superset guarantee
+    /// establishes exactly that).
     pub fn update_user_among(
         &mut self,
         scenario: &Scenario,

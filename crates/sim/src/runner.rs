@@ -18,10 +18,9 @@
 use std::time::{Duration, Instant};
 
 use idde_baselines::{standard_panel, SolveStrategy};
-use idde_chaos::{Fault, FaultSpec};
 use idde_core::Problem;
 use idde_eua::{BasePopulation, SampleConfig, SyntheticEua};
-use idde_net::{generate_topology, LinkState, NetworkFaults, TopologyConfig};
+use idde_net::{generate_topology, TopologyConfig};
 use idde_radio::{RadioEnvironment, RadioParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,15 +47,6 @@ pub struct RunConfig {
     /// Audit every produced strategy with [`idde_audit::Auditor`] and panic
     /// on any invariant violation (slow; meant for seeded CI sweeps).
     pub audit_strategies: bool,
-    /// Evaluate the panel on *statically degraded* infrastructure: an
-    /// `idde-chaos` fault spec whose faults are all applied up-front to
-    /// every repetition's instance (the schedule — onset ticks and
-    /// durations — is ignored; the offline formulation sees the surviving
-    /// system). Link cuts and outages shrink the topology and coverage,
-    /// jams raise the Eq. 2 interference floor. `rand:` specs are the
-    /// robust choice here, since explicit link pairs may not exist in a
-    /// given repetition's sampled topology.
-    pub fault_spec: Option<String>,
 }
 
 impl Default for RunConfig {
@@ -68,7 +58,6 @@ impl Default for RunConfig {
             skip_iddeip: false,
             require_coverage: true,
             audit_strategies: false,
-            fault_spec: None,
         }
     }
 }
@@ -158,10 +147,7 @@ impl Runner {
         ChaCha8Rng::seed_from_u64(z ^ (z >> 31))
     }
 
-    /// Builds the problem instance of one repetition. With
-    /// [`RunConfig::fault_spec`] set, the instance is degraded up-front:
-    /// every fault in the spec is applied statically before the panel sees
-    /// the problem.
+    /// Builds the problem instance of one repetition.
     pub fn build_problem(
         &self,
         set_id: usize,
@@ -172,36 +158,9 @@ impl Runner {
         let mut rng = self.rep_rng(set_id, point_idx, rep);
         let mut sample_config = SampleConfig::paper(point.n, point.m, point.k);
         sample_config.require_coverage = self.config.require_coverage;
-        let mut scenario = sample_config.sample(&self.population, &mut rng);
-        let mut radio = RadioEnvironment::new(&scenario, RadioParams::paper());
-        let mut topology =
-            generate_topology(point.n, &TopologyConfig::paper(point.density), &mut rng);
-
-        if let Some(spec) = &self.config.fault_spec {
-            let plan = FaultSpec::parse(spec)
-                .and_then(|s| s.compile(topology.graph()))
-                .unwrap_or_else(|e| panic!("RunConfig::fault_spec: {e}"));
-            let graph = topology.graph().clone();
-            let mut faults = NetworkFaults::healthy(graph.num_nodes(), graph.num_links());
-            for w in plan.windows() {
-                match w.fault {
-                    Fault::LinkCut { a, b } => {
-                        faults.set_link(graph.find_link(a, b).unwrap(), LinkState::Down);
-                    }
-                    Fault::LinkSlow { a, b, factor } => {
-                        faults
-                            .set_link(graph.find_link(a, b).unwrap(), LinkState::Degraded(factor));
-                    }
-                    Fault::Outage { server } => {
-                        faults.set_server(server, false);
-                        scenario.coverage.disable_server(server);
-                    }
-                    Fault::Jamming { server, floor_w } => radio.set_jamming(server, floor_w),
-                }
-            }
-            topology =
-                faults.effective_topology(&graph, topology.cloud_speed(), topology.path_model());
-        }
+        let scenario = sample_config.sample(&self.population, &mut rng);
+        let radio = RadioEnvironment::new(&scenario, RadioParams::paper());
+        let topology = generate_topology(point.n, &TopologyConfig::paper(point.density), &mut rng);
         Problem::new(scenario, radio, topology)
     }
 
@@ -286,7 +245,6 @@ mod tests {
             skip_iddeip: false,
             require_coverage: true,
             audit_strategies: false,
-            fault_spec: None,
         }
     }
 
@@ -354,40 +312,6 @@ mod tests {
         let result = runner.run_point(1, 0, &point);
         assert_eq!(result.approaches.len(), 4);
         assert!(result.approaches.iter().all(|a| a.name != "IDDE-IP"));
-    }
-
-    #[test]
-    fn degraded_infrastructure_changes_the_instance_but_stays_solvable() {
-        let point = ExperimentPoint { n: 10, m: 25, k: 3, density: 1.0 };
-        let healthy = Runner::new(quick_config());
-        let mut cfg = quick_config();
-        cfg.repetitions = 2;
-        cfg.skip_iddeip = true;
-        // Two random link cuts, one outage, one jam — applied statically.
-        cfg.fault_spec = Some("rand:5:2:1:1@1+1".into());
-        let degraded = Runner::new(cfg);
-
-        let h = healthy.build_problem(1, &point, 0, 0);
-        let d = degraded.build_problem(1, &point, 0, 0);
-        // Two cuts plus any links stranded by the outage must leave the
-        // surviving graph at least two links smaller.
-        assert!(d.topology.graph().num_links() + 2 <= h.topology.graph().num_links());
-
-        // The degraded panel still produces feasible, positive-rate
-        // strategies over the surviving system.
-        let result = degraded.run_point(1, 0, &point);
-        for a in &result.approaches {
-            assert!(a.rates.iter().all(|&r| r > 0.0), "{} has zero rates", a.name);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "RunConfig::fault_spec")]
-    fn bad_fault_spec_is_a_loud_config_error() {
-        let mut cfg = quick_config();
-        cfg.fault_spec = Some("meteor:1@2".into());
-        let point = ExperimentPoint { n: 10, m: 25, k: 3, density: 1.0 };
-        Runner::new(cfg).build_problem(1, &point, 0, 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Transfer-level validation of the latency model, visualised.
 //!
-//! The analytic path costs (`idde_net::PathModel`) idealise multi-hop
-//! transfers. This example drives the chunk-level discrete-event simulator
-//! against the closed forms on a real random topology:
+//! The analytic path cost (`idde_net::Topology`: the widest path's
+//! bottleneck link) idealises multi-hop transfers as perfectly pipelined.
+//! This example drives the chunk-level discrete-event simulator against
+//! that closed form on a real random topology:
 //!
 //! 1. chunk-count sweep — watch the simulated transfer slide from the
-//!    store-and-forward cost (1 chunk) to the pipelined bound (∞ chunks);
+//!    hop-by-hop sum (1 chunk, each hop relays the whole object) to the
+//!    bottleneck bound (∞ chunks);
 //! 2. contention sweep — how much concurrent traffic breaks the
-//!    no-contention idealisation both closed forms share.
+//!    no-contention idealisation of the closed form.
 //!
 //! ```sh
 //! cargo run --release --example transfer_simulation
@@ -28,7 +30,7 @@ fn main() {
         .flat_map(|a| (0..25u32).map(move |b| (a, b)))
         .filter(|&(a, b)| a != b)
         .filter_map(|(a, b)| {
-            best_path(topology.graph(), ServerId(a), ServerId(b), true)
+            best_path(topology.graph(), ServerId(a), ServerId(b))
                 .map(|p| (ServerId(a), ServerId(b), p))
         })
         .max_by_key(|(_, _, p)| p.len())
@@ -46,14 +48,14 @@ fn main() {
         })
         .collect();
 
-    let additive: f64 = speeds.iter().map(|s| 1000.0 * size.value() / s).sum();
+    let hop_by_hop: f64 = speeds.iter().map(|s| 1000.0 * size.value() / s).sum();
     let bottleneck = topology.edge_latency(size, from, to).value();
     println!(
         "longest widest path: v{from} → v{to}, {} hops, bottleneck {:.0} MB/s",
         speeds.len(),
         speeds.iter().copied().fold(f64::INFINITY, f64::min)
     );
-    println!("closed forms: store-and-forward {additive:.2} ms, pipelined {bottleneck:.2} ms\n");
+    println!("hop-by-hop sum {hop_by_hop:.2} ms, pipelined bound {bottleneck:.2} ms\n");
 
     println!("{:>8} {:>14} {:>22}", "chunks", "simulated ms", "vs pipelined bound");
     let mut last = f64::INFINITY;
@@ -61,11 +63,11 @@ fn main() {
         let t = simulate_transfer(&speeds, size, chunks).expect("valid speeds").value();
         println!("{chunks:>8} {t:>14.2} {:>21.1}%", (t / bottleneck - 1.0) * 100.0);
         assert!(t <= last + 1e-9, "more chunks can only help");
-        assert!(t >= bottleneck - 1e-9, "nothing beats the bottleneck bound");
+        assert!(t >= bottleneck - 1e-9, "no chunking beats the bottleneck bound");
         last = t;
     }
     let single = simulate_transfer(&speeds, size, 1).expect("valid speeds").value();
-    assert!((single - additive).abs() < 1e-6, "1 chunk IS store-and-forward");
+    assert!((single - hop_by_hop).abs() < 1e-6, "one chunk takes the hop-by-hop sum");
 
     println!("\ncontention: N concurrent 60 MB transfers over the same path (64 chunks)");
     println!("{:>8} {:>16}", "flows", "slowest done ms");
@@ -82,7 +84,7 @@ fn main() {
         }
     }
     println!(
-        "\nthe closed forms are the single-flow limits; contention is why real edge\n\
+        "\nthe closed form is the single-flow limit; contention is why real edge\n\
          fabrics over-provision the links the paper samples at 2-6 GB/s."
     );
 }

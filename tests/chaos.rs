@@ -88,19 +88,18 @@ proptest! {
         }
         prop_assert_eq!(&fresh_coverage, &scenario.coverage, "coverage drifted (seed {})", seed);
 
-        // 2. The incrementally rebuilt path cache equals a from-scratch
-        //    all-pairs recompute on the surviving graph.
+        // 2. The path cache, refilled in place after every fault, equals a
+        //    from-scratch all-pairs build on the surviving graph bit for bit.
         let live = &engine.problem().topology;
-        let rebuilt = engine.faults().effective_topology(
-            engine.base_graph(),
+        let rebuilt = idde::net::Topology::new(
+            engine.faults().effective_graph(engine.base_graph()),
             live.cloud_speed(),
-            live.path_model(),
         );
         for o in scenario.server_ids() {
             for i in scenario.server_ids() {
                 prop_assert_eq!(
-                    live.try_unit_cost(o, i),
-                    rebuilt.try_unit_cost(o, i),
+                    live.unit_cost(o, i).to_bits(),
+                    rebuilt.unit_cost(o, i).to_bits(),
                     "unit cost {} → {} drifted (seed {})", o, i, seed
                 );
             }
