@@ -87,9 +87,11 @@ scenario_scale() {
 # must rebuild one coherent global field) and whose replica eviction runs
 # with foreign halo servers, then the migration-safety contract on real CLI
 # output — --shards 1 must write the byte-identical serve CSV to the
-# unsharded engine — and the merged counters' contract: under link faults
-# and cut-crossing handoffs, --shards 3 must count the event rows (the
-# CSV's first seven lines) and the fault rows exactly as --shards 1 does.
+# unsharded engine — and the merged counters' contract: under link faults,
+# a server outage and cut-crossing handoffs, --shards 3 must count the
+# event rows (the CSV's first seven lines) and the fault rows exactly as
+# --shards 1 does. Both runs are audited, so the K = 3 cross-shard audit
+# certifies under a real outage that every shard reads the one network.
 scenario_shard() {
   idde serve \
     --scale-servers 2000 --scale-users 5000 \
@@ -112,7 +114,7 @@ scenario_shard() {
   cmp "$out/mono.csv" "$out/one.csv"
   for k in 1 3; do
     idde serve \
-      --servers 20 --users 100 --data 5 --seed 7 --ticks 120 \
+      --servers 20 --users 100 --data 5 --seed 7 --ticks 120 --audit 50 \
       --chaos 'rand:2022:3:1:1@20+40' --shards "$k" --csv "$out/faults_k$k.csv" \
       2> "$out/faults_k$k.log"
     head -n 7 "$out/faults_k$k.csv" > "$out/faults_k$k.proj"
@@ -120,6 +122,9 @@ scenario_shard() {
       "$out/faults_k$k.csv" >> "$out/faults_k$k.proj"
   done
   grep -E '^link_faults,[1-9]' "$out/faults_k1.csv"
+  grep -E '^server_outages,[1-9]' "$out/faults_k1.csv"
+  grep -E '^cross-shard: [1-9][0-9]* audits, [1-9][0-9]* checks, 0 violations' \
+    "$out/faults_k3.log"
   grep -E '^cross-shard: .*, [1-9][0-9]* handoffs$' "$out/faults_k3.log"
   cmp "$out/faults_k1.proj" "$out/faults_k3.proj"
 }

@@ -3,6 +3,7 @@
 
 use idde_core::{IddeUGame, Problem};
 use idde_model::{Allocation, ChannelIndex, DataId, Placement, Scenario, ServerId, UserId};
+use idde_net::{NetworkFaults, Topology};
 use idde_radio::{capped_rate, InterferenceField, RadioEnvironment};
 
 use crate::report::{AuditReport, Violation};
@@ -359,6 +360,25 @@ impl Auditor {
             }
         }
 
+        report
+    }
+
+    /// Network agreement across shards: every shard's fault overlay must
+    /// equal the router's `faults`, and its topology must be the router's
+    /// `topology` allocation itself (compared by address), so one fault
+    /// changes one network for all shards. One check per shard.
+    pub fn audit_network_agreement(
+        &self,
+        faults: &NetworkFaults,
+        topology: &Topology,
+        shards: &[(&NetworkFaults, &Topology)],
+    ) -> AuditReport {
+        let mut report = AuditReport::new();
+        for (shard, &(local_faults, local_topology)) in shards.iter().enumerate() {
+            report.check(local_faults == faults && std::ptr::eq(local_topology, topology), || {
+                Violation::NetworkDisagreement { shard }
+            });
+        }
         report
     }
 

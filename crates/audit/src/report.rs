@@ -134,6 +134,13 @@ pub enum Violation {
         /// The shard that made the decision.
         shard: usize,
     },
+    /// A shard engine's network state is not the router's: its fault
+    /// overlay differs, or it reads a private topology copy instead of the
+    /// one shared allocation — so it prices paths on another network.
+    NetworkDisagreement {
+        /// The diverged shard.
+        shard: usize,
+    },
     /// A request's bookkept Eq. 8 delivery latency disagrees with the
     /// brute-force re-derivation (min over all replicas and the cloud).
     LatencyMismatch {
@@ -288,6 +295,10 @@ impl fmt::Display for Violation {
             Violation::CrossShardDecision { user, server, shard } => write!(
                 f,
                 "user {user}: shard {shard} allocated it onto foreign server {server}"
+            ),
+            Violation::NetworkDisagreement { shard } => write!(
+                f,
+                "shard {shard}: fault overlay or topology diverged from the shared network"
             ),
             Violation::LatencyMismatch { user, data, live, reference } => write!(
                 f,

@@ -1,5 +1,7 @@
 //! A solvable IDDE instance and the shared strategy evaluator.
 
+use std::sync::Arc;
+
 use idde_model::{Milliseconds, Scenario, ServerId, UserId};
 use idde_net::{generate_topology, Topology, TopologyConfig};
 use idde_radio::{InterferenceField, RadioEnvironment, RadioParams};
@@ -22,8 +24,9 @@ pub struct Problem {
     pub scenario: Scenario,
     /// The pre-computed wireless environment.
     pub radio: RadioEnvironment,
-    /// The edge network and cloud.
-    pub topology: Topology,
+    /// The edge network and cloud. Shared: clones of the problem (one per
+    /// shard engine) read the one cost matrix, so a fault refills it once.
+    pub topology: Arc<Topology>,
 }
 
 impl Problem {
@@ -34,7 +37,7 @@ impl Problem {
             scenario.num_servers(),
             "topology node count must match the scenario's server count"
         );
-        Self { scenario, radio, topology }
+        Self { scenario, radio, topology: Arc::new(topology) }
     }
 
     /// Builds a problem with the paper's §4.2 defaults: power-law gains with

@@ -21,6 +21,7 @@
 //! it exceeds [`EngineConfig::drift_threshold`] the full solution is adopted
 //! (the fallback of the incremental scheme).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use idde_audit::{AuditConfig, AuditReport, Auditor};
@@ -32,7 +33,7 @@ use idde_core::{
 use idde_dist::{DistConfig, DistCounters, InstallDemand};
 use idde_model::units::Milliseconds;
 use idde_model::{Allocation, ChannelIndex, DataId, Placement, Point, ServerId, UserId};
-use idde_net::{DeliverySource, EdgeGraph, LinkState, NetworkFaults};
+use idde_net::{DeliverySource, EdgeGraph, NetworkFaults, Topology};
 use idde_radio::InterferenceField;
 
 use crate::events::{Event, EventQueue};
@@ -185,7 +186,8 @@ pub struct Engine {
     /// The healthy baseline link graph; `problem.topology` is always the
     /// surviving topology derived from it through `faults`.
     base_graph: EdgeGraph,
-    /// Current link/server fault overlay.
+    /// Current link/server fault overlay; under a shard router, a mirror
+    /// of the router's.
     faults: NetworkFaults,
     /// The on-path caching layer; `None` when [`CacheConfig::policy`] is
     /// `Off`, in which case the serve path is bitwise the pre-cache code.
@@ -475,11 +477,22 @@ impl Engine {
                 Event::Depart { user } => self.ingest_depart(user),
                 Event::Move { user, dx, dy } => self.ingest_move(user, dx, dy),
                 Event::Request { user, data } => self.apply_request(user, data),
-                Event::LinkDown { a, b } => self.apply_link_down(a, b),
-                Event::LinkRestore { a, b } => self.apply_link_restore(a, b),
-                Event::LinkDegrade { a, b, factor } => self.apply_link_degrade(a, b, factor),
-                Event::ServerDown { server } => self.apply_server_down(server),
-                Event::ServerRestore { server } => self.apply_server_restore(server),
+                Event::LinkDown { .. }
+                | Event::LinkRestore { .. }
+                | Event::LinkDegrade { .. }
+                | Event::ServerDown { .. }
+                | Event::ServerRestore { .. } => {
+                    if event.apply_to(&mut self.faults, &self.base_graph) {
+                        let surviving = self.faults.effective_graph(&self.base_graph);
+                        // A shard router has refilled the shared matrix
+                        // already; serving alone, the engine refills its
+                        // own in place (a copy only if a caller kept one).
+                        if surviving.links() != self.problem.topology.graph().links() {
+                            Arc::make_mut(&mut self.problem.topology).set_graph(surviving);
+                        }
+                        self.fault_consequences(event, true);
+                    }
+                }
                 Event::Jam { server, floor_w } => self.apply_jam(server, floor_w),
                 Event::Unjam { server } => self.apply_unjam(server),
             }
@@ -497,6 +510,21 @@ impl Engine {
             }
         }
         self.flush_pending();
+    }
+
+    /// Follows a network event that a shard router has applied to the
+    /// network all shards share and that another shard owns (the owner
+    /// [`Engine::apply`]s it): mirrors the fault overlay and runs this
+    /// engine's share of the consequences, counting nothing.
+    pub fn follow_network(&mut self, event: &Event) {
+        if event.apply_to(&mut self.faults, &self.base_graph) {
+            self.fault_consequences(event, false);
+        }
+    }
+
+    /// Points the engine at `topology`, dropping its old handle.
+    pub fn set_topology(&mut self, topology: Arc<Topology>) {
+        self.problem.topology = topology;
     }
 
     /// Batched arrival ingest: the activity flip happens now; the
@@ -735,15 +763,6 @@ impl Engine {
         self.metrics.record_request(latency.value(), from_edge);
     }
 
-    /// Re-derives `problem.topology` from the healthy baseline through the
-    /// current fault overlay: the surviving graph goes to
-    /// [`Topology::set_graph`](idde_net::Topology::set_graph), which refills
-    /// the cost matrix in place. The one path for every link and server
-    /// fault and restoration.
-    fn rebuild_topology(&mut self) {
-        self.problem.topology.set_graph(self.faults.effective_graph(&self.base_graph));
-    }
-
     /// A placement repair triggered by a fault: same machinery as churn
     /// repair, but the greedy's insertions are additionally accounted as
     /// re-replications (they re-create what the fault destroyed or
@@ -754,121 +773,93 @@ impl Engine {
         self.metrics.re_replications += self.metrics.new_replicas - before;
     }
 
-    /// 1 when this engine counts faults of link `index`, else 0. A shard
-    /// router applies every link event in all K shard engines (each owns a
-    /// topology clone), but only the owner of the link's first endpoint
-    /// counts it, so the merged counters match the monolithic run. An
-    /// unsharded engine owns every server.
-    fn owns_link(&self, index: usize) -> u64 {
-        let first = self.base_graph.links()[index].a;
-        u64::from(!self.problem.scenario.coverage.is_foreign(first))
-    }
-
-    fn apply_link_down(&mut self, a: ServerId, b: ServerId) {
-        let Some(index) = self.base_graph.find_link(a, b) else { return };
-        if self.faults.link_state(index) == LinkState::Down {
-            return;
-        }
-        self.faults.set_link(index, LinkState::Down);
-        self.metrics.link_faults += self.owns_link(index);
-        self.rebuild_topology();
-        self.refresh_placement_after_fault();
-    }
-
-    fn apply_link_restore(&mut self, a: ServerId, b: ServerId) {
-        let Some(index) = self.base_graph.find_link(a, b) else { return };
-        if self.faults.link_state(index) == LinkState::Up {
-            return;
-        }
-        self.faults.set_link(index, LinkState::Up);
-        self.metrics.restorations += self.owns_link(index);
-        // Paths are back; the next placement repair or checkpoint reclaims
-        // the capacity — restoration itself must not thrash the strategy.
-        self.rebuild_topology();
-    }
-
-    fn apply_link_degrade(&mut self, a: ServerId, b: ServerId, factor: f64) {
-        if !(factor > 0.0 && factor <= 1.0) {
-            return;
-        }
-        let Some(index) = self.base_graph.find_link(a, b) else { return };
-        if self.faults.link_state(index) == LinkState::Degraded(factor) {
-            return;
-        }
-        self.faults.set_link(index, LinkState::Degraded(factor));
-        self.metrics.link_faults += self.owns_link(index);
-        self.rebuild_topology();
-        self.refresh_placement_after_fault();
-    }
-
-    fn apply_server_down(&mut self, server: ServerId) {
-        if !self.faults.server_up(server) {
-            return;
-        }
-        self.metrics.server_outages += 1;
-        // Users whose interference/coverage environment the outage touches
-        // seed the repair — gathered before the coverage relation forgets
-        // the server.
-        self.pending.dirty_users.extend_from_slice(self.problem.scenario.coverage.users_of(server));
-
-        // Displace the channel occupants through the field, so the vacated
-        // power sums follow the same resnap discipline as any departure.
-        let displaced: Vec<UserId> = self
-            .allocation
-            .iter()
-            .filter(|(_, d)| d.map(|(s, _)| s) == Some(server))
-            .map(|(u, _)| u)
-            .collect();
-        if !displaced.is_empty() {
-            let mut field = InterferenceField::from_allocation(
-                &self.problem.radio,
-                &self.problem.scenario,
-                &self.allocation,
-            );
-            for &user in &displaced {
-                field.deallocate(user);
+    /// The local consequences of a network event that changed the fault
+    /// overlay and the topology; an engine serving alone owns every event.
+    fn fault_consequences(&mut self, event: &Event, owner: bool) {
+        let counted = u64::from(owner);
+        match *event {
+            Event::LinkDown { .. } | Event::LinkDegrade { .. } => {
+                self.metrics.link_faults += counted;
+                self.refresh_placement_after_fault();
             }
-            self.allocation = field.into_allocation();
-            self.metrics.displaced_users += displaced.len() as u64;
+            // Paths are back; the next placement repair or checkpoint
+            // reclaims the capacity — restoration itself must not thrash
+            // the strategy.
+            Event::LinkRestore { .. } => self.metrics.restorations += counted,
+            Event::ServerDown { server } => self.server_down(server, owner),
+            Event::ServerRestore { server } => {
+                self.metrics.restorations += counted;
+                let scenario = &mut self.problem.scenario;
+                scenario.coverage.enable_server(&scenario.servers[server.index()], &scenario.users);
+                // The server returns empty-handed; subsequent repairs and
+                // checkpoints re-populate its channels and storage.
+            }
+            _ => unreachable!("{event:?} is not a network event"),
         }
+    }
 
-        // Replicas on the dead server are lost (Eq. 6 capacity is gone).
-        let lost: Vec<DataId> = self.placement.data_on(server).collect();
-        for &data in &lost {
-            let size = self.problem.scenario.data[data.index()].size;
-            self.placement.remove(server, data, size);
+    fn server_down(&mut self, server: ServerId, owner: bool) {
+        // Halo mirrors on the server go with it. Only a non-owner holds
+        // any: a shard's halo never contains its own servers.
+        let mirrored: Vec<UserId> =
+            self.overlay.iter().filter(|m| m.1 == server).map(|m| m.0).collect();
+        for user in mirrored {
+            self.strip_overlay_user(user);
         }
-        self.metrics.lost_replicas += lost.len() as u64;
+        if owner {
+            self.metrics.server_outages += 1;
+            // Users whose interference/coverage environment the outage
+            // touches seed the repair — gathered before the coverage
+            // relation forgets the server.
+            let seeds = self.problem.scenario.coverage.users_of(server);
+            self.pending.dirty_users.extend_from_slice(seeds);
 
-        // Cached replicas die with the server too — evict-on-outage, so no
-        // later request routes a hit over a path that no longer exists.
-        if let Some(cache) = self.cache.as_mut() {
-            cache.purge_server(&self.problem.scenario, server);
-            self.metrics.cache = Some(*cache.counters());
+            // Displace the channel occupants through the field, so the
+            // vacated power sums follow the same resnap discipline as any
+            // departure.
+            let displaced: Vec<UserId> = self
+                .allocation
+                .iter()
+                .filter(|(_, d)| d.map(|(s, _)| s) == Some(server))
+                .map(|(u, _)| u)
+                .collect();
+            if !displaced.is_empty() {
+                let mut field = InterferenceField::from_allocation(
+                    &self.problem.radio,
+                    &self.problem.scenario,
+                    &self.allocation,
+                );
+                for &user in &displaced {
+                    field.deallocate(user);
+                }
+                self.allocation = field.into_allocation();
+                self.metrics.displaced_users += displaced.len() as u64;
+            }
+
+            // Replicas on the dead server are lost (Eq. 6 capacity is gone).
+            let lost: Vec<DataId> = self.placement.data_on(server).collect();
+            for &data in &lost {
+                let size = self.problem.scenario.data[data.index()].size;
+                self.placement.remove(server, data, size);
+            }
+            self.metrics.lost_replicas += lost.len() as u64;
+
+            // Cached replicas die with the server too — evict-on-outage, so
+            // no later request routes a hit over a path that no longer
+            // exists.
+            if let Some(cache) = self.cache.as_mut() {
+                cache.purge_server(&self.problem.scenario, server);
+                self.metrics.cache = Some(*cache.counters());
+            }
         }
-
-        // Network and coverage forget the server until restoration.
-        self.faults.set_server(server, false);
-        self.rebuild_topology();
+        // Coverage forgets the server until restoration.
         self.problem.scenario.coverage.disable_server(server);
-
         // Equilibrium repair over the displaced users and the surviving
         // neighbourhood, then re-replication of what was lost.
-        self.repair_dirty(Admit::Unallocated);
-        self.refresh_placement_after_fault();
-    }
-
-    fn apply_server_restore(&mut self, server: ServerId) {
-        if self.faults.server_up(server) {
-            return;
+        if owner {
+            self.repair_dirty(Admit::Unallocated);
         }
-        self.metrics.restorations += 1;
-        self.faults.set_server(server, true);
-        self.rebuild_topology();
-        let scenario = &mut self.problem.scenario;
-        scenario.coverage.enable_server(&scenario.servers[server.index()], &scenario.users);
-        // The server returns empty-handed; subsequent repairs and
-        // checkpoints re-populate its channels and storage.
+        self.refresh_placement_after_fault();
     }
 
     fn apply_jam(&mut self, server: ServerId, floor_w: f64) {

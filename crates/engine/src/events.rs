@@ -11,6 +11,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use idde_model::{DataId, ServerId, UserId};
+use idde_net::{EdgeGraph, LinkState, NetworkFaults};
 
 /// One serving-time occurrence: user churn, a request, or an injected
 /// infrastructure fault. Faults are ordinary events — a chaos run is just
@@ -122,6 +123,32 @@ impl Event {
     /// `true` for injected infrastructure faults and restorations.
     pub fn is_fault(&self) -> bool {
         self.user().is_none()
+    }
+
+    /// Applies a link or server fault or restoration to `faults`, the
+    /// overlay over the healthy `base` graph; returns whether it changed
+    /// anything (a link `base` lacks, a factor outside `(0, 1]`, a restated
+    /// state and every other kind of event change nothing).
+    pub fn apply_to(&self, faults: &mut NetworkFaults, base: &EdgeGraph) -> bool {
+        let (a, b, state) = match *self {
+            Event::LinkDown { a, b } => (a, b, LinkState::Down),
+            Event::LinkRestore { a, b } => (a, b, LinkState::Up),
+            Event::LinkDegrade { a, b, factor } if factor > 0.0 && factor <= 1.0 => {
+                (a, b, LinkState::Degraded(factor))
+            }
+            Event::ServerDown { server } | Event::ServerRestore { server } => {
+                let up = matches!(self, Event::ServerRestore { .. });
+                let changed = faults.server_up(server) != up;
+                faults.set_server(server, up);
+                return changed;
+            }
+            _ => return false,
+        };
+        let Some(index) = base.find_link(a, b).filter(|&i| faults.link_state(i) != state) else {
+            return false;
+        };
+        faults.set_link(index, state);
+        true
     }
 }
 

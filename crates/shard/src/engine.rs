@@ -5,8 +5,9 @@
 //! force an id remapping at every boundary and lose the interference that
 //! leaks across a cut. Instead each shard keeps the complete global
 //! scenario — every server site, every user slot, the identical
-//! rng-derived radio and topology — and the partition is expressed through
-//! two masks:
+//! rng-derived radio — and reads the one topology all shards share (the
+//! clone shares the problem's `Arc`; the router refills it on every fault).
+//! The partition is expressed through two masks:
 //!
 //! * [`CoverageMap::set_foreign`](idde_model::CoverageMap::set_foreign) marks every server another shard owns:
 //!   it stays in the coverage relation (it covers users, carries halo
@@ -38,8 +39,9 @@ impl ShardEngine {
     /// Builds shard `shard`'s engine from a clone of the global `problem`.
     ///
     /// The clone must be of the *built* global problem — never a re-derived
-    /// one — so the rng-derived radio environment and link topology are
-    /// identical across shards and to the monolithic engine. Of the global
+    /// one — so the rng-derived radio environment is identical across
+    /// shards and to the monolithic engine; the clone shares the problem's
+    /// topology allocation rather than copying it. Of the global
     /// `initial_active` flags, only the users inside this shard's tile stay
     /// active locally.
     pub fn new(

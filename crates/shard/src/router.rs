@@ -7,7 +7,8 @@
 //!   batch independently ([`idde_par::par_for_each_mut`]). A user event is
 //!   interior when replaying its tick's move chain from the owner's
 //!   authoritative position never comes within one interference range of a
-//!   foreign tile and never changes owner.
+//!   foreign tile and never changes owner. A network event is a barrier:
+//!   the batches routed before it are applied first.
 //! * **Phase B (boundary)** — the halo state is exchanged (every shard's
 //!   live boundary decisions are mirrored into its neighbours' engines as
 //!   frozen overlay entries, see [`idde_engine::Engine::set_overlay`]),
@@ -26,30 +27,29 @@
 //! * User events go to the user's **home** shard — the shard whose tile
 //!   holds the user's position. Homes change only through handoffs; an
 //!   inactive user never moves, so its home stays valid across re-arrivals.
-//! * Server-scoped faults (`ServerDown`/`ServerRestore`/`Jam`/`Unjam`) go
-//!   to the server's owner only. Degradation bookkeeping (displacement,
-//!   replica loss) is the owner's job; other shards keep serving — their
-//!   view of the downed server's channels is already empty because the
-//!   owner displaced every occupant before the next halo exchange.
-//! * Link faults (`LinkDown`/`LinkRestore`/`LinkDegrade`) broadcast to
-//!   **all** shards: each engine owns a full topology clone, and all of
-//!   them must re-route. Only the owner of the link's first endpoint
-//!   counts the fault or restoration.
+//! * `Jam`/`Unjam` go to the jammed server's owner only.
+//! * Link and server faults and restorations change the one network all
+//!   shards share. The router owns the fault overlay and is the only
+//!   writer of the shared topology: it updates both once, in place. Then
+//!   the owner of the server (of a link's first named endpoint) applies
+//!   the event, counting it, and every other engine follows it
+//!   ([`idde_engine::Engine::follow_network`]).
 //!
 //! ## What `K = 1` degenerates to
 //!
-//! One batch holding every event in `(tick, seq)` order, no deferral (no
-//! foreign tile exists), no overlays, no handoffs — exactly the monolithic
+//! One batch holding every event in `(tick, seq)` order (split at network
+//! events, which flush the monolithic engine too), no deferral (no foreign
+//! tile exists), no overlays, no handoffs — exactly the monolithic
 //! [`idde_engine::Engine::run_sources`] loop. The `--shards 1` serve CSV is
 //! byte-identical to the unsharded engine's; `tests/sharding.rs` pins it.
 //!
 //! ## Accounting at `K > 1`
 //!
 //! A handoff is applied as a `Depart`/`Arrive` pair in place of the
-//! crossing `Move`, and every shard engine applies a broadcast link event.
-//! [`ShardRouter::metrics`] takes both re-applications back off the event
-//! rows, so `ticks` through `requests` and the fault rows equal the
-//! monolithic run's at every `K`. Two rows are deliberate per-shard sums:
+//! crossing `Move`; [`ShardRouter::metrics`] takes it back off the event
+//! rows. A network event is counted by its owner alone. So `ticks` through
+//! `requests` and the fault rows equal the monolithic run's at every `K`.
+//! Two rows are deliberate per-shard sums:
 //! `checkpoints` (each shard checkpoints its own drift) and
 //! `unreachable_item_ticks` (each shard counts the items its own placement
 //! leaves edgeless). `avg_rate_mbps` is the unweighted mean of the
@@ -58,10 +58,14 @@
 //! Cross-shard audit counters live on the router, never inside
 //! [`ServeMetrics`], so the CSV schema is identical in every mode.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use idde_audit::{AuditConfig, AuditReport, Auditor};
 use idde_core::Problem;
 use idde_engine::{EngineConfig, Event, EventQueue, EventSource, ScheduledEvent, ServeMetrics};
 use idde_model::{Allocation, ChannelIndex, Point, ServerId, UserId};
+use idde_net::{EdgeGraph, NetworkFaults, Topology};
 
 use crate::engine::ShardEngine;
 use crate::plan::{ShardError, ShardPlan};
@@ -76,9 +80,10 @@ pub struct ShardRouter {
     /// Home shard of every user slot; changes only on handoff.
     home: Vec<usize>,
     handoffs: u64,
-    /// Link events applied by every engine (each is one event of the
-    /// stream, but K engines count it).
-    broadcasts: u64,
+    /// The one fault overlay (the engines' overlays mirror it) and the
+    /// surviving topology all engines share.
+    faults: NetworkFaults,
+    topology: Arc<Topology>,
     audit_every: u64,
     audit_config: AuditConfig,
     cross_audits: u64,
@@ -88,9 +93,9 @@ pub struct ShardRouter {
 
 impl ShardRouter {
     /// Builds the plan, the `K` shard engines (each over a clone of
-    /// `problem`) and the initial halo state.
+    /// `problem`, all sharing its topology) and the initial halo state.
     pub fn new(
-        problem: Problem,
+        mut problem: Problem,
         config: EngineConfig,
         num_shards: usize,
         initial_active: Vec<bool>,
@@ -101,18 +106,22 @@ impl ShardRouter {
             "initial_active must cover every user slot"
         );
         let plan = ShardPlan::build(&problem.scenario, num_shards)?;
+        // The router must be able to hold the only handle: a caller's copy.
+        Arc::make_mut(&mut problem.topology);
         let home: Vec<usize> =
             problem.scenario.users.iter().map(|u| plan.owner_of_position(u.position)).collect();
         let engines: Vec<ShardEngine> = (0..num_shards)
             .map(|k| ShardEngine::new(k, &plan, &problem, config, &initial_active))
             .collect();
+        let faults = engines[0].engine().faults().clone();
         let mut router = Self {
             plan,
             engines,
             active: initial_active,
             home,
             handoffs: 0,
-            broadcasts: 0,
+            faults,
+            topology: problem.topology,
             audit_every: config.audit_every,
             audit_config: config.audit,
             cross_audits: 0,
@@ -158,16 +167,15 @@ impl ShardRouter {
     }
 
     /// The merged serve metrics: the shards' metrics folded by
-    /// [`ServeMetrics::merge`], less the events the router applied in more
-    /// than one engine (see the module docs). At `K = 1` this is exactly the
+    /// [`ServeMetrics::merge`], with each handoff counted as the move it
+    /// replaces (see the module docs). At `K = 1` this is exactly the
     /// single engine's metrics.
     pub fn metrics(&self) -> ServeMetrics {
         let mut merged = ServeMetrics::default();
         for e in &self.engines {
             merged.merge(e.engine().metrics());
         }
-        let rebroadcasts = (self.plan.num_shards() as u64 - 1) * self.broadcasts;
-        merged.events -= self.handoffs + rebroadcasts;
+        merged.events -= self.handoffs;
         merged.arrivals -= self.handoffs;
         merged.departures -= self.handoffs;
         merged.moves += self.handoffs;
@@ -229,81 +237,100 @@ impl ShardRouter {
     /// parallel, and returns the deferred boundary events in global order.
     fn route_phase_a(&mut self, events: &[ScheduledEvent]) -> Vec<Event> {
         let k = self.plan.num_shards();
+        let chains = if k > 1 { self.boundary_chains(events) } else { HashMap::new() };
         let mut batches: Vec<Vec<Event>> = vec![Vec::new(); k];
         let mut deferred: Vec<Event> = Vec::new();
-        let mut boundary_seen: Vec<UserId> = Vec::new();
         for scheduled in events {
             let event = scheduled.event;
-            match event.user() {
-                Some(user) => {
-                    let defer = k > 1 && {
-                        if !boundary_seen.contains(&user) && self.bundle_is_boundary(user, events) {
-                            boundary_seen.push(user);
-                        }
-                        boundary_seen.contains(&user)
-                    };
-                    if defer {
-                        deferred.push(event);
-                    } else {
-                        self.mirror_activity(&event);
-                        batches[self.home[user.index()]].push(event);
-                    }
+            if let Some(user) = event.user() {
+                if chains.get(&user) == Some(&None) {
+                    deferred.push(event);
+                } else {
+                    self.mirror_activity(&event);
+                    batches[self.home[user.index()]].push(event);
                 }
-                None => match event {
-                    Event::ServerDown { server }
-                    | Event::ServerRestore { server }
-                    | Event::Jam { server, .. }
-                    | Event::Unjam { server } => {
-                        batches[self.plan.owner_of_server(server)].push(event);
-                    }
-                    // Link faults touch every engine's topology clone.
-                    _ => {
-                        self.broadcasts += 1;
-                        for batch in &mut batches {
-                            batch.push(event);
-                        }
-                    }
-                },
+            } else if let Event::Jam { server, .. } | Event::Unjam { server } = event {
+                batches[self.plan.owner_of_server(server)].push(event);
+            } else {
+                self.apply_batches(&mut batches);
+                self.apply_network_event(&event);
             }
         }
-        // Each shard drains its interior batch through the engine's
-        // ingestion layer: at `batch == 1` every churn event is repaired on
-        // its own; at larger sizes same-shard churn group-commits. The
-        // slice-end flush guarantees Phase B reads fully committed state,
-        // and Phase B's `Engine::apply` calls are one-event slices.
-        let batches = &batches;
-        idde_par::par_for_each_mut(&mut self.engines, |i, e| {
-            e.engine_mut().apply_batch(&batches[i]);
-        });
+        self.apply_batches(&mut batches);
         deferred
     }
 
-    /// Whether `user`'s whole bundle of events this tick is
-    /// boundary-affected: replaying its move chain from the owner engine's
-    /// authoritative position (the same clamp the engine itself applies)
-    /// comes within one interference range of a foreign tile, or changes
-    /// owner. Conservative — a deferred no-op is still a no-op in Phase B.
-    fn bundle_is_boundary(&self, user: UserId, events: &[ScheduledEvent]) -> bool {
-        let home = self.home[user.index()];
-        let scenario = &self.engines[home].engine().problem().scenario;
-        let mut position = scenario.users[user.index()].position;
-        if self.plan.near_foreign_boundary(position, home) {
-            return true;
-        }
-        for scheduled in events {
-            if let Event::Move { user: mover, dx, dy } = scheduled.event {
-                if mover != user {
-                    continue;
-                }
-                position = scenario.area.clamp(Point::new(position.x + dx, position.y + dy));
-                if self.plan.near_foreign_boundary(position, home)
-                    || self.plan.owner_of_position(position) != home
-                {
-                    return true;
-                }
+    /// Each shard drains its interior batch through the engine's ingestion
+    /// layer: at `batch == 1` every churn event is repaired on its own; at
+    /// larger sizes same-shard churn group-commits. The slice-end flush
+    /// guarantees a network barrier and Phase B read fully committed state,
+    /// and Phase B's `Engine::apply` calls are one-event slices.
+    fn apply_batches(&mut self, batches: &mut [Vec<Event>]) {
+        let routed = &*batches;
+        idde_par::par_for_each_mut(&mut self.engines, |i, e| {
+            e.engine_mut().apply_batch(&routed[i]);
+        });
+        batches.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Updates the fault overlay once and, when it changed, refills the
+    /// shared topology once: every engine's handle is parked on an empty
+    /// topology meanwhile, so the router's is the only one and the refill
+    /// writes in place. Then the owner applies the event, the rest follow.
+    fn apply_network_event(&mut self, event: &Event) {
+        // Every engine holds the same healthy graph.
+        let base = self.engines[0].engine().base_graph();
+        if event.apply_to(&mut self.faults, base) {
+            let surviving = self.faults.effective_graph(base);
+            let parked = Topology::new(EdgeGraph::disconnected(0), self.topology.cloud_speed());
+            let parked = Arc::new(parked);
+            for e in &mut self.engines {
+                e.engine_mut().set_topology(Arc::clone(&parked));
+            }
+            Arc::get_mut(&mut self.topology).expect("engines are parked").set_graph(surviving);
+            for e in &mut self.engines {
+                e.engine_mut().set_topology(Arc::clone(&self.topology));
             }
         }
-        false
+        let owner = self.plan.owner_of_server(match *event {
+            Event::ServerDown { server } | Event::ServerRestore { server } => server,
+            Event::LinkDown { a, .. } | Event::LinkRestore { a, .. } => a,
+            Event::LinkDegrade { a, .. } => a,
+            _ => unreachable!("{event:?} is not a network event"),
+        });
+        idde_par::par_for_each_mut(&mut self.engines, |i, e| {
+            if i == owner {
+                e.engine_mut().apply(event);
+            } else {
+                e.engine_mut().follow_network(event);
+            }
+        });
+    }
+
+    /// Replays every user's move chain of the tick in one pass, from the
+    /// owner engine's tick-start position (with the engine's own clamp).
+    /// A user maps to `None` — its whole bundle is boundary-affected —
+    /// once the chain comes within one interference range of a foreign
+    /// tile or changes owner. Conservative: a deferred no-op is still a
+    /// no-op in Phase B.
+    fn boundary_chains(&self, events: &[ScheduledEvent]) -> HashMap<UserId, Option<Point>> {
+        let mut chains: HashMap<UserId, Option<Point>> = HashMap::new();
+        for scheduled in events {
+            let Some(user) = scheduled.event.user() else { continue };
+            let home = self.home[user.index()];
+            let scenario = &self.engines[home].engine().problem().scenario;
+            let chain = chains.entry(user).or_insert_with(|| {
+                let start = scenario.users[user.index()].position;
+                (!self.plan.near_foreign_boundary(start, home)).then_some(start)
+            });
+            if let (Some(position), Event::Move { dx, dy, .. }) = (*chain, scheduled.event) {
+                let next = scenario.area.clamp(Point::new(position.x + dx, position.y + dy));
+                *chain = (!self.plan.near_foreign_boundary(next, home)
+                    && self.plan.owner_of_position(next) == home)
+                    .then_some(next);
+            }
+        }
+        chains
     }
 
     /// Keeps the router's global activity mirror in lockstep with the
@@ -395,12 +422,22 @@ impl ShardRouter {
     /// Runs the cross-shard consistency audit over the live shard states:
     /// the union of the shards' active decisions must rebuild one coherent
     /// global field that agrees with every shard's local view on the
-    /// servers it owns (occupants exactly, power within `1e-12` relative).
+    /// servers it owns (occupants exactly, power within `1e-12` relative),
+    /// and every shard must read the router's network (its fault overlay,
+    /// and the shared topology allocation itself).
     pub fn cross_audit(&self) -> AuditReport {
         let auditor = Auditor::new(self.audit_config);
         let shards: Vec<(&Allocation, &[bool])> =
             self.engines.iter().map(|e| (e.engine().allocation(), e.engine().active())).collect();
-        auditor.audit_cross_shard(self.engines[0].engine().problem(), self.plan.owner(), &shards)
+        let problem = self.engines[0].engine().problem();
+        let mut report = auditor.audit_cross_shard(problem, self.plan.owner(), &shards);
+        let networks: Vec<(&NetworkFaults, &Topology)> = self
+            .engines
+            .iter()
+            .map(|e| (e.engine().faults(), &*e.engine().problem().topology))
+            .collect();
+        report.merge(auditor.audit_network_agreement(&self.faults, &self.topology, &networks));
+        report
     }
 
     /// Runs every shard's full intra-shard audit plus the cross-shard
@@ -593,6 +630,26 @@ mod tests {
 
         assert_eq!(router.metrics().to_csv(), mono.metrics().to_csv());
         assert!(mono.metrics().cache.expect("cache on").insertions > 0);
+    }
+
+    /// The network-agreement check fires for an engine reading a private
+    /// topology copy, and for one that took a fault around the router.
+    #[test]
+    fn a_diverged_shard_network_is_a_violation() {
+        use idde_audit::Violation;
+        let p = problem(3, 12, 40);
+        let (mut router, _) = serve(&p, 2, 7, 10);
+        assert!(router.cross_audit().is_clean());
+        let private = Arc::new(Topology::clone(&router.topology));
+        router.engines[1].engine_mut().set_topology(private);
+        let diverged = vec![Violation::NetworkDisagreement { shard: 1 }];
+        assert_eq!(router.cross_audit().violations, diverged);
+
+        let (mut router, _) = serve(&p, 2, 7, 10);
+        let link = router.engines[0].engine().base_graph().links()[0];
+        router.engines[0].engine_mut().apply(&Event::LinkDown { a: link.a, b: link.b });
+        let diverged = vec![Violation::NetworkDisagreement { shard: 0 }];
+        assert_eq!(router.cross_audit().violations, diverged);
     }
 
     #[test]

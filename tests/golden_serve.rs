@@ -198,5 +198,5 @@ fn composed_sharded_serve_matches_its_golden_csv() {
         chaos,
     );
     assert!(csv.contains("\nserver_outages,1\n"), "the fault plan must fire\n{csv}");
-    assert_fingerprint("composed sharded", &csv, 0xd2ce_42d9_00c9_35cd);
+    assert_fingerprint("composed sharded", &csv, 0xd738_5920_42a2_ff9b);
 }

@@ -111,8 +111,8 @@ fn one_shard_serve_csv_is_byte_identical_under_chaos() {
 }
 
 /// At every `K`, the event rows and the fault rows count the stream once:
-/// a handoff's `Depart`/`Arrive` pair stands for one `Move`, and a link
-/// fault broadcast to all K engines is one fault.
+/// a handoff's `Depart`/`Arrive` pair stands for one `Move`, and a network
+/// event every engine follows is counted by its owner alone.
 #[test]
 fn event_and_fault_rows_are_shard_count_invariant() {
     const ROWS: [&str; 10] = [
@@ -151,4 +151,47 @@ fn multi_shard_serve_is_deterministic_and_clean() {
         assert!(a.contains("audit_violations,0\n"), "K = {shards}:\n{a}");
         assert!(a.contains("certificate_violations,0\n"), "K = {shards}:\n{a}");
     }
+}
+
+/// An outage changes the one network every shard reads. At K = 2, after an
+/// outage of shard 0's best-connected server and after its restoration,
+/// each engine's fault overlay and every path cost equal a one-shard
+/// engine's, bit for bit.
+#[test]
+fn server_outage_reaches_every_shards_network() {
+    use idde::engine::{Event, ScheduledEvent};
+    let p = sampled_problem(3);
+    let initial = vec![true; p.scenario.num_users()];
+    let config = EngineConfig { audit_every: 25, ..Default::default() };
+    let mut sharded = ShardRouter::new(p.clone(), config, 2, initial.clone()).unwrap();
+    let mut single = ShardRouter::new(p.clone(), config, 1, initial).unwrap();
+    let graph = p.topology.graph();
+    let victim = *sharded.engines()[0]
+        .owned()
+        .iter()
+        .min_by_key(|&&s| (std::cmp::Reverse(graph.neighbors(s).len()), s))
+        .unwrap();
+    assert!(!graph.neighbors(victim).is_empty(), "the victim must carry paths");
+    let events = [Event::ServerDown { server: victim }, Event::ServerRestore { server: victim }];
+    for (tick, event) in (0u64..).zip(events) {
+        let scheduled = [ScheduledEvent { tick, seq: tick, event }];
+        sharded.tick(tick, &scheduled);
+        single.tick(tick, &scheduled);
+        let reference = single.engines()[0].engine();
+        for shard in sharded.engines() {
+            let engine = shard.engine();
+            let k = shard.shard();
+            assert_eq!(engine.faults(), reference.faults(), "shard {k} after {event:?}");
+            for a in p.scenario.server_ids() {
+                for b in p.scenario.server_ids() {
+                    assert_eq!(
+                        engine.problem().topology.unit_cost(a, b).to_bits(),
+                        reference.problem().topology.unit_cost(a, b).to_bits(),
+                        "shard {k}, cost {a}->{b} after {event:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(sharded.cross_audit().is_clean());
 }
