@@ -136,7 +136,9 @@ scenario_shard() {
 # handoffs go through one-event slices) must write the byte-identical serve
 # CSV to the golden files in ci/golden/, recorded when per-event serving
 # was a separate code path (serve_k2.csv's event rows equal the --shards 1
-# run's: each handoff counts as the one move it replaces); and the
+# run's: each handoff counts as the one move it replaces), both at the
+# oversubscribed worker count and at RAYON_NUM_THREADS=1, where every
+# parallel map and shard phase runs inline; and the
 # ingest-time counter projection (the CSV's first seven rows) must be
 # identical across batch sizes — equilibrium-derived gauges below that line
 # may legitimately differ (a union repair is one game, not N).
@@ -157,6 +159,14 @@ scenario_batch() {
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/k2.csv" \
     --shards 2
   cmp ci/golden/serve_k2.csv "$out/k2.csv"
+  RAYON_NUM_THREADS=1 idde serve \
+    --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b1_t1.csv" \
+    --batch 1
+  cmp ci/golden/serve_b1.csv "$out/b1_t1.csv"
+  RAYON_NUM_THREADS=1 idde serve \
+    --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/k2_t1.csv" \
+    --shards 2
+  cmp ci/golden/serve_k2.csv "$out/k2_t1.csv"
   idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b64.csv" \
     --batch 64

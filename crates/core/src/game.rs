@@ -39,7 +39,7 @@
 //!
 //! 1. **score** — every player's improving move is computed read-only
 //!    against the pass-start field, fanned out over worker threads
-//!    (`idde_par::par_map`, order-preserving);
+//!    (`idde_par::par_fill`, order-preserving);
 //! 2. **commit** — candidates are applied one by one in pass order, each
 //!    **re-validated** against the *current* field first (still improving
 //!    by more than epsilon, still accepted by the Lyapunov guard); stale
@@ -501,7 +501,7 @@ impl IddeUGame {
     /// Under [`ScoringMode::Parallel`] the scan fans out over `idde-par`
     /// worker threads; under [`ScoringMode::Serial`] it runs inline. Both
     /// paths evaluate the identical pure function per player, and
-    /// `idde_par::par_map_into` preserves order, so `out` is bit-identical
+    /// `idde_par::par_fill` preserves order, so `out` is bit-identical
     /// across modes and worker counts — `tests/parallel.rs` asserts exactly
     /// that against a serial rescan.
     fn scan_pass(
@@ -516,7 +516,7 @@ impl IddeUGame {
                 out.extend(players.iter().map(|&u| self.improving_move(field, u)));
             }
             ScoringMode::Parallel => {
-                idde_par::par_map_into(players, out, |&u| self.improving_move(field, u));
+                idde_par::par_fill(out, players.len(), |i| self.improving_move(field, players[i]));
             }
         }
     }

@@ -62,7 +62,7 @@ pub struct EngineConfig {
     /// Phase #1 (allocation game) configuration, shared by repairs and
     /// checkpoint re-solves. The engine default switches the game to
     /// [`ScoringMode::Parallel`]: every repair and checkpoint then scores
-    /// candidates against a frozen field snapshot on the rayon pool and
+    /// candidates against a frozen field snapshot on `idde-par` workers and
     /// commits serially, which is bit-identical for any worker count (the
     /// serve CSV stays byte-stable under `RAYON_NUM_THREADS=1,2,8,…`).
     pub game: GameConfig,

@@ -6,18 +6,20 @@
 //!
 //! ```text
 //! # idde scenario v1
-//! area 1800 1400
+//! area 0 0 1800 1400
 //! server 0 120.5 340.0 250.0 3 200 120
 //! user 0 80.0 300.0 2.5 200
 //! data 0 60
 //! request 0 0
 //! ```
 //!
-//! Field order: `server id x y radius channels bandwidth storage`,
+//! Field order: `area min_x min_y max_x max_y`,
+//! `server id x y radius channels bandwidth storage`,
 //! `user id x y power max_rate`, `data id size`, `request user data`.
 //! Ids, `channels` and the request fields are unsigned integers; every
 //! other field is a real number. Ids must be dense and in order (they are
-//! validated on read).
+//! validated on read). The area's corners must be finite and, when an area
+//! is declared, every user must lie inside it (servers may lie anywhere).
 
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -94,6 +96,7 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
     let mut area: Option<Rect> = None;
     let mut servers = 0usize;
     let mut users = 0usize;
+    let mut user_lines: Vec<usize> = Vec::new();
     let mut data = 0usize;
     let mut requests: Vec<(UserId, DataId)> = Vec::new();
 
@@ -109,6 +112,9 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
                 let y0 = parse::<f64>(lineno, fields.get(2), "area min y")?;
                 let x1 = parse::<f64>(lineno, fields.get(3), "area max x")?;
                 let y1 = parse::<f64>(lineno, fields.get(4), "area max y")?;
+                if ![x0, y0, x1, y1].iter().all(|v| v.is_finite()) {
+                    return Err(bad(lineno, "area corners must be finite"));
+                }
                 area = Some(Rect::new(Point::new(x0, y0), Point::new(x1, y1)));
             }
             "server" => {
@@ -141,6 +147,7 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
                 let power = parse::<f64>(lineno, fields.get(4), "power")?;
                 let max_rate = parse::<f64>(lineno, fields.get(5), "max_rate")?;
                 builder.user(Point::new(x, y), Watts(power), MegaBytesPerSec(max_rate));
+                user_lines.push(lineno);
                 users += 1;
             }
             "data" => {
@@ -169,11 +176,18 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
     for (u, d) in requests {
         builder.request(u, d);
     }
-    let builder = match area {
-        Some(a) => builder.area(a),
-        None => builder,
+    let Some(area) = area else {
+        return builder.build();
     };
-    builder.build()
+    let scenario = builder.area(area).build()?;
+    // The engine's move clamp would teleport an outside user onto the
+    // boundary on its first move; reject the file instead.
+    for (user, &lineno) in scenario.users.iter().zip(&user_lines) {
+        if !area.contains(user.position) {
+            return Err(bad(lineno, &format!("user {} lies outside the area", user.id)));
+        }
+    }
+    Ok(scenario)
 }
 
 fn bad(lineno: usize, msg: &str) -> ModelError {
@@ -318,6 +332,44 @@ mod tests {
         assert_rejected("server 0 0 0 100 1e11 200 30", "bad channels");
         assert_rejected("server 0 0 0 100 65536 200 30", "bad channels");
         assert_rejected("server 0 0 0 100 2.5 200 30", "bad channels");
+    }
+
+    #[test]
+    fn documented_example_parses() {
+        let doc = include_str!("io.rs");
+        let example: String = doc
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| format!("{}\n", l.trim_start_matches("//!").trim_start()))
+            .collect();
+        assert!(example.starts_with(HEADER), "{example:?}");
+        let scenario = from_str(&example).expect("the module-doc example must parse");
+        assert_eq!((scenario.num_servers(), scenario.num_users(), scenario.num_data()), (1, 1, 1));
+        assert_eq!(scenario.area, Rect::with_size(1800.0, 1400.0));
+    }
+
+    #[test]
+    fn non_finite_area_corners_are_rejected() {
+        for corners in ["0 0 NaN 1400", "inf 0 1800 1400", "0 -inf 1800 1400", "0 0 1800 nan"] {
+            assert_rejected(&format!("area {corners}"), "area corners must be finite");
+        }
+    }
+
+    #[test]
+    fn users_outside_the_area_are_rejected() {
+        let area = "area 0 0 100 100\n";
+        let inside = format!("{HEADER}\n{area}user 0 0 100 1 100\n");
+        assert!(from_str(&inside).is_ok(), "the border is inside");
+        let outside = format!("{HEADER}\n{area}user 0 50 50 1 100\n\nuser 1 100.5 50 1 100\n");
+        let err = from_str(&outside).unwrap_err();
+        assert!(err.to_string().contains("line 5: user 1 lies outside the area"), "{err}");
+        // The area may follow the users it bounds; servers may lie anywhere.
+        let late = format!("{HEADER}\nserver 0 -1e308 0 100 1 200 30\nuser 0 -5 0 1 100\n{area}");
+        assert!(from_str(&late).unwrap_err().to_string().contains("line 3: user 0"));
+        let far_server = format!("{HEADER}\nserver 0 -1e308 0 100 1 200 30\n{area}");
+        assert!(from_str(&far_server).is_ok());
     }
 
     #[test]

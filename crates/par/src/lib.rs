@@ -7,13 +7,16 @@
 //! candidate against a frozen latency state. Only the *commit* of a chosen
 //! candidate mutates shared state.
 //!
-//! This crate is the thin, auditable layer those hot paths share:
+//! This crate is the thin, auditable layer those hot paths share, and the
+//! workspace's only thread spawner:
 //!
 //! * [`par_map`] — an order-preserving parallel map with a sequential
 //!   small-input fallback;
 //! * [`par_fill`] — an in-place variant writing into a caller-owned buffer
-//!   (the greedy's initial column scores, one buffer reused across
-//!   columns);
+//!   (the best-response pass scan and the greedy's initial column scores,
+//!   one buffer reused across passes or columns);
+//! * [`par_for_each_mut`] — one worker per heavyweight `&mut` item (the
+//!   shard engines' tick phases, the experiment harness's repetitions);
 //! * [`num_threads`] / [`set_threads`] — the worker-count surface the
 //!   bench ledger's thread sweep drives.
 //!
@@ -38,122 +41,67 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many items, [`par_map`] and [`par_fill`] run inline on the
 /// calling thread: thread spawn/join overhead dwarfs the work and the
 /// results are identical either way.
 pub const PAR_THRESHOLD: usize = 32;
 
+/// The in-process worker-count override installed by [`set_threads`];
+/// `0` means "not set".
+static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
 /// The number of worker threads parallel evaluations will use right now.
 ///
-/// Resolution order (see the workspace's `rayon` drop-in): the in-process
-/// override installed by [`set_threads`] → the `RAYON_NUM_THREADS`
-/// environment variable → the machine's available parallelism.
+/// Resolution order: the in-process override installed by [`set_threads`]
+/// → the `RAYON_NUM_THREADS` environment variable (a positive integer;
+/// `0`, garbage or an unset variable fall through) → the machine's
+/// available parallelism.
 pub fn num_threads() -> usize {
-    rayon::current_num_threads()
+    resolve_threads(
+        OVERRIDE.load(Ordering::SeqCst),
+        || std::env::var("RAYON_NUM_THREADS").ok(),
+        || std::thread::available_parallelism().map_or(1, |p| p.get()),
+    )
+}
+
+/// The resolution order of [`num_threads`] as a pure function of its
+/// inputs. The variable and the machine are read only when nothing before
+/// them decides, so a set override costs one atomic load per call.
+fn resolve_threads(
+    override_n: usize,
+    env: impl FnOnce() -> Option<String>,
+    available: impl FnOnce() -> usize,
+) -> usize {
+    if override_n > 0 {
+        return override_n;
+    }
+    match env().and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => available(),
+    }
 }
 
 /// Installs an in-process worker-count override (`0` restores automatic
 /// sizing). The bench ledger's thread sweep calls this between timed runs;
 /// production code normally leaves sizing to `RAYON_NUM_THREADS`.
 pub fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("offline rayon drop-in never fails to configure");
+    OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// Order-preserving parallel map: returns `f` applied to every item, in
-/// input order, with a sequential fallback below [`PAR_THRESHOLD`] items
-/// (or when only one worker is available).
-///
-/// `f` must be a pure function of its item for the determinism contract to
-/// hold; nothing enforces that beyond the `Fn(&T)` borrow, so keep scoring
-/// closures free of interior mutability.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if items.len() < PAR_THRESHOLD || num_threads() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    items.into_par_iter().map(f).collect()
-}
-
-/// Order-preserving parallel map into a caller-owned buffer: resizes `out`
-/// to `items.len()` and sets `out[i] = f(&items[i])` for every index —
-/// [`par_map`] without the per-call allocation, so a pass loop that rescans
-/// the same player set every round reuses one buffer for the whole run.
-/// Routed through [`par_fill`], so either path writes identical bytes for
-/// any worker count.
-pub fn par_map_into<T, U, F>(items: &[T], out: &mut Vec<U>, f: F)
-where
-    T: Sync,
-    U: Send + Default + Clone,
-    F: Fn(&T) -> U + Sync,
-{
-    par_fill(out, items.len(), |i| f(&items[i]));
-}
-
-/// In-place order-preserving parallel fill: resizes `out` to `len` and sets
-/// `out[i] = f(i)` for every index. The buffer is caller-owned, so a loop
-/// that fills one column after another (the Eq. 17 greedy's initial
-/// scores) reuses one allocation for the whole run.
-///
-/// Falls back to a sequential fill below [`PAR_THRESHOLD`] items or when
-/// only one worker is available; either path writes identical bytes.
-pub fn par_fill<U, F>(out: &mut Vec<U>, len: usize, f: F)
-where
-    U: Send + Default + Clone,
-    F: Fn(usize) -> U + Sync,
-{
-    out.clear();
-    out.resize(len, U::default());
-    let threads = num_threads().min(len.max(1));
-    if len < PAR_THRESHOLD || threads <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let chunk_size = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (c, chunk) in out.chunks_mut(chunk_size).enumerate() {
-            let base = c * chunk_size;
-            scope.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(base + i);
-                }
-            });
-        }
-    });
-}
-
-/// Applies `f` to every element of `items` in parallel, each worker owning
-/// a disjoint `&mut` slot — the mutable counterpart of [`par_map`] for
-/// workloads that *are* the shared state, like one serving engine per
-/// shard. `f` receives `(index, &mut item)`; items must be independent (no
-/// cross-item reads), which the exclusive borrows enforce structurally.
-///
-/// Unlike the fine-grained maps there is no [`PAR_THRESHOLD`]: each item is
-/// assumed heavyweight (a shard's whole tick), so two items already justify
-/// two workers. One item or one worker falls back to a sequential in-order
-/// loop. Determinism: each item's mutation is a pure function of
-/// `(index, item)` state, so the final slice contents are identical for
-/// every worker count — only completion *order* varies, and nothing
-/// observes it.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+/// The one dispatcher behind every entry point: calls `f(i, &mut items[i])`
+/// for every index. Inline and in order below `min_len` items or at one
+/// worker; otherwise the slice is cut into `len.div_ceil(threads)`-sized
+/// contiguous chunks, one scoped thread per chunk, joined before return.
+fn for_each_chunk<T, F>(items: &mut [T], min_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     let len = items.len();
-    let threads = num_threads().min(len.max(1));
-    if len < 2 || threads <= 1 {
+    let threads = if len < min_len { 1 } else { num_threads().min(len) };
+    if threads <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
@@ -173,9 +121,88 @@ where
     });
 }
 
+/// Order-preserving parallel map: returns `f` applied to every item, in
+/// input order — a [`par_fill`] over the item indices, with the same
+/// sequential fallback below [`PAR_THRESHOLD`] items or at one worker.
+///
+/// `f` must be a pure function of its item for the determinism contract to
+/// hold; nothing enforces that beyond the `Fn(&T)` borrow, so keep scoring
+/// closures free of interior mutability.
+pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send + Default + Clone,
+    F: Fn(&T) -> U + Sync,
+{
+    let mut out = Vec::new();
+    par_fill(&mut out, items.len(), |i| f(&items[i]));
+    out
+}
+
+/// In-place order-preserving parallel fill: resizes `out` to `len` and sets
+/// `out[i] = f(i)` for every index. The buffer is caller-owned, so a loop
+/// that fills one column after another (the Eq. 17 greedy's initial
+/// scores) or rescans the same player set every pass reuses one allocation
+/// for the whole run.
+///
+/// Falls back to a sequential fill below [`PAR_THRESHOLD`] items or when
+/// only one worker is available; either path writes identical bytes.
+pub fn par_fill<U, F>(out: &mut Vec<U>, len: usize, f: F)
+where
+    U: Send + Default + Clone,
+    F: Fn(usize) -> U + Sync,
+{
+    out.clear();
+    out.resize(len, U::default());
+    for_each_chunk(out, PAR_THRESHOLD, |i, slot| *slot = f(i));
+}
+
+/// Applies `f` to every element of `items` in parallel, each worker owning
+/// a disjoint `&mut` slot — the mutable counterpart of [`par_map`] for
+/// workloads that *are* the shared state, like one serving engine per
+/// shard. `f` receives `(index, &mut item)`; items must be independent (no
+/// cross-item reads), which the exclusive borrows enforce structurally.
+///
+/// Unlike the fine-grained maps there is no [`PAR_THRESHOLD`]: each item is
+/// assumed heavyweight (a shard's whole tick, one seeded experiment
+/// repetition), so two items already justify two workers. One item or one
+/// worker falls back to a sequential in-order loop. Determinism: each
+/// item's mutation is a pure function of `(index, item)` state, so the
+/// final slice contents are identical for every worker count — only
+/// completion *order* varies, and nothing observes it.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    for_each_chunk(items, 2, f);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_count_resolution_order() {
+        let var = |v: &str| {
+            let v = v.to_string();
+            move || Some(v)
+        };
+        let machine = || 7;
+        // The override beats the variable and the machine, without reading
+        // either.
+        assert_eq!(resolve_threads(3, var("5"), machine), 3);
+        assert_eq!(resolve_threads(2, || unreachable!(), || unreachable!()), 2);
+        // An override of `0` restores automatic sizing: the variable, then
+        // the machine.
+        assert_eq!(resolve_threads(0, var("5"), machine), 5);
+        assert_eq!(resolve_threads(0, var(" 4 "), machine), 4);
+        assert_eq!(resolve_threads(0, || None, machine), 7);
+        // Zero or unparsable values fall through to the machine.
+        for bad in ["0", "", "two", "-3", "1.5"] {
+            assert_eq!(resolve_threads(0, var(bad), machine), 7, "{bad:?}");
+        }
+    }
 
     #[test]
     fn par_map_matches_serial_map() {

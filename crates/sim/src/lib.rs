@@ -4,7 +4,7 @@
 //!
 //! * [`experiment`] — the four parameter sets of Table 2 (`N`, `M`, `K`,
 //!   `density` sweeps around the `N=30, M=200, K=5, density=1.0` default);
-//! * [`runner`] — seeded, rayon-parallel execution of the 50-repetition
+//! * [`runner`] — seeded, `idde-par`-parallel execution of the 50-repetition
 //!   sweeps over the five-approach panel, with per-run wall-clock timing;
 //! * [`stats`] — summary statistics (mean/std/quartiles) for the series
 //!   plots (Figs. 3–6) and the computation-time box plot (Fig. 7);

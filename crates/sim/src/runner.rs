@@ -10,10 +10,12 @@
 //!    measuring wall-clock formulation time (§4.4's third metric),
 //! 4. scores each strategy with the shared evaluator.
 //!
-//! Repetitions run in parallel under rayon (they are fully independent);
-//! approaches within one repetition run sequentially so the timing of one
-//! approach is not polluted by the others. Wall-clock timings are the only
-//! machine-dependent output; rates and latencies are bit-reproducible.
+//! Repetitions run in parallel through `idde_par::par_for_each_mut`, one
+//! result slot each (they are fully independent and each is heavyweight,
+//! so two already justify two workers); approaches within one repetition
+//! run sequentially so the timing of one approach is not polluted by the
+//! others. Wall-clock timings are the only machine-dependent output; rates
+//! and latencies are bit-reproducible for every worker count.
 
 use std::time::{Duration, Instant};
 
@@ -24,7 +26,6 @@ use idde_net::{generate_topology, TopologyConfig};
 use idde_radio::{RadioEnvironment, RadioParams};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::experiment::{ExperimentPoint, ExperimentSet};
 use crate::stats::Summary;
@@ -180,35 +181,33 @@ impl Runner {
         point_idx: usize,
         point: &ExperimentPoint,
     ) -> PointResult {
-        let reps: Vec<Vec<(f64, f64, f64)>> = (0..self.config.repetitions)
-            .into_par_iter()
-            .map(|rep| {
-                let problem = self.build_problem(set_id, point, point_idx, rep);
-                let panel = self.panel();
-                panel
-                    .iter()
-                    .map(|approach| {
-                        let t0 = Instant::now();
-                        let strategy = approach.solve_seeded(&problem, rep as u64);
-                        let elapsed = t0.elapsed().as_secs_f64();
-                        if self.config.audit_strategies {
-                            let report = idde_audit::Auditor::default().audit_strategy(
-                                &problem,
-                                &strategy.allocation,
-                                &strategy.placement,
-                            );
-                            assert!(report.is_clean(), "{} rep {rep}: {report}", approach.name());
-                        }
-                        let metrics = problem.evaluate(&strategy);
-                        (
-                            metrics.average_data_rate.value(),
-                            metrics.average_delivery_latency.value(),
-                            elapsed,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut reps: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); self.config.repetitions];
+        idde_par::par_for_each_mut(&mut reps, |rep, samples| {
+            let problem = self.build_problem(set_id, point, point_idx, rep);
+            *samples = self
+                .panel()
+                .iter()
+                .map(|approach| {
+                    let t0 = Instant::now();
+                    let strategy = approach.solve_seeded(&problem, rep as u64);
+                    let elapsed = t0.elapsed().as_secs_f64();
+                    if self.config.audit_strategies {
+                        let report = idde_audit::Auditor::default().audit_strategy(
+                            &problem,
+                            &strategy.allocation,
+                            &strategy.placement,
+                        );
+                        assert!(report.is_clean(), "{} rep {rep}: {report}", approach.name());
+                    }
+                    let metrics = problem.evaluate(&strategy);
+                    (
+                        metrics.average_data_rate.value(),
+                        metrics.average_delivery_latency.value(),
+                        elapsed,
+                    )
+                })
+                .collect();
+        });
 
         let names: Vec<&'static str> = self.panel().iter().map(|s| s.name()).collect();
         let approaches = names
@@ -275,6 +274,32 @@ mod tests {
             }
             assert_eq!(x.rates, y.rates, "{} rates differ", x.name);
             assert_eq!(x.latencies, y.latencies, "{} latencies differ", x.name);
+        }
+    }
+
+    #[test]
+    fn samples_are_identical_at_one_and_two_workers() {
+        // Two workers split the repetitions into two chunks on two threads;
+        // `PAR_THRESHOLD` of them keep that true under either inline cutoff.
+        let mut cfg = quick_config();
+        cfg.repetitions = idde_par::PAR_THRESHOLD;
+        cfg.skip_iddeip = true;
+        let runner = Runner::new(cfg);
+        let point = ExperimentPoint { n: 10, m: 25, k: 3, density: 1.0 };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let runs: Vec<PointResult> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                idde_par::set_threads(threads);
+                assert_eq!(idde_par::num_threads(), threads);
+                runner.run_point(1, 0, &point)
+            })
+            .collect();
+        idde_par::set_threads(0);
+        for (x, y) in runs[0].approaches.iter().zip(&runs[1].approaches) {
+            assert_eq!(x.rates.len(), idde_par::PAR_THRESHOLD, "{}", x.name);
+            assert_eq!(bits(&x.rates), bits(&y.rates), "{} rates differ", x.name);
+            assert_eq!(bits(&x.latencies), bits(&y.latencies), "{} latencies differ", x.name);
         }
     }
 
