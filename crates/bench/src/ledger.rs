@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use idde_cache::{CacheConfig, PolicyKind};
-use idde_core::{GameConfig, GreedyDelivery, IddeG, IddeUGame, Problem, ScoringMode};
+use idde_core::{GreedyDelivery, IddeG, IddeUGame, Problem};
 use idde_dist::{DistConfig, StrategyKind};
 use idde_engine::{
     DriftProfile, Engine, EngineConfig, Event, ServeMetrics, WorkloadConfig, WorkloadGenerator,
@@ -254,12 +254,6 @@ pub fn fullscale_problem(seed: u64) -> Problem {
     Problem::standard(scenario, &mut rng)
 }
 
-/// Phase #1 configuration used by the solver suite: parallel scoring with
-/// otherwise-default knobs, so the sweep exercises the frozen-snapshot path.
-fn par_game() -> GameConfig {
-    GameConfig { scoring: ScoringMode::Parallel, ..GameConfig::default() }
-}
-
 /// What a case's sweep axis varies — the value its `threads` column records.
 #[derive(Clone, Copy, Debug)]
 enum Axis<'a> {
@@ -366,7 +360,7 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
         cfg,
         "iddeu_game",
         workload,
-        || IddeUGame::new(par_game()).run(&problem).field.into_allocation(),
+        || IddeUGame::default().run(&problem).field.into_allocation(),
         |alloc| {
             let mut fp = Fingerprint::new();
             absorb_allocation(&mut fp, alloc);
@@ -374,7 +368,7 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
         },
     );
 
-    let fixed_alloc = IddeUGame::new(par_game()).run(&problem).field.into_allocation();
+    let fixed_alloc = IddeUGame::default().run(&problem).field.into_allocation();
     let delivery_case = thread_sweep(
         cfg,
         "greedy_delivery",
@@ -391,7 +385,7 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
         cfg,
         "iddeg_end_to_end",
         workload,
-        || IddeG { game: par_game(), ..IddeG::default() }.solve(&problem),
+        || IddeG::default().solve(&problem),
         |strategy| metrics_fingerprint(&problem, strategy),
     );
 
@@ -405,7 +399,7 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
 }
 
 /// The engine suite: initial solve and a churning serve on the paper-scale
-/// instance, with the engine's default (parallel-scoring) configuration.
+/// instance, with the engine's default configuration.
 pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
     let problem = fullscale_problem(cfg.seed);
     let num_data = problem.scenario.num_data();
@@ -1263,7 +1257,7 @@ mod tests {
             &cfg,
             "iddeg_small",
             "20/120/3",
-            || IddeG { game: par_game(), ..IddeG::default() }.solve(&problem),
+            || IddeG::default().solve(&problem),
             |s| metrics_fingerprint(&problem, s),
         );
         assert!(case.deterministic(), "thread sweep changed the equilibrium");

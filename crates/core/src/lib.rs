@@ -33,7 +33,6 @@ pub mod strategy;
 pub use delivery::{evict_useless_replicas, DeliveryConfig, DeliveryOutcome, GreedyDelivery};
 pub use game::{
     AcceptanceRule, ArbitrationPolicy, BenefitModel, GameConfig, GameOutcome, IddeUGame,
-    ScoringMode,
 };
 pub use iddeg::{IddeG, IddeGReport};
 pub use metrics::Metrics;

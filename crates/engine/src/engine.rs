@@ -28,7 +28,7 @@ use idde_audit::{AuditConfig, AuditReport, Auditor};
 use idde_cache::{audit_cache, CacheConfig, CacheLayer, Observation};
 use idde_core::{
     evict_useless_replicas, DeliveryConfig, GameConfig, GreedyDelivery, IddeUGame, Problem,
-    ScoringMode, Strategy,
+    Strategy,
 };
 use idde_dist::{DistConfig, DistCounters, InstallDemand};
 use idde_model::units::Milliseconds;
@@ -59,12 +59,10 @@ impl EventSource for WorkloadGenerator {
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Phase #1 (allocation game) configuration, shared by repairs and
-    /// checkpoint re-solves. The engine default switches the game to
-    /// [`ScoringMode::Parallel`]: every repair and checkpoint then scores
-    /// candidates against a frozen field snapshot on `idde-par` workers and
-    /// commits serially, which is bit-identical for any worker count (the
-    /// serve CSV stays byte-stable under `RAYON_NUM_THREADS=1,2,8,…`).
+    /// Phase #1 (allocation game) configuration, shared by the initial
+    /// solve, repairs and checkpoint re-solves. The default is
+    /// [`GameConfig::default`], the game IDDE-G runs offline, so a serve
+    /// whose users are all active starts from IDDE-G's own strategy.
     pub game: GameConfig,
     /// Phase #2 (greedy delivery) configuration.
     pub delivery: DeliveryConfig,
@@ -117,7 +115,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            game: GameConfig { scoring: ScoringMode::Parallel, ..GameConfig::default() },
+            game: GameConfig::default(),
             delivery: DeliveryConfig::default(),
             drift_threshold: 0.05,
             checkpoint_interval: 50,

@@ -7,13 +7,9 @@
 //! access to the global worker-count override (the test harness runs tests
 //! concurrently; the override is process-wide).
 
-use idde::core::{GameConfig, IddeUGame, Problem, ScoringMode};
+use idde::core::Problem;
 use idde::prelude::*;
-use idde_radio::InterferenceField;
 use proptest::prelude::*;
-// `idde::prelude::*` also exports a `Strategy` (the solution pair), which
-// shadows the proptest trait in the glob — import the trait explicitly.
-use proptest::strategy::Strategy as _;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises tests that mutate the process-wide worker-count override.
@@ -47,14 +43,10 @@ fn sampled_problem(seed: u64) -> Problem {
     Problem::standard(scenario, &mut rng)
 }
 
-fn parallel_game() -> GameConfig {
-    GameConfig { scoring: ScoringMode::Parallel, ..GameConfig::default() }
-}
-
 #[test]
 fn serve_csv_and_final_strategy_are_thread_count_invariant() {
-    // The tentpole contract on the full online path: engine default config
-    // (parallel scoring), churning workload, worker counts 1/2/8.
+    // The contract on the full online path: engine default config,
+    // churning workload, worker counts 1/2/8.
     let runs = with_threads(&[1, 2, 8], || {
         let problem = sampled_problem(42);
         let mut workload = WorkloadGenerator::new(WorkloadConfig::default(), 4, 42);
@@ -177,13 +169,11 @@ proptest! {
 
 #[test]
 fn offline_solve_is_thread_count_invariant() {
-    // Phase #1 + Phase #2 from scratch, parallel scoring mode, swept
-    // across worker counts: the equilibrium and its metrics must not move
-    // a single bit.
+    // Phase #1 + Phase #2 from scratch, swept across worker counts: the
+    // equilibrium and its metrics must not move a single bit.
     let runs = with_threads(&[1, 2, 3, 8], || {
         let problem = sampled_problem(7);
-        let strategy =
-            idde::core::IddeG { game: parallel_game(), ..Default::default() }.solve(&problem);
+        let strategy = idde::core::IddeG::default().solve(&problem);
         let metrics = problem.evaluate(&strategy);
         (
             strategy,
@@ -195,82 +185,5 @@ fn offline_solve_is_thread_count_invariant() {
         assert_eq!(run.0, runs[0].0, "strategy differs across worker counts");
         assert_eq!(run.1, runs[0].1, "rate differs at the bit level");
         assert_eq!(run.2, runs[0].2, "latency differs at the bit level");
-    }
-}
-
-#[test]
-fn scoring_modes_agree_under_winner_arbitration() {
-    // Under MaxGainWinner arbitration the parallel scan is a pure drop-in
-    // for the serial scan: identical trajectory, not merely an equally good
-    // equilibrium.
-    use idde::core::game::ArbitrationPolicy;
-    for seed in [3u64, 11] {
-        let problem = sampled_problem(seed);
-        let solve = |scoring| {
-            let game = IddeUGame::new(GameConfig {
-                arbitration: ArbitrationPolicy::MaxGainWinner,
-                scoring,
-                ..GameConfig::default()
-            });
-            let outcome = game.run(&problem);
-            (outcome.passes, outcome.moves, outcome.field.into_allocation())
-        };
-        assert_eq!(
-            solve(ScoringMode::Serial),
-            solve(ScoringMode::Parallel),
-            "seed {seed}: winner arbitration must be scoring-mode invariant"
-        );
-    }
-}
-
-/// Small random problems; the seed rides along for shrink reports.
-fn arb_problem() -> impl proptest::strategy::Strategy<Value = (u64, Problem)> {
-    (0u64..5_000).prop_map(|seed| {
-        let mut rng = idde::seeded_rng(seed);
-        let n = 3 + (seed % 5) as usize;
-        let m = 5 + (seed % 12) as usize;
-        let k = 1 + (seed % 4) as usize;
-        let gen = SyntheticEua {
-            num_servers: 8,
-            num_users: 20,
-            width_m: 900.0,
-            height_m: 700.0,
-            ..Default::default()
-        };
-        let scenario = gen.sample(n, m, k, &mut rng);
-        (seed, Problem::standard(scenario, &mut rng))
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// The parallel scoring pass (`scan_deviations`) must select exactly
-    /// the deviation the serial per-player primitive
-    /// (`profitable_deviation`) selects, for every player, at an arbitrary
-    /// mid-trajectory profile.
-    #[test]
-    fn parallel_scan_matches_serial_deviations(
-        (seed, problem) in arb_problem(),
-        passes in 0usize..3,
-    ) {
-        // Walk the game a few passes to land on a non-trivial profile.
-        let game = IddeUGame::new(GameConfig {
-            max_passes: passes,
-            ..GameConfig::default()
-        });
-        let field: InterferenceField<'_> = game.run(&problem).field;
-
-        let players: Vec<UserId> = problem.scenario.user_ids().collect();
-        let par_game = IddeUGame::new(parallel_game());
-        let batch = par_game.scan_deviations(&field, &players);
-        prop_assert_eq!(batch.len(), players.len());
-        for (&user, scanned) in players.iter().zip(&batch) {
-            let serial = par_game.profitable_deviation(&field, user);
-            prop_assert_eq!(
-                scanned, &serial,
-                "seed {}: user {} scored differently in the batch scan", seed, user
-            );
-        }
     }
 }

@@ -88,3 +88,19 @@ fn five_hundred_events_of_incremental_repair_stay_consistent() {
     let report = engine.run_audit();
     assert!(report.is_clean(), "{report}");
 }
+
+#[test]
+fn engine_with_every_user_active_starts_from_the_iddeg_strategy() {
+    // One best-response discipline: the engine's initial solve and IDDE-G
+    // run the same game, so with every user active they agree bit for bit.
+    for seed in [3u64, 7, 11, 2022] {
+        let mut rng = idde::seeded_rng(seed);
+        let scenario = SyntheticEua::default().sample(20, 100, 5, &mut rng);
+        let problem = Problem::standard(scenario, &mut rng);
+        let offline = IddeG::default().solve(&problem);
+        let all_active = vec![true; problem.scenario.num_users()];
+        let engine = Engine::new(problem, EngineConfig::default(), all_active);
+        assert_eq!(engine.allocation(), &offline.allocation, "seed {seed}: allocation");
+        assert_eq!(engine.placement(), &offline.placement, "seed {seed}: placement");
+    }
+}
