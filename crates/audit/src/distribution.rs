@@ -304,4 +304,63 @@ mod tests {
             Violation::DistAggregateMismatch { metric: "total_cost_ms", .. }
         )));
     }
+
+    #[test]
+    fn steiner_destinations_past_the_delay_bound_take_their_direct_route() {
+        // Source 0 feeds destinations 1, 2 and 6. The tree joins 2 through
+        // destination 1 over the slow 1–2 link (0.625 ms/MB): additively
+        // shorter than the relay chain 0–3–4–5–2 (four 0.2 ms/MB links), but
+        // its 37.5 ms pipelined delay is past twice 2's 12 ms direct feed.
+        let link = |a: u32, b: u32, s: f64| Link {
+            a: ServerId(a),
+            b: ServerId(b),
+            speed: MegaBytesPerSec(s),
+        };
+        let topo = Topology::new(
+            EdgeGraph::new(
+                7,
+                vec![
+                    link(0, 1, 10_000.0),
+                    link(1, 6, 10_000.0),
+                    link(1, 2, 1600.0),
+                    link(0, 3, 5000.0),
+                    link(3, 4, 5000.0),
+                    link(4, 5, 5000.0),
+                    link(5, 2, 5000.0),
+                ],
+            ),
+            MegaBytesPerSec(600.0),
+        );
+        let demands = [InstallDemand {
+            data: DataId(0),
+            size: MegaBytes(60.0),
+            sources: vec![ServerId(0)],
+            destinations: vec![ServerId(1), ServerId(2), ServerId(6)],
+        }];
+        let route_to_2 = |plan: &DistributionPlan| plan.plans[0].installs[1].route.clone();
+        let ids = |r: &[u32]| r.iter().map(|&s| ServerId(s)).collect::<Vec<_>>();
+
+        // A lax bound keeps the tree's own route to 2.
+        let lax = DistConfig { delay_factor: 4.0, ..DistConfig::default() };
+        let tree = SteinerTree.plan(&topo, &demands, &lax);
+        assert_eq!(route_to_2(&tree), ids(&[0, 1, 2]));
+        assert!((tree.plans[0].installs[1].delay_ms - 37.5).abs() < 1e-9);
+
+        // The default factor 2 moves 2 onto its direct route; the guarantee
+        // holds (it assumes `delay_factor ≥ 1`, so a direct route is never
+        // a violation).
+        let config = DistConfig::default();
+        let plan = SteinerTree.plan(&topo, &demands, &config);
+        assert_eq!(plan.delay_violations, 0);
+        assert_eq!(route_to_2(&plan), ids(&[0, 3, 4, 5, 2]));
+        assert!((plan.plans[0].installs[1].delay_ms - 12.0).abs() < 1e-9);
+        let report = Auditor::default().audit_distribution(&topo, &plan, &config);
+        assert!(report.is_clean(), "{report}");
+
+        // Every link is charged once: 60 MB × (0.1 + 0.1 + 4 × 0.2), below
+        // unicast's 66 ms, where 1's trunk is paid again for 6.
+        let unicast = Unicast.plan(&topo, &demands, &config);
+        assert!((plan.total_cost_ms - 60.0).abs() < 1e-9, "steiner {}", plan.total_cost_ms);
+        assert!((unicast.total_cost_ms - 66.0).abs() < 1e-9, "unicast {}", unicast.total_cost_ms);
+    }
 }

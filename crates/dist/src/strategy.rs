@@ -55,43 +55,21 @@ impl DistributionStrategy for Unicast {
         for demand in merge_demands(demands) {
             let size = demand.size.value();
             let cloud_ms = topology.cloud_latency(demand.size).value();
-            let mut installs = Vec::with_capacity(demand.destinations.len());
-            let mut cost_ms = 0.0;
-            for &dest in &demand.destinations {
-                // Cheapest surviving source; ties go to the lowest server id
-                // (sources are sorted).
-                let mut best: Option<(f64, ServerId)> = None;
-                for &s in &demand.sources {
-                    if let Some(unit) = topology.try_unit_cost(s, dest) {
-                        let edge_ms = size * unit;
-                        if best.is_none_or(|(b, _)| edge_ms < b) {
-                            best = Some((edge_ms, s));
-                        }
+            let installs: Vec<DestInstall> = demand
+                .destinations
+                .iter()
+                .map(|&dest| direct_install(topology, &demand, dest, config))
+                .collect();
+            let cost_ms = installs
+                .iter()
+                .map(|i| {
+                    if i.from_cloud {
+                        cloud_ms
+                    } else {
+                        size * route_units(topology.graph(), &i.route)
                     }
-                }
-                let (route, from_cloud, delay_ms) = match best {
-                    Some((edge_ms, source)) if edge_ms <= cloud_ms => {
-                        let route = best_path(topology.graph(), source, dest)
-                            .expect("a finite unit cost implies a path");
-                        (route, false, edge_ms)
-                    }
-                    _ => (vec![dest], true, cloud_ms),
-                };
-                cost_ms += if from_cloud {
-                    cloud_ms
-                } else {
-                    size * route_units(topology.graph(), &route)
-                };
-                let direct_ms = best.map_or(cloud_ms, |(edge_ms, _)| edge_ms.min(cloud_ms));
-                let violated = delay_ms > config.delay_factor * direct_ms + 1e-9;
-                installs.push(DestInstall {
-                    destination: dest,
-                    route,
-                    from_cloud,
-                    delay_ms,
-                    violated,
-                });
-            }
+                })
+                .sum();
             plans.push(DemandPlan {
                 data: demand.data,
                 size: demand.size,
@@ -127,9 +105,69 @@ impl DistributionStrategy for SteinerTree {
     }
 }
 
+/// A destination's direct feed and its delay: the cheapest surviving
+/// source under pipelined costs (`Some`), or the cloud (`None`) when no
+/// source is faster. Its delay is the `direct` optimum the delay guarantee
+/// is measured against. Ties go to the lowest server id (sources are
+/// sorted), and the cloud wins only when strictly faster.
+fn direct_feed(
+    topology: &Topology,
+    demand: &InstallDemand,
+    dest: ServerId,
+) -> (Option<ServerId>, f64) {
+    let size = demand.size.value();
+    let cloud_ms = topology.cloud_latency(demand.size).value();
+    let mut best: Option<(f64, ServerId)> = None;
+    for &s in &demand.sources {
+        if let Some(unit) = topology.try_unit_cost(s, dest) {
+            let edge_ms = size * unit;
+            if best.is_none_or(|(b, _)| edge_ms < b) {
+                best = Some((edge_ms, s));
+            }
+        }
+    }
+    match best {
+        Some((edge_ms, source)) if edge_ms <= cloud_ms => (Some(source), edge_ms),
+        _ => (None, cloud_ms),
+    }
+}
+
+/// A destination's install over its [direct feed](direct_feed): the widest
+/// path from the source, or the cloud landing on the destination itself.
+/// It meets the delay guarantee whenever `delay_factor ≥ 1`.
+fn direct_install(
+    topology: &Topology,
+    demand: &InstallDemand,
+    dest: ServerId,
+    config: &DistConfig,
+) -> DestInstall {
+    let (feed, delay_ms) = direct_feed(topology, demand, dest);
+    let route = match feed {
+        Some(source) => {
+            best_path(topology.graph(), source, dest).expect("a finite unit cost implies a path")
+        }
+        None => vec![dest],
+    };
+    DestInstall {
+        destination: dest,
+        route,
+        from_cloud: feed.is_none(),
+        delay_ms,
+        violated: delay_ms > config.delay_factor * delay_ms + 1e-9,
+    }
+}
+
 /// Plans one item's distribution tree. All shortest-path work runs in
 /// per-MB unit-cost space (both link and cloud latency scale linearly with
 /// the item size), and sizes multiply back in at the end.
+///
+/// A destination the tree would serve slower than `delay_factor` times its
+/// [direct feed](direct_feed) takes its [direct install](direct_install)
+/// instead, so with `delay_factor ≥ 1` no install breaks the delay
+/// guarantee. Its links and landing join the same charged union as the
+/// tree's. When such detours make the item cost more than every
+/// destination on its direct install would, the item takes that plan,
+/// which never costs more than unicast.
 fn plan_tree(topology: &Topology, demand: &InstallDemand, config: &DistConfig) -> DemandPlan {
     let graph = topology.graph();
     let size = demand.size.value();
@@ -226,34 +264,32 @@ fn plan_tree(topology: &Topology, demand: &InstallDemand, config: &DistConfig) -
         }
     }
 
-    // Prune: only links (and landings) that a delivery route actually uses
-    // are charged. A shared link carries one copy, charged once.
-    let mut used_links: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut used_landings: BTreeSet<u32> = BTreeSet::new();
-    for (_, route, from_cloud, _) in &installs {
-        for w in route.windows(2) {
-            used_links.insert(norm(w[0].0, w[1].0));
-        }
-        if *from_cloud {
-            used_landings.insert(route[0].0);
-        }
-    }
-    let cost_ms = size * used_links.iter().map(|&(a, b)| link_unit(graph, a, b)).sum::<f64>()
-        + used_landings.len() as f64 * cloud_ms;
-
-    let installs = installs
+    // The delay guarantee: a destination past the bound takes its direct
+    // install.
+    let mut detoured = false;
+    let mut installs: Vec<DestInstall> = installs
         .into_iter()
         .map(|(dest, route, from_cloud, delay_ms)| {
-            let mut direct_ms = cloud_ms;
-            for &s in &demand.sources {
-                if let Some(unit) = topology.try_unit_cost(s, dest) {
-                    direct_ms = direct_ms.min(size * unit);
-                }
+            let bound = config.delay_factor * direct_feed(topology, demand, dest).1 + 1e-9;
+            if delay_ms > bound {
+                detoured = true;
+                return direct_install(topology, demand, dest, config);
             }
-            let violated = delay_ms > config.delay_factor * direct_ms + 1e-9;
-            DestInstall { destination: dest, route, from_cloud, delay_ms, violated }
+            DestInstall { destination: dest, route, from_cloud, delay_ms, violated: false }
         })
         .collect();
+    let mut cost_ms = shared_cost(graph, size, cloud_ms, &installs);
+    if detoured {
+        let direct: Vec<DestInstall> = demand
+            .destinations
+            .iter()
+            .map(|&dest| direct_install(topology, demand, dest, config))
+            .collect();
+        let direct_cost = shared_cost(graph, size, cloud_ms, &direct);
+        if direct_cost < cost_ms {
+            (installs, cost_ms) = (direct, direct_cost);
+        }
+    }
 
     DemandPlan {
         data: demand.data,
@@ -262,6 +298,25 @@ fn plan_tree(topology: &Topology, demand: &InstallDemand, config: &DistConfig) -
         installs,
         cost_ms,
     }
+}
+
+/// The cost of installs that share their links and landings: only links
+/// (and landings) some route uses are charged, each once, as a shared link
+/// carries one copy.
+fn shared_cost(graph: &EdgeGraph, size: f64, cloud_ms: f64, installs: &[DestInstall]) -> f64 {
+    let norm = |a: u32, b: u32| (a.min(b), a.max(b));
+    let mut used_links: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut used_landings: BTreeSet<u32> = BTreeSet::new();
+    for install in installs {
+        for w in install.route.windows(2) {
+            used_links.insert(norm(w[0].0, w[1].0));
+        }
+        if install.from_cloud {
+            used_landings.insert(install.route[0].0);
+        }
+    }
+    size * used_links.iter().map(|&(a, b)| link_unit(graph, a, b)).sum::<f64>()
+        + used_landings.len() as f64 * cloud_ms
 }
 
 /// Charges the round's contended transfer delays and totals the aggregates.
@@ -549,12 +604,35 @@ mod tests {
         (topo, demands)
     }
 
+    #[test]
+    fn costly_detours_fall_back_to_every_direct_install() {
+        // In this case the tree's detours for item 2 would cost more than
+        // unicast, so the item takes every destination's direct install,
+        // which charges each shared link once.
+        let (topo, demands) = random_case(31_001);
+        let config = DistConfig::default();
+        let item = |plan: &DistributionPlan| {
+            plan.plans.iter().find(|p| p.data == DataId(2)).expect("item 2 is planned").clone()
+        };
+        let uni = item(&Unicast.plan(&topo, &demands, &config));
+        let st = SteinerTree.plan(&topo, &demands, &config);
+        assert_eq!(st.delay_violations, 0);
+        let st = item(&st);
+        assert_eq!(st.installs, uni.installs);
+        assert!(
+            st.cost_ms <= uni.cost_ms + 1e-9,
+            "steiner {} > unicast {}",
+            st.cost_ms,
+            uni.cost_ms
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// The tree never costs more than the unicast star (per item and in
-        /// total), installs the exact same replica set, and both planners
-        /// are deterministic.
+        /// total), keeps the delay guarantee, installs the exact same
+        /// replica set, and both planners are deterministic.
         #[test]
         fn steiner_never_costs_more_than_unicast(seed in 0u64..50_000) {
             let (topo, demands) = random_case(seed);
@@ -565,6 +643,7 @@ mod tests {
                 st.total_cost_ms <= uni.total_cost_ms + 1e-9,
                 "steiner {} > unicast {}", st.total_cost_ms, uni.total_cost_ms
             );
+            prop_assert_eq!(st.delay_violations, 0);
             prop_assert_eq!(uni.plans.len(), st.plans.len());
             for (u, s) in uni.plans.iter().zip(&st.plans) {
                 prop_assert!(s.cost_ms <= u.cost_ms + 1e-9, "item {} regressed", u.data);
