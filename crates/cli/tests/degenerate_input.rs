@@ -1,7 +1,7 @@
 //! The `idde` commands on degenerate input: a zero server count is refused
-//! at parse time, and a scenario whose sites lie absurdly far apart is
-//! served through the linear-scan fallback of the spatial index instead of
-//! panicking.
+//! at parse time, a scenario whose sites lie absurdly far apart is served
+//! through the linear-scan fallback of the spatial index instead of
+//! panicking, and a non-finite area corner is reported as malformed input.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -56,4 +56,14 @@ fn far_apart_sites_are_served_without_a_spatial_grid_panic() {
             assert!(output.status.success(), "{name} {args:?}: {stderr}");
         }
     }
+}
+
+#[test]
+fn a_non_finite_area_corner_is_malformed_input() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("nan-area.idde");
+    std::fs::write(&path, "# idde scenario v1\narea 0 0 NaN 1400\n").unwrap();
+    let output = idde(&["info", "--scenario", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("malformed input: line 2: area corners must be finite"), "{stderr}");
 }

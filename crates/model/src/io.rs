@@ -83,13 +83,11 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
         match lines.next() {
             Some((_, l)) if l.trim().is_empty() => continue,
             Some((_, l)) => break l.trim(),
-            None => return Err(ModelError::Inconsistent("empty scenario file".into())),
+            None => return Err(ModelError::Malformed("empty scenario file".into())),
         }
     };
     if header != HEADER {
-        return Err(ModelError::Inconsistent(format!(
-            "bad header {header:?}, expected {HEADER:?}"
-        )));
+        return Err(ModelError::Malformed(format!("bad header {header:?}, expected {HEADER:?}")));
     }
 
     let mut builder = ScenarioBuilder::new();
@@ -163,10 +161,16 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
                 let u = parse::<u32>(lineno, fields.get(1), "request user")?;
                 let d = parse::<u32>(lineno, fields.get(2), "request data")?;
                 if u as usize >= users {
-                    return Err(bad(lineno, &format!("request references unknown user {u}")));
+                    return Err(inconsistent(
+                        lineno,
+                        &format!("request references unknown user {u}"),
+                    ));
                 }
                 if d as usize >= data {
-                    return Err(bad(lineno, &format!("request references unknown data {d}")));
+                    return Err(inconsistent(
+                        lineno,
+                        &format!("request references unknown data {d}"),
+                    ));
                 }
                 requests.push((UserId(u), DataId(d)));
             }
@@ -184,13 +188,21 @@ pub fn from_str(text: &str) -> Result<Scenario, ModelError> {
     // boundary on its first move; reject the file instead.
     for (user, &lineno) in scenario.users.iter().zip(&user_lines) {
         if !area.contains(user.position) {
-            return Err(bad(lineno, &format!("user {} lies outside the area", user.id)));
+            return Err(inconsistent(lineno, &format!("user {} lies outside the area", user.id)));
         }
     }
     Ok(scenario)
 }
 
+/// A syntax error on line `lineno` (0-based): the record cannot be read.
 fn bad(lineno: usize, msg: &str) -> ModelError {
+    ModelError::Malformed(format!("line {}: {msg}", lineno + 1))
+}
+
+/// A record on line `lineno` (0-based) that reads fine but contradicts
+/// another: a request naming an undeclared user or item, a user outside
+/// the declared area.
+fn inconsistent(lineno: usize, msg: &str) -> ModelError {
     ModelError::Inconsistent(format!("line {}: {msg}", lineno + 1))
 }
 
@@ -297,12 +309,12 @@ mod tests {
         }
     }
 
-    /// Asserts that `record`, after the header, is rejected as inconsistent
-    /// on line 2 with a message naming `what`.
+    /// Asserts that `record`, after the header, is rejected as malformed on
+    /// line 2 with a message naming `what`.
     fn assert_rejected(record: &str, what: &str) {
         let text = format!("{HEADER}\n{record}\n");
         match from_str(&text) {
-            Err(ModelError::Inconsistent(msg)) => {
+            Err(ModelError::Malformed(msg)) => {
                 assert!(msg.contains("line 2") && msg.contains(what), "{record:?}: {msg}")
             }
             other => panic!("{record:?} must be rejected, got {other:?}"),
@@ -365,6 +377,7 @@ mod tests {
         let outside = format!("{HEADER}\n{area}user 0 50 50 1 100\n\nuser 1 100.5 50 1 100\n");
         let err = from_str(&outside).unwrap_err();
         assert!(err.to_string().contains("line 5: user 1 lies outside the area"), "{err}");
+        assert!(matches!(err, ModelError::Inconsistent(_)), "a cross-reference check: {err:?}");
         // The area may follow the users it bounds; servers may lie anywhere.
         let late = format!("{HEADER}\nserver 0 -1e308 0 100 1 200 30\nuser 0 -5 0 1 100\n{area}");
         assert!(from_str(&late).unwrap_err().to_string().contains("line 3: user 0"));
