@@ -22,11 +22,9 @@ idde() {
 }
 
 # A seeded 500+-event churn workload with a full invariant audit every 50
-# events plus Nash certificates after each converged repair. The
-# oversubscribed worker count drives the engine's parallel scoring path —
-# the audit certificates double as the determinism contract's witness.
-# Each certificate rescans every dirty player after a converged repair, so
-# it also independently witnesses the game's quiet-player skipping, and it
+# events plus Nash certificates after each converged repair. Each
+# certificate rescans every dirty player after a converged repair, so it
+# also independently witnesses the game's quiet-player skipping, and it
 # re-derives each player's best response candidate by candidate, so it
 # witnesses the gathered Eq. 12 scan too. Then the same deployment with 1,
 # 2 or 3 channels per server (every other golden has 3 on every server),

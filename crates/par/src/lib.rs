@@ -1,11 +1,10 @@
 //! # idde-par — deterministic parallel-evaluation primitives
 //!
-//! The IDDE-G hot paths are embarrassingly parallel *per candidate*: the
-//! best-response scan of Phase #1 evaluates every `(server, channel)`
-//! decision of every player against a **frozen** interference field, and
-//! the Eq. 17 greedy of Phase #2 scores every `(data, server)` placement
-//! candidate against a frozen latency state. Only the *commit* of a chosen
-//! candidate mutates shared state.
+//! Some IDDE-G hot paths are embarrassingly parallel *per candidate*: the
+//! Eq. 17 greedy of Phase #2 scores every `(data, server)` placement
+//! candidate against a **frozen** latency state, and the solver's root
+//! relaxation scores its bound columns likewise. Only the *commit* of a
+//! chosen candidate mutates shared state.
 //!
 //! This crate is the thin, auditable layer those hot paths share, and the
 //! workspace's only thread spawner:
@@ -13,8 +12,8 @@
 //! * [`par_map`] — an order-preserving parallel map with a sequential
 //!   small-input fallback;
 //! * [`par_fill`] — an in-place variant writing into a caller-owned buffer
-//!   (the best-response pass scan and the greedy's initial column scores,
-//!   one buffer reused across passes or columns);
+//!   (the greedy's initial column scores, one buffer reused across
+//!   columns);
 //! * [`par_for_each_mut`] — one worker per heavyweight `&mut` item (the
 //!   shard engines' tick phases, the experiment harness's repetitions);
 //! * [`num_threads`] / [`set_threads`] — the worker-count surface the
