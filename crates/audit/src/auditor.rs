@@ -8,38 +8,14 @@ use idde_radio::{capped_rate, InterferenceField, RadioEnvironment};
 
 use crate::report::{AuditReport, Violation};
 
-/// Tolerances of the audit comparisons; see the crate docs for the policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AuditConfig {
-    /// Relative tolerance for derived quantities: the Eq. 2 SINR, the
-    /// Eq. 3–4 capped Shannon rates and the Eq. 8 delivery latencies, each
-    /// recomputed from first principles and compared with the bookkept
-    /// value.
-    pub rel_tol: f64,
-    /// Relative tolerance for per-channel power sums (live vs rebuilt) —
-    /// the Eq. 2 interference denominators. Defaults to
-    /// [`InterferenceField::POWER_SUM_REL_TOL`] so the auditor and the
-    /// field's own `consistency_check` enforce the same bound.
-    pub power_rel_tol: f64,
-    /// Absolute tolerance for the Eq. 6 storage-budget counters, MB
-    /// (matches [`Placement::respects_storage`]).
-    pub storage_tol: f64,
-    /// Relative tolerance for the bulk-distribution audit's cost and delay
-    /// re-derivations — tight (1e-12) because planner and auditor run the
-    /// same arithmetic over the same routes.
-    pub dist_rel_tol: f64,
-}
+/// Relative tolerance for derived quantities: the Eq. 2 SINR, the Eq. 3–4
+/// capped Shannon rates and the Eq. 8 delivery latencies, each recomputed
+/// from first principles and compared with the bookkept value.
+pub const REL_TOL: f64 = 1e-9;
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            rel_tol: 1e-9,
-            power_rel_tol: InterferenceField::POWER_SUM_REL_TOL,
-            storage_tol: 1e-6,
-            dist_rel_tol: 1e-12,
-        }
-    }
-}
+/// Absolute tolerance for the Eq. 6 storage-budget counters, MB (matches
+/// [`Placement::respects_storage`]).
+pub const STORAGE_TOL: f64 = 1e-6;
 
 /// `a ≈ b` under a pure relative tolerance.
 #[inline]
@@ -47,19 +23,12 @@ fn close(a: f64, b: f64, rel_tol: f64) -> bool {
     (a - b).abs() <= rel_tol * a.abs().max(b.abs())
 }
 
-/// Runtime invariant auditor over the serving-path state.
+/// Runtime invariant auditor over the serving-path state. Its tolerances
+/// are fixed: see the crate docs for the policy.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Auditor {
-    /// Tolerance configuration.
-    pub config: AuditConfig,
-}
+pub struct Auditor;
 
 impl Auditor {
-    /// Creates an auditor with the given tolerances.
-    pub fn new(config: AuditConfig) -> Self {
-        Self { config }
-    }
-
     /// Cross-checks an incremental [`InterferenceField`] against a freshly
     /// rebuilt field and against from-scratch Eq. 2–4 recomputations.
     ///
@@ -90,14 +59,15 @@ impl Auditor {
 
                 let live_power = field.channel_power(server, channel);
                 let rebuilt_power = rebuilt.channel_power(server, channel);
-                report.check(close(live_power, rebuilt_power, self.config.power_rel_tol), || {
-                    Violation::PowerSumDrift {
+                report.check(
+                    close(live_power, rebuilt_power, InterferenceField::POWER_SUM_REL_TOL),
+                    || Violation::PowerSumDrift {
                         server,
                         channel,
                         live: live_power,
                         rebuilt: rebuilt_power,
-                    }
-                });
+                    },
+                );
             }
         }
 
@@ -112,7 +82,7 @@ impl Auditor {
 
             let reference = reference_sinr(env, scenario, alloc, user, server, channel);
             let live = field.sinr(user).expect("decision exists");
-            report.check(close(live, reference, self.config.rel_tol), || Violation::SinrMismatch {
+            report.check(close(live, reference, REL_TOL), || Violation::SinrMismatch {
                 user,
                 live,
                 reference,
@@ -125,8 +95,10 @@ impl Auditor {
             )
             .value();
             let live_rate = field.rate(user).value();
-            report.check(close(live_rate, reference_rate, self.config.rel_tol), || {
-                Violation::RateMismatch { user, live: live_rate, reference: reference_rate }
+            report.check(close(live_rate, reference_rate, REL_TOL), || Violation::RateMismatch {
+                user,
+                live: live_rate,
+                reference: reference_rate,
             });
         }
 
@@ -203,11 +175,11 @@ impl Auditor {
             let recomputed: f64 =
                 placement.data_on(server).map(|d| scenario.data[d.index()].size.value()).sum();
             let cached = placement.used(server).value();
-            report.check((cached - recomputed).abs() <= self.config.storage_tol, || {
+            report.check((cached - recomputed).abs() <= STORAGE_TOL, || {
                 Violation::StorageCacheDrift { server, cached, recomputed }
             });
             let capacity = scenario.servers[server.index()].storage.value();
-            report.check(recomputed <= capacity + self.config.storage_tol, || {
+            report.check(recomputed <= capacity + STORAGE_TOL, || {
                 Violation::StorageBudgetExceeded { server, used: recomputed, capacity }
             });
         }
@@ -217,8 +189,11 @@ impl Auditor {
             let size = scenario.data[data.index()].size;
             let (live, _) = topology.delivery_latency(placement, data, size, target);
             let reference = reference_latency(problem, placement, data, target);
-            report.check(close(live.value(), reference, self.config.rel_tol), || {
-                Violation::LatencyMismatch { user, data, live: live.value(), reference }
+            report.check(close(live.value(), reference, REL_TOL), || Violation::LatencyMismatch {
+                user,
+                data,
+                live: live.value(),
+                reference,
             });
         }
 
@@ -254,7 +229,7 @@ impl Auditor {
     ///    the union of the shards' active decisions must agree with each
     ///    shard's locally rebuilt field on every channel of every server
     ///    that shard owns: occupant lists exactly, per-channel power sums
-    ///    within [`AuditConfig::power_rel_tol`] (1e-12 by default, the same
+    ///    within [`InterferenceField::POWER_SUM_REL_TOL`] (1e-12, the same
     ///    bound the field's own `consistency_check` enforces).
     ///
     /// Occupant lists and power sums are functions of the allocation
@@ -348,14 +323,15 @@ impl Auditor {
                         live: live_users.len(),
                         rebuilt: ref_users.len(),
                     });
-                    report.check(close(*live_power, *ref_power, self.config.power_rel_tol), || {
-                        Violation::PowerSumDrift {
+                    report.check(
+                        close(*live_power, *ref_power, InterferenceField::POWER_SUM_REL_TOL),
+                        || Violation::PowerSumDrift {
                             server,
                             channel,
                             live: *live_power,
                             rebuilt: *ref_power,
-                        }
-                    });
+                        },
+                    );
                 }
             }
         }
@@ -498,7 +474,7 @@ mod tests {
         let game = IddeUGame::default();
         let outcome = game.run(&p);
         assert!(outcome.converged);
-        let auditor = Auditor::default();
+        let auditor = Auditor;
 
         let field_report = auditor.audit_field(&outcome.field);
         assert!(field_report.is_clean(), "{field_report}");
@@ -525,7 +501,7 @@ mod tests {
         let outcome = game.run(&p);
         let mut field = outcome.field;
         field.deallocate(UserId(0));
-        let cert = Auditor::default().certify_equilibrium(&game, &field, None);
+        let cert = Auditor.certify_equilibrium(&game, &field, None);
         assert!(cert
             .violations
             .iter()
@@ -538,7 +514,7 @@ mod tests {
         let game = IddeUGame::default();
         let outcome = game.run(&p);
         assert!(outcome.converged);
-        let auditor = Auditor::default();
+        let auditor = Auditor;
         // On a converged profile a restricted certificate runs exactly two
         // checks per listed player and stays clean.
         let subset = [UserId(0), UserId(2)];
@@ -567,7 +543,7 @@ mod tests {
             let game = IddeUGame::new(GameConfig { benefit, ..Default::default() });
             let outcome = game.run(&p);
             assert!(outcome.converged);
-            let auditor = Auditor::default();
+            let auditor = Auditor;
             let cert = auditor.certify_equilibrium(&game, &outcome.field, None);
             assert!(cert.is_clean(), "seed {seed}: {cert}");
             assert_eq!(cert.checks, 2 * p.scenario.num_users() as u64, "seed {seed}");
@@ -604,7 +580,7 @@ mod tests {
         for k in 0..p.scenario.num_data() {
             placement.place(ServerId(0), DataId::from_index(k), p.scenario.data[k].size);
         }
-        let report = Auditor::default().audit_placement(&p, &alloc, &placement);
+        let report = Auditor.audit_placement(&p, &alloc, &placement);
         assert!(report
             .violations
             .iter()
@@ -617,7 +593,7 @@ mod tests {
         let game = IddeUGame::default();
         let alloc = game.run(&p).field.into_allocation();
         let placement = GreedyDelivery::default().run(&p, &alloc).placement;
-        let auditor = Auditor::default();
+        let auditor = Auditor;
 
         // Declare server 0 down without any degradation handling: everything
         // it was serving or storing must be flagged.
@@ -670,7 +646,7 @@ mod tests {
             allocs[k].set(user, decision);
             actives[k][user.index()] = true;
         }
-        let auditor = Auditor::default();
+        let auditor = Auditor;
         let shards = [(&allocs[0], actives[0].as_slice()), (&allocs[1], actives[1].as_slice())];
         let report = auditor.audit_cross_shard(&p, &owner, &shards);
         assert!(report.is_clean(), "{report}");
@@ -716,10 +692,10 @@ mod tests {
         let game = IddeUGame::default();
         let field = p.field();
         // An empty field is internally consistent...
-        let report = Auditor::default().audit_field(&field);
+        let report = Auditor.audit_field(&field);
         assert!(report.is_clean(), "{report}");
         // ...but every covered user has a profitable first allocation.
-        let cert = Auditor::default().certify_equilibrium(&game, &field, None);
+        let cert = Auditor.certify_equilibrium(&game, &field, None);
         assert_eq!(cert.violations.len(), p.scenario.num_users());
     }
 }

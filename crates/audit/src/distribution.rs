@@ -11,6 +11,10 @@ use idde_net::{EdgeGraph, Topology, UNREACHABLE};
 use crate::auditor::Auditor;
 use crate::report::{AuditReport, Violation};
 
+/// Relative tolerance for the cost and delay re-derivations: tight because
+/// planner and auditor run the same arithmetic over the same routes.
+pub const DIST_REL_TOL: f64 = 1e-12;
+
 /// `a ≈ b` under a pure relative tolerance.
 #[inline]
 fn close(a: f64, b: f64, rel_tol: f64) -> bool {
@@ -62,7 +66,7 @@ impl Auditor {
     /// 2. **Delay** — the recorded analytic delay of every route is
     ///    recomputed as its pipelined bottleneck latency (plus the cloud
     ///    latency for cloud-fed routes) and compared at
-    ///    [`AuditConfig::dist_rel_tol`](crate::AuditConfig::dist_rel_tol).
+    ///    [`DIST_REL_TOL`].
     /// 3. **Cost** — each demand's cost is re-derived under its strategy's
     ///    charging rule (unicast: every copy pays its full route; Steiner:
     ///    each distinct tree link and cloud landing pays once), and checked
@@ -80,7 +84,7 @@ impl Auditor {
         plan: &DistributionPlan,
         config: &DistConfig,
     ) -> AuditReport {
-        let rel = self.config.dist_rel_tol;
+        let rel = DIST_REL_TOL;
         let mut report = AuditReport::new();
         let mut recount: u64 = 0;
         let mut flags_ok = true;
@@ -242,7 +246,7 @@ mod tests {
 
     #[test]
     fn clean_plans_audit_clean_under_both_models_and_strategies() {
-        let auditor = Auditor::default();
+        let auditor = Auditor;
         let config = DistConfig::default();
         let topo = topo();
         for plan in
@@ -256,7 +260,7 @@ mod tests {
 
     #[test]
     fn tampered_plans_are_flagged() {
-        let auditor = Auditor::default();
+        let auditor = Auditor;
         let config = DistConfig::default();
         let topo = topo();
         let clean = SteinerTree.plan(&topo, &demands(), &config);
@@ -354,7 +358,7 @@ mod tests {
         assert_eq!(plan.delay_violations, 0);
         assert_eq!(route_to_2(&plan), ids(&[0, 3, 4, 5, 2]));
         assert!((plan.plans[0].installs[1].delay_ms - 12.0).abs() < 1e-9);
-        let report = Auditor::default().audit_distribution(&topo, &plan, &config);
+        let report = Auditor.audit_distribution(&topo, &plan, &config);
         assert!(report.is_clean(), "{report}");
 
         // Every link is charged once: 60 MB × (0.1 + 0.1 + 4 × 0.2), below

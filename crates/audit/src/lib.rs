@@ -38,9 +38,11 @@
 //! [`idde_radio::InterferenceField::POWER_SUM_REL_TOL`] (`1e-12` — the live
 //! and rebuilt sums differ only by summation order after the
 //! resnap-on-remove fix); derived quantities (SINR, rate, latency) use
-//! [`AuditConfig::rel_tol`] (`1e-9`, absorbing the longer operation chains);
-//! storage counters use the absolute [`AuditConfig::storage_tol`] megabytes,
-//! matching [`idde_model::Placement::respects_storage`].
+//! [`auditor::REL_TOL`] (`1e-9`, absorbing the longer operation chains);
+//! bulk-distribution costs and delays use [`distribution::DIST_REL_TOL`]
+//! (`1e-12`). Storage counters use the absolute [`auditor::STORAGE_TOL`]
+//! megabytes, matching [`idde_model::Placement::respects_storage`]. The
+//! tolerances are constants: every caller audits against the same bounds.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -49,5 +51,5 @@ pub mod auditor;
 pub mod distribution;
 pub mod report;
 
-pub use auditor::{AuditConfig, Auditor};
+pub use auditor::Auditor;
 pub use report::{AuditReport, Violation};

@@ -24,7 +24,7 @@ use crate::SolveStrategy;
 #[derive(Clone, Copy, Debug)]
 pub struct DupG {
     /// Game configuration (defaults to the congestion benefit model of
-    /// \[33\]; the arbitration knobs are shared with IDDE-G).
+    /// \[33\]; acceptance, pass cap and seed are IDDE-G's).
     pub game: GameConfig,
 }
 

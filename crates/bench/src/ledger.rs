@@ -8,11 +8,13 @@
 //!    wall-clock per case, so numbers are comparable across commits.
 //! 2. **Is the determinism contract holding?** Every case runs through one
 //!    harness, `sweep`, over an axis of points: worker counts (default
-//!    1/2/4/8 via [`idde_par::set_threads`]) for the paper-scale cases, or a
-//!    case parameter — batch size B, caching policy, delivery strategy,
-//!    shard count K — run on one worker. A result *fingerprint* — a hash
-//!    over the bit patterns of the produced equilibrium metrics, serve CSV
-//!    or solver state — is taken for every sample. The contract "same
+//!    1/2/4/8 via [`idde_par::set_threads`]) for the paper-scale cases that
+//!    use the pool, or a case parameter — batch size B, caching policy,
+//!    delivery strategy, shard count K — run on one worker. The serial
+//!    `iddeu_game` case has a single point on one worker. A result
+//!    *fingerprint* — a hash over the bit patterns of the produced
+//!    equilibrium metrics, serve CSV or solver state — is taken for every
+//!    sample. The contract "same
 //!    seed ⇒ identical result at every sample and every point" is checked
 //!    right here, not just claimed: `deterministic` in the emitted JSON is
 //!    the conjunction over the sweep.
@@ -356,17 +358,20 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
     let problem = fullscale_problem(cfg.seed);
     let workload = "SyntheticEua 125 servers / 816 users / 5 data, standard substrates";
 
-    let game_case = thread_sweep(
-        cfg,
-        "iddeu_game",
-        workload,
-        || IddeUGame::default().run(&problem).field.into_allocation(),
-        |alloc| {
+    // The game makes no `idde-par` call, so it is timed once, on one worker.
+    let (points, _) = sweep(
+        cfg.samples,
+        Axis::Param(&[1]),
+        |_| (),
+        |_| (),
+        |_, ()| IddeUGame::default().run(&problem).field.into_allocation(),
+        |_, alloc| {
             let mut fp = Fingerprint::new();
             absorb_allocation(&mut fp, alloc);
-            fp.digest()
+            (fp.digest(), ())
         },
     );
+    let game_case = BenchCase { name: "iddeu_game".into(), workload: workload.into(), points };
 
     let fixed_alloc = IddeUGame::default().run(&problem).field.into_allocation();
     let delivery_case = thread_sweep(
@@ -649,11 +654,7 @@ fn cache_drift_case(
         |ix| {
             let config = EngineConfig {
                 checkpoint_interval: 0,
-                cache: CacheConfig {
-                    policy: policies[ix],
-                    seed: cfg.seed,
-                    ..CacheConfig::default()
-                },
+                cache: CacheConfig { policy: policies[ix], seed: cfg.seed },
                 ..EngineConfig::default()
             };
             Engine::new(problem.clone(), config, initial.clone())

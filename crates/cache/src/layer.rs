@@ -31,23 +31,17 @@ pub struct CacheConfig {
     pub policy: PolicyKind,
     /// Seed of the layer's private RNG (only ProbCache draws from it).
     pub seed: u64,
-    /// ProbCache's base admission probability `p` (scaled by path length).
-    pub admit_probability: f64,
-    /// Popularity counters are halved every this many observations, so the
-    /// layer tracks the *recent* hot set under a drifting workload.
-    pub decay_every: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            policy: PolicyKind::Off,
-            seed: 0x1dde_cac4e,
-            admit_probability: 0.3,
-            decay_every: 512,
-        }
+        Self { policy: PolicyKind::Off, seed: 0x1dde_cac4e }
     }
 }
+
+/// Popularity counters are halved every this many observations, so the
+/// layer tracks the *recent* hot set under a drifting workload.
+const DECAY_EVERY: u64 = 512;
 
 /// Aggregate cache activity, mirrored into the engine's serve metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -98,7 +92,6 @@ pub struct Observation {
 /// admission/eviction flow.
 #[derive(Clone, Debug)]
 pub struct CacheLayer {
-    config: CacheConfig,
     policy: Admission,
     /// Cached replicas — disjoint from the solver placement by invariant.
     store: Placement,
@@ -117,9 +110,8 @@ pub struct CacheLayer {
 impl CacheLayer {
     /// Builds the layer, or `None` when the policy is [`PolicyKind::Off`].
     pub fn new(config: CacheConfig, num_servers: usize, num_data: usize) -> Option<Self> {
-        let policy = Admission::new(config.policy, config.admit_probability, config.seed)?;
+        let policy = Admission::new(config.policy, config.seed)?;
         Some(Self {
-            config,
             policy,
             store: Placement::empty(num_servers, num_data),
             popularity: vec![0; num_data],
@@ -198,9 +190,9 @@ impl CacheLayer {
         // the recent hot set rather than the all-time one.
         self.popularity[obs.data.index()] += 1;
         self.observations += 1;
-        // `% decay_every` rather than `u64::is_multiple_of` — MSRV 1.85.
+        // `% DECAY_EVERY` rather than `u64::is_multiple_of` — MSRV 1.85.
         #[allow(clippy::manual_is_multiple_of)]
-        if self.observations % self.config.decay_every == 0 {
+        if self.observations % DECAY_EVERY == 0 {
             self.popularity.iter_mut().for_each(|p| *p >>= 1);
         }
         if obs.served_from_cache {
@@ -492,7 +484,7 @@ mod tests {
             let policy = [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache][policy_pick];
             let (scenario, topology) = fixture();
             let solver = Placement::empty(4, 4);
-            let config = CacheConfig { policy, seed, ..CacheConfig::default() };
+            let config = CacheConfig { policy, seed };
             let mut a = CacheLayer::new(config, 4, 4).unwrap();
             let mut b = CacheLayer::new(config, 4, 4).unwrap();
             for &(server, data) in &stream {

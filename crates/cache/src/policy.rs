@@ -98,28 +98,28 @@ pub(crate) enum Admission {
     /// deliveries (the cloud sits "above" every edge node).
     Lcd,
     /// ProbCache: admit at the serving server with probability
-    /// `min(1, p · hops)`, where `hops` is the edge path length the
-    /// delivery crossed (1 for cloud deliveries). The RNG is consumed only
-    /// on admissible misses, in event order, so replays are bit-identical.
+    /// `min(1, ADMIT_PROBABILITY · hops)`, where `hops` is the edge path
+    /// length the delivery crossed (1 for cloud deliveries). The RNG is
+    /// consumed only on admissible misses, in event order, so replays are
+    /// bit-identical.
     ProbCache {
-        /// Base admission probability `p`.
-        admit_probability: f64,
         /// The policy's private, seeded RNG.
         rng: ChaCha8Rng,
     },
 }
 
+/// ProbCache's base admission probability `p`, scaled by the path length.
+const ADMIT_PROBABILITY: f64 = 0.3;
+
 impl Admission {
     /// Instantiates the policy for `kind`; `None` for [`PolicyKind::Off`].
-    /// Only ProbCache reads `admit_probability` and `seed`.
-    pub(crate) fn new(kind: PolicyKind, admit_probability: f64, seed: u64) -> Option<Self> {
+    /// Only ProbCache reads `seed`.
+    pub(crate) fn new(kind: PolicyKind, seed: u64) -> Option<Self> {
         match kind {
             PolicyKind::Off => None,
             PolicyKind::Lce => Some(Self::Lce),
             PolicyKind::Lcd => Some(Self::Lcd),
-            PolicyKind::ProbCache => {
-                Some(Self::ProbCache { admit_probability, rng: ChaCha8Rng::seed_from_u64(seed) })
-            }
+            PolicyKind::ProbCache => Some(Self::ProbCache { rng: ChaCha8Rng::seed_from_u64(seed) }),
         }
     }
 
@@ -135,13 +135,13 @@ impl Admission {
                 // Edge delivery: one hop from the origin toward the target.
                 Some(_) => ctx.path.get(1).copied(),
             },
-            Self::ProbCache { admit_probability, rng } => {
+            Self::ProbCache { rng } => {
                 if ctx.already_at_target {
                     return None;
                 }
                 let hops = ctx.path.len().saturating_sub(1).max(1);
-                let p = (*admit_probability * hops as f64).clamp(0.0, 1.0);
-                (p > 0.0 && rng.gen_bool(p)).then_some(ctx.target)
+                let p = (ADMIT_PROBABILITY * hops as f64).min(1.0);
+                rng.gen_bool(p).then_some(ctx.target)
             }
         }
     }
@@ -155,8 +155,8 @@ mod tests {
         RequestContext { target: ServerId(3), source, path, already_at_target: false }
     }
 
-    fn admission(kind: PolicyKind, admit_probability: f64, seed: u64) -> Admission {
-        Admission::new(kind, admit_probability, seed).expect("policy is not Off")
+    fn admission(kind: PolicyKind, seed: u64) -> Admission {
+        Admission::new(kind, seed).expect("policy is not Off")
     }
 
     #[test]
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn lce_admits_at_target_unless_present() {
-        let mut p = admission(PolicyKind::Lce, 0.0, 0);
+        let mut p = admission(PolicyKind::Lce, 0);
         assert_eq!(p.admit(&ctx(&[], None)), Some(ServerId(3)));
         let mut present = ctx(&[], None);
         present.already_at_target = true;
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn lcd_steps_one_hop_down() {
-        let mut p = admission(PolicyKind::Lcd, 0.0, 0);
+        let mut p = admission(PolicyKind::Lcd, 0);
         let path = [ServerId(7), ServerId(5), ServerId(3)];
         // Edge delivery from 7: copy lands one hop down, at 5.
         assert_eq!(p.admit(&ctx(&path, Some(ServerId(7)))), Some(ServerId(5)));
@@ -193,12 +193,13 @@ mod tests {
     fn probcache_is_seeded_and_path_weighted() {
         let path = [ServerId(7), ServerId(5), ServerId(3)];
         let run = |seed| {
-            let mut p = admission(PolicyKind::ProbCache, 0.3, seed);
+            let mut p = admission(PolicyKind::ProbCache, seed);
             (0..64).map(|_| p.admit(&ctx(&path, Some(ServerId(7)))).is_some()).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9), "same seed must replay identically");
-        let mut sure = admission(PolicyKind::ProbCache, 0.5, 1);
-        // Two hops at p = 0.5 saturate to certainty.
-        assert_eq!(sure.admit(&ctx(&path, Some(ServerId(7)))), Some(ServerId(3)));
+        let mut sure = admission(PolicyKind::ProbCache, 1);
+        // Four hops at p = 0.3 saturate to certainty.
+        let long = [ServerId(9), ServerId(8), ServerId(7), ServerId(5), ServerId(3)];
+        assert_eq!(sure.admit(&ctx(&long, Some(ServerId(9)))), Some(ServerId(3)));
     }
 }

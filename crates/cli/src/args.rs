@@ -2,6 +2,9 @@
 
 use std::path::PathBuf;
 
+use idde_bench::ledger::LedgerConfig;
+use idde_engine::EngineConfig;
+
 /// Top-level usage text.
 pub const USAGE: &str = "\
 usage: idde <command> [options]
@@ -392,6 +395,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !["steady", "drift"].contains(&workload.as_str()) {
                 return Err(format!("--workload: expected steady|drift, got {workload:?}"));
             }
+            let engine = EngineConfig::default();
             Ok(Command::Serve {
                 scenario: take("scenario").map(|v| path_arg(&v)),
                 servers: servers(Some(20))?,
@@ -403,8 +407,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 ticks: parse_u64("ticks", 200)?,
                 density: parse_f64("density", 1.0)?,
                 net_seed: parse_u64("net-seed", 1)?,
-                checkpoint: parse_u64("checkpoint", 50)?,
-                drift: parse_f64("drift", 0.05)?,
+                checkpoint: parse_u64("checkpoint", engine.checkpoint_interval)?,
+                drift: parse_f64("drift", engine.drift_threshold)?,
                 csv: take("csv").map(|v| path_arg(&v)),
                 audit: parse_u64("audit", 0)?,
                 chaos: take("chaos"),
@@ -436,12 +440,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !["all", "engine", "solver"].contains(&suite.as_str()) {
                 return Err(format!("--suite: expected all|engine|solver, got {suite:?}"));
             }
-            let samples = usize_or("samples", 5)?;
+            let defaults = LedgerConfig::default();
+            let samples = usize_or("samples", defaults.samples)?;
             if samples == 0 {
                 return Err("--samples must be positive".into());
             }
             let threads = match take("threads") {
-                None => vec![1, 2, 4, 8],
+                None => defaults.threads,
                 Some(list) => {
                     let parsed: Result<Vec<usize>, _> = list
                         .split(',')
@@ -466,7 +471,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 suite,
                 samples,
                 threads,
-                seed: parse_u64("seed", 2022)?,
+                seed: parse_u64("seed", defaults.seed)?,
                 out: take("out").map(PathBuf::from).unwrap_or_else(|| PathBuf::from(".")),
                 json: flag("json")?,
                 check: flag("check")?,

@@ -504,7 +504,7 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
         checkpoint_interval: opts.checkpoint,
         audit_every: opts.audit,
         batch: opts.batch,
-        cache: CacheConfig { policy: opts.cache, seed: opts.seed, ..CacheConfig::default() },
+        cache: CacheConfig { policy: opts.cache, seed: opts.seed },
         dist: DistConfig { strategy: opts.delivery, record: record_dist, ..DistConfig::default() },
         ..Default::default()
     };

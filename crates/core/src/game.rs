@@ -11,23 +11,18 @@
 //! best response; users that can improve *submit update requests*; a winner
 //! commits its move; the game ends when a pass produces no update request.
 //! The winner arbitration is left abstract in the paper ("if u_j is the
-//! winner"), so this module makes it a [`GameConfig`] policy:
-//!
-//! * [`ArbitrationPolicy::ShuffledSequential`] *(default)* — every improving
-//!   user commits immediately during a pass, with the user order reshuffled
-//!   every pass from [`GameConfig::seed`]. Each commit is a unilateral
-//!   improvement step, so the potential-game termination argument applies
-//!   unchanged under the uniform-gain analysis of Theorem 3; the per-pass
-//!   reshuffle additionally breaks the deterministic best-response cycles
-//!   that the *full* Eq. 12 benefit (whose cross-server term `F` makes the
-//!   game not an exact potential game) enters under a fixed order.
-//! * [`ArbitrationPolicy::MaxGainWinner`] — the paper-literal reading: one
-//!   winner per pass, the user with the largest benefit gain.
+//! winner"); this module runs one discipline. Every improving user commits
+//! immediately during a pass, with the user order reshuffled every pass from
+//! [`GameConfig::seed`]. Each commit is a unilateral improvement step, so the
+//! potential-game termination argument applies unchanged under the
+//! uniform-gain analysis of Theorem 3; the per-pass reshuffle additionally
+//! breaks the deterministic best-response cycles that the *full* Eq. 12
+//! benefit (whose cross-server term `F` makes the game not an exact
+//! potential game) enters under a fixed order.
 //!
 //! Players are scanned one at a time against the live field. IDDE-G and the
 //! serving engine's initial solve, repairs and checkpoints all run this one
-//! discipline, so with the same players and seed they reach the same
-//! equilibrium.
+//! loop, so with the same players and seed they reach the same equilibrium.
 //!
 //! The benefit itself is also pluggable ([`BenefitModel`]): the paper's
 //! Eq. 12 (default), or the pure congestion form `p_j / Σ_{t∈U_{i,x}} p_t`
@@ -55,15 +50,12 @@
 //! if a commit changed something that scan read.
 //! [`IddeUGame::run_restricted`] therefore skips it unless a commit touched
 //! its neighbourhood `D_j = V_j ∪ {j's current server}`; a skipped player
-//! contributes no update request, so every policy keeps its trajectory
-//! bit for bit:
+//! would have found no move, so the trajectory is unchanged bit for bit:
 //!
 //! * when mover `m` commits from server `a` to server `b`, every server of
 //!   `V_m ∪ {a, b}` is stamped with the new commit number;
 //! * a quiet player is rescanned iff some server of `D_j` carries a stamp
-//!   newer than its last scan — the commit count at the scan under the
-//!   shuffled sequential policy, at the pass-start snapshot under the
-//!   max-gain winner policy.
+//!   newer than its last scan, taken as the commit count at that scan.
 //!
 //! Within one repair coverage, gains and jamming are fixed. A scan reads the
 //! channels of `V_j` (best response and the cross-server term `F`) and of
@@ -82,18 +74,10 @@ use rand::SeedableRng as _;
 
 use crate::problem::Problem;
 
-/// How the per-pass winner among improving users is chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ArbitrationPolicy {
-    /// Every improving user commits immediately, visiting users in a fresh
-    /// random order each pass (asynchronous best response with random
-    /// serial order). The workspace default: empirically cycle-free on the
-    /// full Eq. 12 benefit.
-    #[default]
-    ShuffledSequential,
-    /// One winner per pass: the user with the largest benefit gain.
-    MaxGainWinner,
-}
+/// Relative improvement a move must achieve to count, guarding against
+/// floating-point livelock on ties: a deviation is accepted only when its
+/// benefit gain exceeds `EPSILON · |β_current|`.
+const EPSILON: f64 = 1e-9;
 
 /// Which benefit function drives best responses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -143,32 +127,23 @@ pub enum AcceptanceRule {
 /// Tunables of the IDDE-U game engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GameConfig {
-    /// Winner arbitration policy.
-    pub arbitration: ArbitrationPolicy,
     /// Benefit model driving best responses.
     pub benefit: BenefitModel,
     /// Move acceptance rule (Lyapunov guard on/off).
     pub acceptance: AcceptanceRule,
-    /// Relative improvement a move must achieve to count, guarding against
-    /// floating-point livelock on ties: a deviation is accepted only when
-    /// its Eq. 12 benefit gain exceeds `epsilon · |β_current|`.
-    pub epsilon: f64,
     /// Hard cap on game passes; `converged = false` in the outcome when hit.
     /// The potential-game property makes this a safety net, not a tuning
     /// knob — see Theorem 4.
     pub max_passes: usize,
-    /// Seed of the per-pass user shuffle of
-    /// [`ArbitrationPolicy::ShuffledSequential`].
+    /// Seed of the per-pass user shuffle.
     pub seed: u64,
 }
 
 impl Default for GameConfig {
     fn default() -> Self {
         Self {
-            arbitration: ArbitrationPolicy::ShuffledSequential,
             benefit: BenefitModel::PaperEq12,
             acceptance: AcceptanceRule::LyapunovGuarded,
-            epsilon: 1e-9,
             max_passes: 10_000,
             seed: 0,
         }
@@ -236,20 +211,44 @@ impl IddeUGame {
     }
 
     /// The user's profitable unilateral deviation under this game's full
-    /// acceptance discipline — the relative-epsilon improvement threshold
-    /// *and* (when configured) the Lyapunov guard — or `None` when the user
-    /// has no move the game itself would commit.
+    /// acceptance discipline — its best response when that beats the
+    /// current benefit by more than the relative `EPSILON` (Algorithm 1
+    /// line 14) *and* (when configured) passes the Lyapunov guard — or
+    /// `None` when the user has no move the game itself would commit.
     ///
     /// `None` for every player certifies the profile is at the game's
     /// quiescent point (a Nash equilibrium under `BenefitOnly` acceptance; an
     /// interference-guarded equilibrium under `LyapunovGuarded`). This is the
-    /// primitive the `idde-audit` Nash-certificate checker runs per player.
+    /// move test of every game pass, and the primitive the `idde-audit`
+    /// Nash-certificate checker runs per player.
     pub fn profitable_deviation(
         &self,
         field: &InterferenceField<'_>,
         user: UserId,
     ) -> Option<(ServerId, ChannelIndex, f64)> {
-        self.improving_move(field, user).map(|(_, s, x, gain)| (s, x, gain))
+        // A user currently sitting on a foreign server is a halo mirror of a
+        // decision owned by another shard: it is frozen here — it exerts
+        // interference but never plays (the owning shard moves it).
+        if let Some((s, _)) = field.allocation().decision(user) {
+            if field.scenario().coverage.is_foreign(s) {
+                return None;
+            }
+        }
+        let (best, scanned) = self.scan(field, user);
+        let (s, x, best) = best?;
+        let current = scanned.unwrap_or_else(|| self.current_benefit(field, user));
+        let gain = best - current;
+        // Relative epsilon so the threshold scales with the benefit values.
+        if gain > EPSILON * current.abs().max(1e-30) && gain > 0.0 {
+            if self.config.acceptance == AcceptanceRule::LyapunovGuarded
+                && !self.guard_accepts(field, user, s, x)
+            {
+                return None;
+            }
+            Some((s, x, gain))
+        } else {
+            None
+        }
     }
 
     /// Computes `user`'s best response: the decision in `δ_j` with the
@@ -368,93 +367,32 @@ impl IddeUGame {
         let mut converged = false;
         let mut order: Vec<UserId> = players.to_vec();
         let mut quiet = QuietPlayers::new(field.scenario());
-        // The update requests of one max-gain-winner pass, kept for the
-        // whole run instead of being reallocated per pass.
-        let mut requests: Vec<(UserId, ServerId, ChannelIndex, f64)> = Vec::new();
 
         while passes < self.config.max_passes {
             passes += 1;
-            match self.config.arbitration {
-                ArbitrationPolicy::ShuffledSequential => {
-                    order.shuffle(&mut rng);
-                    let mut any = false;
-                    for &user in &order {
-                        if quiet.skips(&field, user) {
-                            continue;
-                        }
-                        scans += 1;
-                        let mv = self.improving_move(&field, user);
-                        quiet.record(user, mv.is_some(), moves);
-                        if let Some((_, s, x, _)) = mv {
-                            moves += 1;
-                            quiet.stamp(&field, user, s, moves);
-                            field.allocate(user, s, x);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        converged = true;
-                        break;
-                    }
+            order.shuffle(&mut rng);
+            let mut any = false;
+            for &user in &order {
+                if quiet.skips(&field, user) {
+                    continue;
                 }
-                ArbitrationPolicy::MaxGainWinner => {
-                    // Every player scores against the pass-start field; the
-                    // largest gain commits.
-                    requests.clear();
-                    for &user in players {
-                        if quiet.skips(&field, user) {
-                            continue;
-                        }
-                        scans += 1;
-                        let mv = self.improving_move(&field, user);
-                        quiet.record(user, mv.is_some(), moves);
-                        requests.extend(mv);
-                    }
-                    let Some(&(user, s, x, _)) = max_gain(&requests) else {
-                        converged = true;
-                        break;
-                    };
+                scans += 1;
+                let mv = self.profitable_deviation(&field, user);
+                quiet.record(user, mv.is_some(), moves);
+                if let Some((s, x, _)) = mv {
                     moves += 1;
                     quiet.stamp(&field, user, s, moves);
                     field.allocate(user, s, x);
+                    any = true;
                 }
+            }
+            if !any {
+                converged = true;
+                break;
             }
         }
 
         GameOutcome { field, passes, moves, scans, converged }
-    }
-
-    /// The user's improving move and its gain, if any: its best response
-    /// when it beats the current benefit by more than epsilon (Algorithm 1
-    /// line 14) and, when configured, passes the Lyapunov guard.
-    fn improving_move(
-        &self,
-        field: &InterferenceField<'_>,
-        user: UserId,
-    ) -> Option<(UserId, ServerId, ChannelIndex, f64)> {
-        // A user currently sitting on a foreign server is a halo mirror of a
-        // decision owned by another shard: it is frozen here — it exerts
-        // interference but never plays (the owning shard moves it).
-        if let Some((s, _)) = field.allocation().decision(user) {
-            if field.scenario().coverage.is_foreign(s) {
-                return None;
-            }
-        }
-        let (best, scanned) = self.scan(field, user);
-        let (s, x, best) = best?;
-        let current = scanned.unwrap_or_else(|| self.current_benefit(field, user));
-        let gain = best - current;
-        // Relative epsilon so the threshold scales with the benefit values.
-        if gain > self.config.epsilon * current.abs().max(1e-30) && gain > 0.0 {
-            if self.config.acceptance == AcceptanceRule::LyapunovGuarded
-                && !self.guard_accepts(field, user, s, x)
-            {
-                return None;
-            }
-            Some((user, s, x, gain))
-        } else {
-            None
-        }
     }
 
     /// The Lyapunov guard (see module docs): a benefit-improving move is
@@ -543,14 +481,6 @@ impl IddeUGame {
     }
 }
 
-/// The update request with the largest gain (the last of equal gains), or
-/// `None` when no player of the pass requested an update.
-fn max_gain(
-    requests: &[(UserId, ServerId, ChannelIndex, f64)],
-) -> Option<&(UserId, ServerId, ChannelIndex, f64)> {
-    requests.iter().max_by(|a, b| a.3.partial_cmp(&b.3).expect("gains are finite"))
-}
-
 /// Quiet-player skipping state of one [`IddeUGame::run_restricted`] call
 /// (module docs, § Quiet-player skipping).
 struct QuietPlayers {
@@ -635,18 +565,12 @@ mod tests {
 
     #[test]
     fn all_policies_reach_nash() {
+        // The one arbitration policy, from a second shuffle seed.
         let p = problem();
-        for arbitration in [ArbitrationPolicy::ShuffledSequential, ArbitrationPolicy::MaxGainWinner]
-        {
-            let config = GameConfig { arbitration, seed: 3, ..Default::default() };
-            let game = IddeUGame::new(config);
-            let outcome = game.run(&p);
-            assert!(outcome.converged, "{arbitration:?} did not converge");
-            assert!(
-                is_nash_equilibrium(&game, &outcome.field, 1e-9),
-                "{arbitration:?} is not Nash"
-            );
-        }
+        let game = IddeUGame::new(GameConfig { seed: 3, ..Default::default() });
+        let outcome = game.run(&p);
+        assert!(outcome.converged);
+        assert!(is_nash_equilibrium(&game, &outcome.field, 1e-9));
     }
 
     #[test]
@@ -746,14 +670,14 @@ mod tests {
         assert!(game.best_response(&field, UserId(1)).is_none());
     }
 
-    /// `improving_move` on the reference scan: the same acceptance test
+    /// `profitable_deviation` on the reference scan: the same acceptance test
     /// applied to the reference best response, against a separately derived
     /// current benefit.
     fn improving_move_reference(
         game: &IddeUGame,
         field: &InterferenceField<'_>,
         user: UserId,
-    ) -> Option<(UserId, ServerId, ChannelIndex, f64)> {
+    ) -> Option<(ServerId, ChannelIndex, f64)> {
         let decision = field.allocation().decision(user);
         if decision.is_some_and(|(s, _)| field.scenario().coverage.is_foreign(s)) {
             return None;
@@ -761,11 +685,11 @@ mod tests {
         let (s, x, best) = game.best_response_by_candidate(field, user)?;
         let current = game.current_benefit(field, user);
         let gain = best - current;
-        let accepted = gain > game.config.epsilon * current.abs().max(1e-30)
+        let accepted = gain > EPSILON * current.abs().max(1e-30)
             && gain > 0.0
             && (game.config.acceptance != AcceptanceRule::LyapunovGuarded
                 || game.guard_accepts(field, user, s, x));
-        accepted.then_some((user, s, x, gain))
+        accepted.then_some((s, x, gain))
     }
 
     /// The pre-skipping game loop on the reference scan, kept as the oracle
@@ -780,36 +704,19 @@ mod tests {
         let mut order: Vec<UserId> = players.to_vec();
         while passes < game.config.max_passes {
             passes += 1;
-            match game.config.arbitration {
-                ArbitrationPolicy::ShuffledSequential => {
-                    order.shuffle(&mut rng);
-                    let mut any = false;
-                    for &user in &order {
-                        scans += 1;
-                        if let Some((_, s, x, _)) = improving_move_reference(game, &field, user) {
-                            field.allocate(user, s, x);
-                            moves += 1;
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        converged = true;
-                        break;
-                    }
-                }
-                ArbitrationPolicy::MaxGainWinner => {
-                    let requests: Vec<_> = players
-                        .iter()
-                        .filter_map(|&u| improving_move_reference(game, &field, u))
-                        .collect();
-                    scans += players.len();
-                    let Some(&(user, s, x, _)) = max_gain(&requests) else {
-                        converged = true;
-                        break;
-                    };
+            order.shuffle(&mut rng);
+            let mut any = false;
+            for &user in &order {
+                scans += 1;
+                if let Some((s, x, _)) = improving_move_reference(game, &field, user) {
                     field.allocate(user, s, x);
                     moves += 1;
+                    any = true;
                 }
+            }
+            if !any {
+                converged = true;
+                break;
             }
         }
         GameOutcome { field, passes, moves, scans, converged }
@@ -992,29 +899,17 @@ mod tests {
             let inst = Instance::small(&mut rng);
             let players = inst.players(&mut rng);
             stale += inst.stale.len();
-            for arbitration in
-                [ArbitrationPolicy::ShuffledSequential, ArbitrationPolicy::MaxGainWinner]
-            {
-                for benefit in [BenefitModel::PaperEq12, BenefitModel::Congestion] {
-                    for acceptance in [AcceptanceRule::LyapunovGuarded, AcceptanceRule::BenefitOnly]
-                    {
-                        let game = IddeUGame::new(GameConfig {
-                            arbitration,
-                            benefit,
-                            acceptance,
-                            max_passes: 60,
-                            seed,
-                            ..Default::default()
-                        });
-                        let what =
-                            format!("seed {seed} {arbitration:?} {benefit:?} {acceptance:?}");
-                        let got = game.run_restricted(inst.field(), &players);
-                        let want = run_restricted_reference(&game, inst.field(), &players);
-                        assert_same_outcome(&got, &want, &what);
-                        assert!(got.scans <= want.scans, "{what}: skipping added scans");
-                        skipped += want.scans - got.scans;
-                        capped += usize::from(!got.converged);
-                    }
+            for benefit in [BenefitModel::PaperEq12, BenefitModel::Congestion] {
+                for acceptance in [AcceptanceRule::LyapunovGuarded, AcceptanceRule::BenefitOnly] {
+                    let game =
+                        IddeUGame::new(GameConfig { benefit, acceptance, max_passes: 60, seed });
+                    let what = format!("seed {seed} {benefit:?} {acceptance:?}");
+                    let got = game.run_restricted(inst.field(), &players);
+                    let want = run_restricted_reference(&game, inst.field(), &players);
+                    assert_same_outcome(&got, &want, &what);
+                    assert!(got.scans <= want.scans, "{what}: skipping added scans");
+                    skipped += want.scans - got.scans;
+                    capped += usize::from(!got.converged);
                 }
             }
         }
@@ -1080,8 +975,7 @@ mod tests {
                     let what = format!("seed {seed} user {user} {acceptance:?}");
                     let want = game.best_response_by_candidate(&field, user);
                     assert_eq!(bits(game.best_response(&field, user)), bits(want), "{what}");
-                    let want = improving_move_reference(&game, &field, user)
-                        .map(|(_, s, x, gain)| (s, x, gain));
+                    let want = improving_move_reference(&game, &field, user);
                     assert_eq!(bits(game.profitable_deviation(&field, user)), bits(want), "{what}");
                     scanned += 1;
                 }

@@ -6,9 +6,10 @@
 //! * [`Problem`] — a solvable IDDE instance: scenario + wireless environment
 //!   + network topology, with the shared strategy evaluator (Eqs. 5 and 9).
 //! * [`game`] — **Phase #1**: the IDDE-U user-allocation game. Best-response
-//!   dynamics over the benefit function (Eq. 12) with configurable winner
-//!   arbitration, terminating in a Nash equilibrium (Theorem 3: IDDE-U is a
-//!   potential game; Theorem 4 bounds the iterations).
+//!   dynamics over the benefit function (Eq. 12), every improving user
+//!   committing in a per-pass shuffled order, terminating in a Nash
+//!   equilibrium (Theorem 3: IDDE-U is a potential game; Theorem 4 bounds
+//!   the iterations).
 //! * [`delivery`] — **Phase #2**: the greedy data delivery heuristic that
 //!   repeatedly commits the placement decision with the highest latency
 //!   reduction per megabyte (Eq. 17) under the storage constraint (Eq. 6);
@@ -31,9 +32,7 @@ pub mod problem;
 pub mod strategy;
 
 pub use delivery::{evict_useless_replicas, DeliveryConfig, DeliveryOutcome, GreedyDelivery};
-pub use game::{
-    AcceptanceRule, ArbitrationPolicy, BenefitModel, GameConfig, GameOutcome, IddeUGame,
-};
+pub use game::{AcceptanceRule, BenefitModel, GameConfig, GameOutcome, IddeUGame};
 pub use iddeg::{IddeG, IddeGReport};
 pub use metrics::Metrics;
 pub use nash::is_nash_equilibrium;

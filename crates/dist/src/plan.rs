@@ -47,9 +47,6 @@ pub struct DistConfig {
     /// its unconstrained direct-delivery optimum by at most this factor
     /// before it counts as a violation (EDD-NSTE's end-to-end guarantee).
     pub delay_factor: f64,
-    /// Chunk count handed to [`idde_net::simulate_concurrent`] when
-    /// charging contended transfer delays.
-    pub chunks: usize,
     /// Whether bulk installs are planned and recorded at all. `false` (the
     /// default) skips planning entirely, keeping the serve CSV
     /// byte-identical to a build without this crate.
@@ -58,7 +55,7 @@ pub struct DistConfig {
 
 impl Default for DistConfig {
     fn default() -> Self {
-        Self { strategy: StrategyKind::Unicast, delay_factor: 2.0, chunks: 64, record: false }
+        Self { strategy: StrategyKind::Unicast, delay_factor: 2.0, record: false }
     }
 }
 

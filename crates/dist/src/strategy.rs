@@ -78,7 +78,7 @@ impl DistributionStrategy for Unicast {
                 cost_ms,
             });
         }
-        assemble(StrategyKind::Unicast, topology, plans, config)
+        assemble(StrategyKind::Unicast, topology, plans)
     }
 }
 
@@ -101,7 +101,7 @@ impl DistributionStrategy for SteinerTree {
     ) -> DistributionPlan {
         let plans =
             merge_demands(demands).into_iter().map(|d| plan_tree(topology, &d, config)).collect();
-        assemble(StrategyKind::Steiner, topology, plans, config)
+        assemble(StrategyKind::Steiner, topology, plans)
     }
 }
 
@@ -319,13 +319,12 @@ fn shared_cost(graph: &EdgeGraph, size: f64, cloud_ms: f64, installs: &[DestInst
         + used_landings.len() as f64 * cloud_ms
 }
 
+/// Chunk count handed to [`simulate_concurrent`] when charging contended
+/// transfer delays.
+const TRANSFER_CHUNKS: usize = 64;
+
 /// Charges the round's contended transfer delays and totals the aggregates.
-fn assemble(
-    kind: StrategyKind,
-    topology: &Topology,
-    plans: Vec<DemandPlan>,
-    config: &DistConfig,
-) -> DistributionPlan {
+fn assemble(kind: StrategyKind, topology: &Topology, plans: Vec<DemandPlan>) -> DistributionPlan {
     let mut transfers = Vec::new();
     for plan in &plans {
         let cloud_ms = topology.cloud_latency(plan.size).value();
@@ -339,7 +338,7 @@ fn assemble(
             });
         }
     }
-    let completions = simulate_concurrent(topology, &transfers, config.chunks.max(1))
+    let completions = simulate_concurrent(topology, &transfers, TRANSFER_CHUNKS)
         .expect("planned transfers are well-formed");
     let total_delay_ms = completions.iter().flatten().map(|ms| ms.value()).sum();
     DistributionPlan {

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use idde_audit::{AuditConfig, AuditReport, Auditor};
+use idde_audit::{AuditReport, Auditor};
 use idde_cache::{audit_cache, CacheConfig, CacheLayer, Observation};
 use idde_core::{
     evict_useless_replicas, DeliveryConfig, GameConfig, GreedyDelivery, IddeUGame, Problem,
@@ -78,8 +78,6 @@ pub struct EngineConfig {
     /// `0` disables auditing. When enabled, every converged restricted
     /// repair is additionally Nash-certified over its dirty set.
     pub audit_every: u64,
-    /// Tolerances the audits compare with.
-    pub audit: AuditConfig,
     /// Group-commit size of the ingestion layer behind [`Engine::apply`]
     /// and [`Engine::apply_batch`]: churn events (arrivals, departures,
     /// moves) are *ingested* — state-exact activity flips, per-step clamped
@@ -121,7 +119,6 @@ impl Default for EngineConfig {
             checkpoint_interval: 50,
             paranoid: false,
             audit_every: 0,
-            audit: AuditConfig::default(),
             batch: 1,
             cache: CacheConfig::default(),
             dist: DistConfig::default(),
@@ -637,11 +634,10 @@ impl Engine {
     /// fail hard on violations.
     pub fn run_audit(&mut self) -> AuditReport {
         let started = Instant::now();
-        let auditor = Auditor::new(self.config.audit);
-        let mut report = auditor.audit_strategy(&self.problem, &self.allocation, &self.placement);
+        let mut report = Auditor.audit_strategy(&self.problem, &self.allocation, &self.placement);
         let down: Vec<ServerId> = self.faults.down_servers().collect();
         if !down.is_empty() {
-            report.merge(auditor.audit_liveness(
+            report.merge(Auditor.audit_liveness(
                 &self.problem.scenario,
                 &self.allocation,
                 &self.placement,
@@ -735,7 +731,7 @@ impl Engine {
                             reference = reference.min(l.value());
                         }
                     }
-                    let tol = self.config.audit.rel_tol * reference.max(1.0);
+                    let tol = idde_audit::auditor::REL_TOL * reference.max(1.0);
                     if (latency.value() - reference).abs() > tol {
                         self.metrics.audit_violations += 1;
                     }
@@ -1003,11 +999,7 @@ impl Engine {
         // staleness is bounded by the drift checkpoints.
         if self.config.audit_every > 0 && outcome.converged {
             let started = Instant::now();
-            let cert = Auditor::new(self.config.audit).certify_equilibrium(
-                &game,
-                &outcome.field,
-                Some(dirty),
-            );
+            let cert = Auditor.certify_equilibrium(&game, &outcome.field, Some(dirty));
             self.metrics.record_certificate(cert.violations.len() as u64);
             self.metrics.timings.audit += started.elapsed();
         }
@@ -1117,9 +1109,8 @@ impl Engine {
         self.metrics.timings.placement += started.elapsed();
         if self.config.audit_every > 0 {
             let audit_started = Instant::now();
-            let auditor = Auditor::new(self.config.audit);
             let report =
-                auditor.audit_distribution(&self.problem.topology, &plan, &self.config.dist);
+                Auditor.audit_distribution(&self.problem.topology, &plan, &self.config.dist);
             self.metrics.record_audit(report.checks, report.violations.len() as u64);
             self.metrics.timings.audit += audit_started.elapsed();
         }

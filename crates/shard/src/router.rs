@@ -61,7 +61,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use idde_audit::{AuditConfig, AuditReport, Auditor};
+use idde_audit::{AuditReport, Auditor};
 use idde_core::Problem;
 use idde_engine::{EngineConfig, Event, EventQueue, EventSource, ScheduledEvent, ServeMetrics};
 use idde_model::{Allocation, ChannelIndex, Point, ServerId, UserId};
@@ -85,7 +85,6 @@ pub struct ShardRouter {
     faults: NetworkFaults,
     topology: Arc<Topology>,
     audit_every: u64,
-    audit_config: AuditConfig,
     cross_audits: u64,
     cross_checks: u64,
     cross_violations: u64,
@@ -123,7 +122,6 @@ impl ShardRouter {
             faults,
             topology: problem.topology,
             audit_every: config.audit_every,
-            audit_config: config.audit,
             cross_audits: 0,
             cross_checks: 0,
             cross_violations: 0,
@@ -426,17 +424,16 @@ impl ShardRouter {
     /// and every shard must read the router's network (its fault overlay,
     /// and the shared topology allocation itself).
     pub fn cross_audit(&self) -> AuditReport {
-        let auditor = Auditor::new(self.audit_config);
         let shards: Vec<(&Allocation, &[bool])> =
             self.engines.iter().map(|e| (e.engine().allocation(), e.engine().active())).collect();
         let problem = self.engines[0].engine().problem();
-        let mut report = auditor.audit_cross_shard(problem, self.plan.owner(), &shards);
+        let mut report = Auditor.audit_cross_shard(problem, self.plan.owner(), &shards);
         let networks: Vec<(&NetworkFaults, &Topology)> = self
             .engines
             .iter()
             .map(|e| (e.engine().faults(), &*e.engine().problem().topology))
             .collect();
-        report.merge(auditor.audit_network_agreement(&self.faults, &self.topology, &networks));
+        report.merge(Auditor.audit_network_agreement(&self.faults, &self.topology, &networks));
         report
     }
 

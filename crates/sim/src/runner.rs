@@ -192,7 +192,7 @@ impl Runner {
                     let strategy = approach.solve_seeded(&problem, rep as u64);
                     let elapsed = t0.elapsed().as_secs_f64();
                     if self.config.audit_strategies {
-                        let report = idde_audit::Auditor::default().audit_strategy(
+                        let report = idde_audit::Auditor.audit_strategy(
                             &problem,
                             &strategy.allocation,
                             &strategy.placement,

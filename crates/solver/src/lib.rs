@@ -14,10 +14,8 @@
 //!   (Objective #2) over all storage-feasible delivery profiles, with an
 //!   exact suffix-relaxation lower bound;
 //! * [`ExhaustiveSolver`] — brute force over tiny instances, the ground
-//!   truth oracle for tests (and for measuring IDDE-G's optimality gap);
-//! * [`LocalSearch`] — random-restart steepest-ascent hill climbing on the
-//!   global rate objective, the metaheuristic anchor that prices the
-//!   decentralisation of the IDDE-U game;
+//!   truth oracle for tests and the `optimality_gap` binary, which prices
+//!   the decentralisation of the IDDE-U game against the exact optimum;
 //! * [`Budget`] — wall-clock/node budgets making every search anytime: it
 //!   always returns the best incumbent found, plus whether optimality was
 //!   *proved*.
@@ -32,11 +30,9 @@
 pub mod allocation;
 pub mod budget;
 pub mod exhaustive;
-pub mod local_search;
 pub mod placement;
 
 pub use allocation::AllocationSearch;
 pub use budget::{Budget, SearchStats};
 pub use exhaustive::ExhaustiveSolver;
-pub use local_search::{LocalSearch, LocalSearchConfig};
 pub use placement::PlacementSearch;

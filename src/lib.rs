@@ -55,7 +55,7 @@ pub fn seeded_rng(seed: u64) -> rand_chacha::ChaCha8Rng {
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use idde_audit::{AuditConfig, AuditReport, Auditor};
+    pub use idde_audit::{AuditReport, Auditor};
     pub use idde_baselines::{Cdp, DupG, IddeGStrategy, IddeIp, Saa, SolveStrategy};
     pub use idde_cache::{CacheConfig, CacheLayer, PolicyKind};
     pub use idde_chaos::{FaultPlan, FaultSpec};

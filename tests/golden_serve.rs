@@ -145,7 +145,7 @@ fn steiner() -> DistConfig {
 fn probcache_drift_serve_matches_its_golden_csv() {
     let config = EngineConfig {
         audit_every: 50,
-        cache: CacheConfig { policy: PolicyKind::ProbCache, seed: 7, ..CacheConfig::default() },
+        cache: CacheConfig { policy: PolicyKind::ProbCache, seed: 7 },
         ..Default::default()
     };
     let workload = WorkloadConfig { drift: DriftProfile::drifting(), ..WorkloadConfig::default() };
@@ -183,7 +183,7 @@ fn composed_sharded_serve_matches_its_golden_csv() {
     let config = EngineConfig {
         audit_every: 50,
         batch: 8,
-        cache: CacheConfig { policy: PolicyKind::Lce, seed: 7, ..CacheConfig::default() },
+        cache: CacheConfig { policy: PolicyKind::Lce, seed: 7 },
         dist: steiner(),
         ..Default::default()
     };

@@ -194,7 +194,7 @@ mod certification {
             let game = IddeUGame::new(GameConfig { benefit, ..GameConfig::default() });
             let outcome = game.run(&problem);
             prop_assert!(outcome.converged, "seed {seed}: game hit the pass cap");
-            let cert = Auditor::default().certify_equilibrium(&game, &outcome.field, None);
+            let cert = Auditor.certify_equilibrium(&game, &outcome.field, None);
             prop_assert!(cert.is_clean(), "seed {seed}: {cert}");
             // A deviation check and a best-response re-derivation per player.
             prop_assert_eq!(cert.checks, 2 * problem.scenario.num_users() as u64);
