@@ -19,6 +19,12 @@
 //! reaches: the `cache_*` and `dist_*` counter blocks, and how those
 //! optional blocks merge across shards.
 //!
+//! A last run is a read-only two-shard serve: drifting requests only, an
+//! LCE cache, Steiner installs and a fault storm with server outages. No
+//! user moves, arrives or departs, so every halo mirror is re-installed at
+//! the position it already holds, tick after tick; it pins that a halo
+//! refresh of unmoved mirrors leaves every shard's state as it was.
+//!
 //! A fingerprint is the FNV-1a hash of the whole metrics CSV. If a change
 //! alters one on purpose, the new value must be justified in review.
 
@@ -199,4 +205,34 @@ fn composed_sharded_serve_matches_its_golden_csv() {
     );
     assert!(csv.contains("\nserver_outages,1\n"), "the fault plan must fire\n{csv}");
     assert_fingerprint("composed sharded", &csv, 0xf4f5_4979_842c_5d05);
+}
+
+/// A read-only, drifting two-shard serve at `batch` 64 with an LCE cache,
+/// Steiner installs and a `rand:` fault storm with server outages: no
+/// user ever moves, so every halo mirror is re-installed unmoved.
+#[test]
+fn read_only_sharded_storm_serve_matches_its_golden_csv() {
+    let config = EngineConfig {
+        audit_every: 50,
+        batch: 64,
+        cache: CacheConfig { policy: PolicyKind::Lce, seed: 7 },
+        dist: steiner(),
+        ..Default::default()
+    };
+    let workload = WorkloadConfig {
+        arrival_rate: 0.0,
+        departure_rate: 0.0,
+        move_probability: 0.0,
+        request_rate: 40.0,
+        drift: DriftProfile::drifting(),
+        ..WorkloadConfig::default()
+    };
+    let chaos = Some("rand:2022:3:2:1@60+20");
+    let csv = cli_serve(cli_problem(7, 30, 150, 6), config, workload, 7, 120, Some(2), chaos);
+    for row in ["moves", "arrivals", "departures"] {
+        assert!(csv.contains(&format!("\n{row},0\n")), "the run must be read-only\n{csv}");
+    }
+    assert!(csv.contains("\nserver_outages,2\n"), "the storm must down servers\n{csv}");
+    assert!(!csv.contains("\ncache_hits,0\n"), "the cache must carry traffic\n{csv}");
+    assert_fingerprint("read-only sharded storm", &csv, 0xfb97_8709_9940_de8f);
 }
