@@ -125,6 +125,24 @@ scenario_shard() {
     "$out/faults_k3.log"
   grep -E '^cross-shard: .*, [1-9][0-9]* handoffs$' "$out/faults_k3.log"
   cmp "$out/faults_k1.proj" "$out/faults_k3.proj"
+  # The composed K = 2 halo: drifting traffic, an LCE cache, Steiner
+  # installs and a fault storm with server outages, batched and audited.
+  # Halo refreshes re-synchronise only the mirrors that moved, so the
+  # run must stay violation-free and its CSV must not depend on the
+  # worker count.
+  for threads in 1 "$RAYON_NUM_THREADS"; do
+    RAYON_NUM_THREADS="$threads" idde serve \
+      --servers 30 --users 150 --data 6 --seed 7 --ticks 120 --shards 2 --batch 64 \
+      --workload drift --cache lce --delivery steiner --audit 50 \
+      --chaos 'rand:2022:3:2:1@60+20' --csv "$out/halo_t$threads.csv" \
+      2> "$out/halo_t$threads.log"
+    grep -E '^cross-shard: [1-9][0-9]* audits, [1-9][0-9]* checks, 0 violations' \
+      "$out/halo_t$threads.log"
+  done
+  grep -E '^server_outages,[1-9]' "$out/halo_t1.csv"
+  grep -E '^audit_violations,0$' "$out/halo_t1.csv"
+  grep -E '^certificate_violations,0$' "$out/halo_t1.csv"
+  cmp "$out/halo_t1.csv" "$out/halo_t$RAYON_NUM_THREADS.csv"
 }
 
 # The batching layer end to end (ARCHITECTURE.md §7): the group-commit path

@@ -1158,13 +1158,26 @@ impl Engine {
     /// server no longer covers the user. Pure state synchronisation: no
     /// repair runs and no metric moves, so the shard router can mirror a
     /// neighbour's mobility without perturbing local accounting.
+    ///
+    /// A target bitwise equal to the stored position (compared by
+    /// `to_bits`, so `-0.0` and `0.0` differ) skips the coverage and gain
+    /// refresh. That is exact: both are pure functions of the position,
+    /// the server enable flags and the gain law; outages and restorations
+    /// keep the coverage rows current and the gain refresh includes
+    /// disabled servers, and outside [`Engine::apply_batch`] no deferred
+    /// move is pending, so the stored position's derived state is already
+    /// synchronised. The feasibility check still runs.
     pub fn set_position(&mut self, user: UserId, position: Point) {
         let j = user.index();
         let scenario = &mut self.problem.scenario;
-        scenario.users[j].position = scenario.area.clamp(position);
-        scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
-        let moved = scenario.users[j].position;
-        self.refresh_gains(user, moved);
+        let target = scenario.area.clamp(position);
+        let stored = scenario.users[j].position;
+        debug_assert_eq!(self.pending.len, 0, "set_position with deferred work pending");
+        if (target.x.to_bits(), target.y.to_bits()) != (stored.x.to_bits(), stored.y.to_bits()) {
+            scenario.users[j].position = target;
+            scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
+            self.refresh_gains(user, target);
+        }
         if let Some((server, _)) = self.allocation.decision(user) {
             if !self.problem.scenario.coverage.covers(server, user) {
                 self.allocation.set(user, None);
@@ -1179,7 +1192,10 @@ impl Engine {
     /// halo every boundary phase never leaks stale interference. Mirrored
     /// users must be inactive locally; infeasible entries (the mirrored
     /// server no longer covers the user at its mirrored position) are
-    /// dropped rather than installed.
+    /// dropped rather than installed. Each entry goes through
+    /// [`Engine::set_position`], so a refresh re-synchronises coverage and
+    /// gains only for the mirrors whose position moved; an unmoved mirror
+    /// costs its decision write alone.
     pub fn set_overlay(&mut self, entries: &[(UserId, Point, ServerId, ChannelIndex)]) {
         for (user, _, _) in std::mem::take(&mut self.overlay) {
             self.allocation.set(user, None);
@@ -1903,6 +1919,98 @@ mod tests {
         assert_eq!(e.allocation().decision(mirror), None);
         assert!(!e.strip_overlay_user(mirror), "second strip finds nothing");
         assert!(e.overlay().is_empty());
+    }
+
+    /// A halo refresh re-synchronises only the mirrors that moved: after
+    /// a server outage, re-installing the same mirrors skips their coverage
+    /// and gain refresh, yet the coverage relation and every gain within
+    /// 3 × the maximum coverage radius of a mirror still equal a problem
+    /// built from scratch at the mirrored positions, and the allocation and
+    /// overlay are untouched. A mirror moved by one ulp is re-synchronised.
+    #[test]
+    fn unmoved_halo_mirrors_match_a_fresh_problem() {
+        use idde_model::CoverageMap;
+        const SEED: u64 = 23;
+        let mut e = engine(SEED);
+        let scenario = &e.problem().scenario;
+        let n = scenario.num_servers();
+        // Mirrors of inactive slots (`engine` leaves every fourth inactive),
+        // each just off a distinct server's site.
+        let mut entries: Vec<(UserId, Point, ServerId, ChannelIndex)> = (0..4)
+            .map(|k| {
+                let server = ServerId::from_index((3 * k + 1) % n);
+                let site = scenario.servers[server.index()].position;
+                let at = scenario.area.clamp(Point::new(site.x + 7.5, site.y - 4.25));
+                (UserId::from_index(4 * k), at, server, ChannelIndex(0))
+            })
+            .collect();
+        let victim = (0..n)
+            .map(ServerId::from_index)
+            .find(|s| entries.iter().all(|m| m.2 != *s))
+            .expect("a server without mirrors");
+        let reach = 3.0 * scenario.servers.iter().map(|s| s.coverage_radius_m).fold(0.0, f64::max);
+
+        let fresh = |entries: &[(UserId, Point, ServerId, ChannelIndex)]| {
+            let mut scenario = small_problem(SEED).scenario;
+            for &(user, at, _, _) in entries {
+                scenario.users[user.index()].position = at;
+            }
+            scenario.coverage = CoverageMap::compute(&scenario.servers, &scenario.users);
+            scenario.coverage.disable_server(victim);
+            Problem::standard(scenario, &mut ChaCha8Rng::seed_from_u64(0))
+        };
+        let assert_fresh = |e: &Engine, entries: &[(UserId, Point, ServerId, ChannelIndex)]| {
+            let reference = fresh(entries);
+            let (got, want) = (&e.problem().scenario, &reference.scenario);
+            for user in want.user_ids() {
+                assert_eq!(got.coverage.servers_of(user), want.coverage.servers_of(user));
+            }
+            for server in want.server_ids() {
+                assert_eq!(got.coverage.users_of(server), want.coverage.users_of(server));
+            }
+            for &(user, at, _, _) in entries {
+                let stored = got.users[user.index()].position;
+                assert_eq!(
+                    (stored.x.to_bits(), stored.y.to_bits()),
+                    (at.x.to_bits(), at.y.to_bits())
+                );
+                for server in want.servers.iter().filter(|s| s.position.distance(at) <= reach) {
+                    assert_eq!(
+                        e.problem().radio.gain(server.id, user).to_bits(),
+                        reference.radio.gain(server.id, user).to_bits(),
+                        "stale gain ({}, {user})",
+                        server.id
+                    );
+                }
+            }
+        };
+
+        e.set_overlay(&entries);
+        e.apply(&Event::ServerDown { server: victim });
+        assert_eq!(e.overlay().len(), entries.len());
+        let (allocation, overlay) = (e.allocation().clone(), e.overlay().to_vec());
+        e.set_overlay(&entries);
+        assert_eq!(e.allocation(), &allocation);
+        assert_eq!(e.overlay(), &overlay[..]);
+        assert_fresh(&e, &entries);
+
+        // One ulp east: the position differs bitwise, so the mirror must be
+        // re-synchronised — and at least one gain it reads changes with it.
+        let before = fresh(&entries);
+        let p = entries[0].1;
+        entries[0].1 = Point::new(f64::from_bits(p.x.to_bits() + 1), p.y);
+        let after = fresh(&entries);
+        let user = entries[0].0;
+        let near = before.scenario.servers.iter().filter(|s| s.position.distance(p) <= reach);
+        assert!(
+            near.map(|s| s.id).any(|s| {
+                before.radio.gain(s, user).to_bits() != after.radio.gain(s, user).to_bits()
+            }),
+            "a one-ulp move must change some gain the test compares"
+        );
+        e.set_overlay(&entries);
+        assert_eq!(e.overlay(), &overlay[..]);
+        assert_fresh(&e, &entries);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   the batches routed before it are applied first.
 //! * **Phase B (boundary)** — the halo state is exchanged (every shard's
 //!   live boundary decisions are mirrored into its neighbours' engines as
-//!   frozen overlay entries, see [`idde_engine::Engine::set_overlay`]),
+//!   frozen overlay entries, see [`idde_engine::Engine::set_overlay`]; a
+//!   refresh re-synchronises coverage and gains only for the mirrors whose
+//!   position moved, which is exact because both are pure functions of the
+//!   position, the server enable flags and the gain law),
 //!   then the deferred boundary events replay *globally* in `(tick, seq)`
 //!   order against the overlaid engines. A move that crosses a cut becomes
 //!   a deterministic handoff: depart from the old owner, position sync in
@@ -58,7 +61,6 @@
 //! Cross-shard audit counters live on the router, never inside
 //! [`ServeMetrics`], so the CSV schema is identical in every mode.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use idde_audit::{AuditReport, Auditor};
@@ -70,6 +72,19 @@ use idde_net::{EdgeGraph, NetworkFaults, Topology};
 use crate::engine::ShardEngine;
 use crate::plan::{ShardError, ShardPlan};
 
+/// Where one user's move chain of the current tick stands, per
+/// [`ShardRouter::boundary_chains`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Chain {
+    /// The user has no event this tick.
+    Idle,
+    /// Every step so far stays interior; the chain's current position.
+    Interior(Point),
+    /// The chain came near a foreign tile or changed owner: the user's
+    /// whole bundle is deferred to Phase B.
+    Boundary,
+}
+
 /// Routes a deterministic event stream across `K` shard engines.
 #[derive(Clone, Debug)]
 pub struct ShardRouter {
@@ -79,6 +94,11 @@ pub struct ShardRouter {
     active: Vec<bool>,
     /// Home shard of every user slot; changes only on handoff.
     home: Vec<usize>,
+    /// Per-slot move-chain state of the current tick, reused across ticks:
+    /// `Idle` except for the slots in `chain_touched`.
+    chains: Vec<Chain>,
+    /// The slots `chains` holds a non-`Idle` state for.
+    chain_touched: Vec<UserId>,
     handoffs: u64,
     /// The one fault overlay (the engines' overlays mirror it) and the
     /// surviving topology all engines share.
@@ -116,6 +136,8 @@ impl ShardRouter {
         let mut router = Self {
             plan,
             engines,
+            chains: vec![Chain::Idle; initial_active.len()],
+            chain_touched: Vec::new(),
             active: initial_active,
             home,
             handoffs: 0,
@@ -235,13 +257,15 @@ impl ShardRouter {
     /// parallel, and returns the deferred boundary events in global order.
     fn route_phase_a(&mut self, events: &[ScheduledEvent]) -> Vec<Event> {
         let k = self.plan.num_shards();
-        let chains = if k > 1 { self.boundary_chains(events) } else { HashMap::new() };
+        if k > 1 {
+            self.boundary_chains(events);
+        }
         let mut batches: Vec<Vec<Event>> = vec![Vec::new(); k];
         let mut deferred: Vec<Event> = Vec::new();
         for scheduled in events {
             let event = scheduled.event;
             if let Some(user) = event.user() {
-                if chains.get(&user) == Some(&None) {
+                if self.chains[user.index()] == Chain::Boundary {
                     deferred.push(event);
                 } else {
                     self.mirror_activity(&event);
@@ -305,30 +329,46 @@ impl ShardRouter {
         });
     }
 
-    /// Replays every user's move chain of the tick in one pass, from the
-    /// owner engine's tick-start position (with the engine's own clamp).
-    /// A user maps to `None` — its whole bundle is boundary-affected —
-    /// once the chain comes within one interference range of a foreign
-    /// tile or changes owner. Conservative: a deferred no-op is still a
-    /// no-op in Phase B.
-    fn boundary_chains(&self, events: &[ScheduledEvent]) -> HashMap<UserId, Option<Point>> {
-        let mut chains: HashMap<UserId, Option<Point>> = HashMap::new();
+    /// Replays every user's move chain of the tick in one pass into
+    /// `chains`, from the owner engine's tick-start position (with the
+    /// engine's own clamp). A user's chain becomes [`Chain::Boundary`] —
+    /// its whole bundle is boundary-affected — once it comes within one
+    /// interference range of a foreign tile or changes owner. Conservative:
+    /// a deferred no-op is still a no-op in Phase B. The previous tick's
+    /// states are reset through `chain_touched` first, so the pass costs
+    /// the tick's events, not the user count.
+    fn boundary_chains(&mut self, events: &[ScheduledEvent]) {
+        let Self { plan, engines, home: homes, chains, chain_touched, .. } = self;
+        for user in chain_touched.drain(..) {
+            chains[user.index()] = Chain::Idle;
+        }
         for scheduled in events {
             let Some(user) = scheduled.event.user() else { continue };
-            let home = self.home[user.index()];
-            let scenario = &self.engines[home].engine().problem().scenario;
-            let chain = chains.entry(user).or_insert_with(|| {
+            let home = homes[user.index()];
+            let scenario = &engines[home].engine().problem().scenario;
+            let chain = &mut chains[user.index()];
+            if *chain == Chain::Idle {
+                chain_touched.push(user);
                 let start = scenario.users[user.index()].position;
-                (!self.plan.near_foreign_boundary(start, home)).then_some(start)
-            });
-            if let (Some(position), Event::Move { dx, dy, .. }) = (*chain, scheduled.event) {
+                *chain = if plan.near_foreign_boundary(start, home) {
+                    Chain::Boundary
+                } else {
+                    Chain::Interior(start)
+                };
+            }
+            if let (Chain::Interior(position), Event::Move { dx, dy, .. }) =
+                (*chain, scheduled.event)
+            {
                 let next = scenario.area.clamp(Point::new(position.x + dx, position.y + dy));
-                *chain = (!self.plan.near_foreign_boundary(next, home)
-                    && self.plan.owner_of_position(next) == home)
-                    .then_some(next);
+                *chain = if plan.near_foreign_boundary(next, home)
+                    || plan.owner_of_position(next) != home
+                {
+                    Chain::Boundary
+                } else {
+                    Chain::Interior(next)
+                };
             }
         }
-        chains
     }
 
     /// Keeps the router's global activity mirror in lockstep with the
