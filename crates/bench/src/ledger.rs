@@ -14,13 +14,17 @@
 //!    `iddeu_game` case has a single point on one worker. A result
 //!    *fingerprint* — a hash over the bit patterns of the produced
 //!    equilibrium metrics, serve CSV or solver state — is taken for every
-//!    sample. The contract "same
-//!    seed ⇒ identical result at every sample and every point" is checked
-//!    right here, not just claimed: `deterministic` in the emitted JSON is
-//!    the conjunction over the sweep.
+//!    sample. The contract "same seed ⇒ identical result at every sample
+//!    and every point" is checked right here, not just claimed:
+//!    `deterministic` in the emitted JSON is the conjunction over the
+//!    sweep. The one case whose axis changes the result, `shard_scaling`
+//!    (the merged CSV of a K-shard serve carries per-shard rows), is held
+//!    to every sample of each point agreeing, and its K = 1 point carries
+//!    the fingerprint of `engine_serve_50_ticks`: the router's byte-identity
+//!    contract, observed.
 //!
 //! `sweep` is the only timing loop: a case hands it an untimed per-point
-//! setup (a prototype engine, a shard partition), an untimed per-sample
+//! setup (a prototype engine or shard router), an untimed per-sample
 //! preparation (cloning the prototype), the timed run and the fingerprint,
 //! and gets back what it keeps of each point's last result (the serve
 //! metrics its workload summary reports). Each large-scale case is a
@@ -32,9 +36,10 @@
 //! container the >1-thread points measure oversubscription, not speedup —
 //! interpret them accordingly (see EXPERIMENTS.md § Benchmarking).
 //!
-//! Output is hand-rolled JSON (the workspace is offline and carries no
-//! serde), written by `idde-cli bench` as `BENCH_engine.json` and
-//! `BENCH_solver.json`.
+//! Output is hand-rolled, line-oriented JSON (the workspace is offline and
+//! carries no serde), written by `idde-cli bench` as `BENCH_engine.json`
+//! and `BENCH_solver.json`. The bench gate reads it back here too:
+//! [`Ledger::check_against`] compares a fresh run with a committed file.
 
 use std::time::Instant;
 
@@ -46,10 +51,10 @@ use idde_engine::{
 };
 use idde_eua::SyntheticEua;
 use idde_model::{
-    Allocation, CoverageMap, EdgeServer, MegaBytes, MegaBytesPerSec, Point, Rect, ScenarioBuilder,
-    ServerId, User, UserId, Watts,
+    Allocation, CoverageMap, EdgeServer, MegaBytes, MegaBytesPerSec, Point, ServerId, User, UserId,
+    Watts,
 };
-use idde_shard::ShardPlan;
+use idde_shard::ShardRouter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -58,8 +63,8 @@ use rand_chacha::ChaCha8Rng;
 pub struct LedgerConfig {
     /// Timing samples per `(case, axis point)`.
     pub samples: usize,
-    /// Worker counts to sweep, in order (also the shard counts K of
-    /// `shard_scaling`).
+    /// Worker counts the thread-axis cases sweep, in order. Parameter axes
+    /// (B, policy, strategy, shard count K) are fixed by their cases.
     pub threads: Vec<usize>,
     /// Master seed for workload construction.
     pub seed: u64,
@@ -107,15 +112,22 @@ pub struct BenchCase {
     pub workload: String,
     /// One entry per axis point.
     pub points: Vec<ThreadPoint>,
+    /// True when every point must produce one shared result (worker
+    /// counts, batch sizes, caching policies, delivery strategies); false
+    /// when the axis legitimately changes the result (shard counts K, whose
+    /// merged CSV carries per-shard rows).
+    pub shared_fingerprint: bool,
 }
 
 impl BenchCase {
-    /// True iff every sample of every point produced the same result
-    /// fingerprint — the determinism contract, observed rather than
-    /// asserted.
+    /// True iff every sample of every point reproduced its point's result
+    /// fingerprint and, for a [`shared_fingerprint`](Self::shared_fingerprint)
+    /// case, every point produced the same one — the determinism contract,
+    /// observed rather than asserted.
     pub fn deterministic(&self) -> bool {
         self.points.iter().all(|p| p.samples_agree)
-            && self.points.windows(2).all(|w| w[0].fingerprint == w[1].fingerprint)
+            && (!self.shared_fingerprint
+                || self.points.windows(2).all(|w| w[0].fingerprint == w[1].fingerprint))
     }
 }
 
@@ -173,6 +185,69 @@ impl Ledger {
         out.push_str("  ]\n}\n");
         out
     }
+
+    /// The bench gate: compares this run with a committed ledger JSON value
+    /// by value — each case's workload string (which carries the seeded
+    /// per-point figures, such as cache hits, distribution cost and
+    /// handoffs) and each point's result fingerprint. Timings never gate.
+    pub fn check_against(&self, committed_json: &str) -> Result<(), String> {
+        let suite = &self.suite;
+        let committed = extract_gated(committed_json);
+        let current = extract_gated(&self.to_json());
+        if committed.is_empty() {
+            return Err(format!("committed {suite} ledger contains no gated values"));
+        }
+        if committed.len() != current.len() {
+            return Err(format!(
+                "{suite}: committed ledger has {} gated values, this run produced {} \
+                 (sweep or case set changed — re-run `idde bench` and commit the result)",
+                committed.len(),
+                current.len()
+            ));
+        }
+        let mut diverged = Vec::new();
+        for ((case_a, value_a), (case_b, value_b)) in committed.iter().zip(&current) {
+            if case_a != case_b || value_a != value_b {
+                diverged.push(format!("{case_b}: committed {case_a}={value_a}, got {value_b}"));
+            }
+        }
+        if !diverged.is_empty() {
+            return Err(format!(
+                "{suite}: {} of {} gated values diverged from the committed ledger:\n  {}\n\
+                 if the change is intentional, re-run `idde bench` and commit BENCH_{suite}.json",
+                diverged.len(),
+                committed.len(),
+                diverged.join("\n  ")
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Pulls the gated `(case, value)` sequence out of a ledger JSON: per case
+/// its raw workload string, then one fingerprint per point. [`Ledger::to_json`]
+/// writes one field per line, so a line scan is exact: each case opens with
+/// its `"name"` and `"workload"` lines, each point line carries one
+/// `"fingerprint"`.
+fn extract_gated(ledger_json: &str) -> Vec<(String, String)> {
+    let field = |line: &str, key: &str| -> Option<String> {
+        let (_, tail) = line.split_once(&format!("\"{key}\": \""))?;
+        tail.split_once('"').map(|(v, _)| v.to_string())
+    };
+    let mut current_case = String::new();
+    let mut out = Vec::new();
+    for line in ledger_json.lines() {
+        if let Some(name) = field(line, "name") {
+            current_case = name;
+        }
+        if let Some((_, workload)) = line.split_once("\"workload\": ") {
+            out.push((current_case.clone(), workload.trim_end_matches(',').to_string()));
+        }
+        if let Some(fp) = field(line, "fingerprint") {
+            out.push((current_case.clone(), fp));
+        }
+    }
+    out
 }
 
 /// Nearest-rank percentile over unsorted samples (`q` in `[0, 1]`).
@@ -327,7 +402,7 @@ fn thread_sweep<R>(
     let threads = Axis::Threads(&cfg.threads);
     let (points, _) =
         sweep(cfg.samples, threads, |_| (), |_| (), |_, ()| run(), |_, r| (fingerprint(r), ()));
-    BenchCase { name: name.into(), workload: workload.into(), points }
+    BenchCase { name: name.into(), workload: workload.into(), points, shared_fingerprint: true }
 }
 
 fn metrics_fingerprint(problem: &Problem, strategy: &idde_core::Strategy) -> u64 {
@@ -371,7 +446,12 @@ pub fn run_solver_suite(cfg: &LedgerConfig) -> Ledger {
             (fp.digest(), ())
         },
     );
-    let game_case = BenchCase { name: "iddeu_game".into(), workload: workload.into(), points };
+    let game_case = BenchCase {
+        name: "iddeu_game".into(),
+        workload: workload.into(),
+        points,
+        shared_fingerprint: true,
+    };
 
     let fixed_alloc = IddeUGame::default().run(&problem).field.into_allocation();
     let delivery_case = thread_sweep(
@@ -444,6 +524,12 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
         },
     );
 
+    // Shard sweep: the same churn serve through the sharded router. K = 1
+    // is the monolithic engine byte for byte, so its fingerprint equals
+    // `engine_serve_50_ticks`'s.
+    let (shard_case, _) =
+        shard_scaling_case(cfg, "SyntheticEua 125/816/5", &problem, 50, &SHARD_COUNTS);
+
     // Scaling sweep: the same seeded mobility walk replayed through the
     // coverage-maintenance layer on a 2000-server geography, once with the
     // spatial grid and once with the brute-force oracle. The two cases must
@@ -477,14 +563,6 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
         adjacency_fingerprint,
     );
 
-    // Shard-scaling sweep: the same walk partitioned by a real ShardPlan
-    // tiling. The `threads` column of this case records the *shard count* K
-    // (reusing the configured 1/2/4/8 axis), and the determinism check becomes
-    // the partition-invariance contract: every K must land on the identical
-    // global coverage fingerprint — including K = 1, whose digest equals the
-    // unsharded `scale_mobility_brute` fingerprint by construction.
-    let shard_case = shard_scaling_case(cfg, &scale_servers, &scale_users, &scale_events);
-
     // Batch-ingestion sweep: one churn stream through a full-scale engine
     // at group-commit sizes B ∈ {1, 7, 64, 512} (the `threads` column
     // records B; every point runs single-threaded). The fingerprint hashes
@@ -517,6 +595,64 @@ pub fn run_engine_suite(cfg: &LedgerConfig) -> Ledger {
             dist_case,
         ],
     }
+}
+
+/// The shard counts K `shard_scaling` serves at.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The `shard_scaling` case: `ticks` ticks of the default churn workload on
+/// `problem`, served through [`ShardRouter`] at each shard count in
+/// `shards` (the `threads` column records K; every point runs on one
+/// worker). The router is built once per point, untimed; each sample
+/// clones it together with the workload generator (taken after
+/// `initial_active` drew the initial activity) and times the serve alone.
+/// The fingerprint hashes the merged serve CSV exactly as
+/// `engine_serve_50_ticks` hashes the engine's, so the K = 1 point carries
+/// that case's fingerprint: the router's byte-identity contract. At K > 1
+/// the per-shard rows of the CSV (checkpoints, repairs, rates) differ, so
+/// the points share no fingerprint; each K's handoffs are appended to the
+/// workload string. Returns the case and each point's last merged metrics
+/// and handoff count.
+fn shard_scaling_case(
+    cfg: &LedgerConfig,
+    geography: &str,
+    problem: &Problem,
+    ticks: u64,
+    shards: &[usize],
+) -> (BenchCase, Vec<(ServeMetrics, u64)>) {
+    let (points, kept) = sweep(
+        cfg.samples,
+        Axis::Param(shards),
+        |k| {
+            let num_data = problem.scenario.num_data();
+            let mut wl = WorkloadGenerator::new(WorkloadConfig::default(), num_data, cfg.seed);
+            let initial = wl.initial_active(problem.scenario.num_users());
+            let router = ShardRouter::new(problem.clone(), EngineConfig::default(), k, initial)
+                .expect("the bench geography tiles into every benched K");
+            (router, wl)
+        },
+        |proto| proto.clone(),
+        |_, (mut router, mut wl)| {
+            router.run(&mut wl, ticks);
+            router
+        },
+        |_, router| {
+            let metrics = router.metrics();
+            let mut fp = Fingerprint::new();
+            fp.absorb_bytes(metrics.to_csv().as_bytes());
+            (fp.digest(), (metrics, router.handoffs()))
+        },
+    );
+    let mut workload = format!(
+        "{geography}; WorkloadConfig::default churn, {ticks} ticks; ShardRouter serve; threads \
+         column = shard count K, all points single-threaded"
+    );
+    for (k, (_, handoffs)) in shards.iter().zip(&kept) {
+        workload.push_str(&format!("; K = {k}: {handoffs} handoffs"));
+    }
+    let case =
+        BenchCase { name: "shard_scaling".into(), workload, points, shared_fingerprint: false };
+    (case, kept)
 }
 
 /// Geography label of the engine suite's full-scale serve cases.
@@ -593,7 +729,9 @@ fn batch_ingestion_case(
         "{geography}; {len}-event churn stream; threads column = batch size B, all points \
          single-threaded"
     );
-    (BenchCase { name: "batch_ingestion".into(), workload, points }, metrics)
+    let case =
+        BenchCase { name: "batch_ingestion".into(), workload, points, shared_fingerprint: true };
+    (case, metrics)
 }
 
 /// FNV digest over the engine state the batching layer must keep
@@ -675,7 +813,8 @@ fn cache_drift_case(
         let (requests, latency) = (m.requests, m.average_latency_ms());
         workload.push_str(&format!("; {policy}: {hits}/{requests} hits, L_avg {latency:.4} ms"));
     }
-    (BenchCase { name: "cache_drift".into(), workload, points }, metrics)
+    let case = BenchCase { name: "cache_drift".into(), workload, points, shared_fingerprint: true };
+    (case, metrics)
 }
 
 /// The `dist_bulk` case: an outage storm on `problem`, run once per
@@ -753,7 +892,8 @@ fn dist_bulk_case(
             m.audit_violations,
         ));
     }
-    (BenchCase { name: "dist_bulk".into(), workload, points }, metrics)
+    let case = BenchCase { name: "dist_bulk".into(), workload, points, shared_fingerprint: true };
+    (case, metrics)
 }
 
 /// Down-then-restore events for the `victims` servers holding the most
@@ -791,140 +931,6 @@ fn solver_state_fingerprint(engine: &Engine) -> u64 {
         }
     }
     fp.digest()
-}
-
-/// One shard's pre-partitioned slice of the scaling walk: the servers it
-/// owns re-numbered to local ids (coverage maps index their tables by raw
-/// id, so a subset map needs a dense id space), the local→global id map,
-/// the events routed to it, and the coverage prototype replays clone.
-struct ShardWork {
-    globals: Vec<ServerId>,
-    servers: Vec<EdgeServer>,
-    events: Vec<(usize, Point)>,
-    proto: CoverageMap,
-}
-
-/// Partitions the scaling walk for `k` shards using a [`ShardPlan`] tiling
-/// over the server sites. An event is routed to every shard whose tile is
-/// within one interference range of the user's previous *or* new position
-/// (the dilated-rect rule): a server owned by shard `k` sits inside
-/// `rect(k)`, so a user farther than the maximum coverage radius from the
-/// rect cannot be covered by any of the shard's servers — missed events can
-/// only toggle coverage that is empty on both sides.
-fn partition_shard_work(
-    k: usize,
-    servers: &[EdgeServer],
-    users: &[User],
-    events: &[(usize, Point)],
-) -> Vec<ShardWork> {
-    // A minimal scenario carrying just the geometry ShardPlan reads: the
-    // area (the server bounding box; the plan dilates to it anyway) and the
-    // server sites with their real coverage radii.
-    let mut b = ScenarioBuilder::new();
-    let mut lo = servers[0].position;
-    let mut hi = servers[0].position;
-    for s in servers {
-        lo = Point::new(lo.x.min(s.position.x), lo.y.min(s.position.y));
-        hi = Point::new(hi.x.max(s.position.x), hi.y.max(s.position.y));
-        b.server(s.position, s.coverage_radius_m, s.num_channels, s.channel_bandwidth, s.storage);
-    }
-    b.user(servers[0].position, Watts(0.5), MegaBytesPerSec(100.0));
-    let d = b.data(MegaBytes(1.0));
-    b.request(UserId(0), d);
-    let scenario = b.area(Rect::new(lo, hi)).build().expect("scaling geometry is valid");
-    let plan = ShardPlan::build(&scenario, k).expect("2000 sites tile into any benched K");
-
-    let mut work: Vec<ShardWork> = (0..k)
-        .map(|shard| {
-            let globals: Vec<ServerId> = plan
-                .owner()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &o)| o == shard)
-                .map(|(i, _)| ServerId::from_index(i))
-                .collect();
-            let servers: Vec<EdgeServer> = globals
-                .iter()
-                .enumerate()
-                .map(|(local, &g)| EdgeServer {
-                    id: ServerId::from_index(local),
-                    ..servers[g.index()].clone()
-                })
-                .collect();
-            let proto = CoverageMap::compute_brute_force(&servers, users);
-            ShardWork { globals, servers, events: Vec::new(), proto }
-        })
-        .collect();
-    let range = plan.interference_range();
-    let mut positions: Vec<Point> = users.iter().map(|u| u.position).collect();
-    for &(j, next) in events {
-        let prev = positions[j];
-        for (shard, w) in work.iter_mut().enumerate() {
-            let rect = plan.rect(shard);
-            if rect.distance_to(prev) <= range || rect.distance_to(next) <= range {
-                w.events.push((j, next));
-            }
-        }
-        positions[j] = next;
-    }
-    work
-}
-
-/// FNV digest over the union of the shards' coverage relations, rows in
-/// global server-id order — shaped exactly like [`adjacency_fingerprint`],
-/// so any shard count (including 1) must reproduce the unsharded digest.
-fn sharded_adjacency_fingerprint(num_users: usize, shards: &[(&[ServerId], &CoverageMap)]) -> u64 {
-    let mut fp = Fingerprint::new();
-    let mut row: Vec<u64> = Vec::new();
-    for j in 0..num_users {
-        row.clear();
-        for (globals, map) in shards {
-            for &local in map.servers_of(UserId::from_index(j)) {
-                row.push(globals[local.index()].index() as u64);
-            }
-        }
-        row.sort_unstable();
-        fp.absorb(row.len() as u64);
-        for &g in &row {
-            fp.absorb(g);
-        }
-    }
-    fp.digest()
-}
-
-/// The `shard_scaling` case: the scaling walk replayed through per-shard
-/// coverage maps for K ∈ `cfg.threads` shards (the `threads` column records
-/// K; every point runs single-threaded, one shard after another).
-/// Partitioning and prototype construction happen outside the timed region
-/// — the measurement is the per-event maintenance cost, which drops with K
-/// because each shard only scans the servers it owns.
-fn shard_scaling_case(
-    cfg: &LedgerConfig,
-    servers: &[EdgeServer],
-    users: &[User],
-    events: &[(usize, Point)],
-) -> BenchCase {
-    let (points, _) = sweep(
-        cfg.samples,
-        Axis::Param(&cfg.threads),
-        |k| partition_shard_work(k, servers, users, events),
-        |_| (),
-        |work, ()| {
-            work.iter()
-                .map(|w| replay_mobility(&w.servers, users, &w.events, &w.proto))
-                .collect::<Vec<CoverageMap>>()
-        },
-        |work, maps| {
-            let views: Vec<(&[ServerId], &CoverageMap)> =
-                work.iter().zip(maps).map(|(w, m)| (w.globals.as_slice(), m)).collect();
-            (sharded_adjacency_fingerprint(users.len(), &views), ())
-        },
-    );
-    BenchCase {
-        name: "shard_scaling".into(),
-        workload: "scale walk partitioned by ShardPlan; threads column = shard count K".into(),
-        points,
-    }
 }
 
 /// Builds the scaling-sweep workload: a density-preserving enlargement of
@@ -1079,45 +1085,50 @@ mod tests {
         assert_ne!(grid, initial, "mobility walk left coverage untouched");
     }
 
-    /// The shard_scaling case's partition-invariance contract, observed at
-    /// small scale: every shard count lands on one global coverage digest,
-    /// and K = 1 equals the unsharded brute fingerprint exactly.
-    #[test]
-    fn shard_scaling_fingerprints_are_partition_invariant() {
-        let (servers, users, events) = scale_mobility_workload(7, 60, 150, 400);
-        let unsharded = adjacency_fingerprint(&replay_mobility(
-            &servers,
-            &users,
-            &events,
-            &CoverageMap::compute_brute_force(&servers, &users),
-        ));
-        let cfg = LedgerConfig { samples: 1, threads: vec![1, 2, 3, 4], seed: 7 };
-        let case = shard_scaling_case(&cfg, &servers, &users, &events);
-        assert!(case.deterministic(), "shard counts diverged: {:x?}", case.points);
-        assert_eq!(case.points[0].fingerprint, unsharded, "K = 1 diverged from the unsharded map");
-        for k in [1usize, 2, 3, 4] {
-            let work = partition_shard_work(k, &servers, &users, &events);
-            assert_eq!(work.len(), k);
-            assert_eq!(work.iter().map(|w| w.servers.len()).sum::<usize>(), servers.len());
-            // Sharding must actually shed work: each shard sees no more
-            // events than the full walk, and for K > 1 strictly fewer.
-            for w in &work {
-                assert!(w.events.len() <= events.len());
-            }
-            if k > 1 {
-                assert!(
-                    work.iter().any(|w| w.events.len() < events.len()),
-                    "no shard shed any events at K = {k}"
-                );
-            }
-        }
-    }
-
     /// A small-scale stand-in for a full-scale serve case's problem.
     fn small_problem(seed: u64, n: usize, m: usize, k: usize) -> (Problem, ChaCha8Rng) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let scenario = SyntheticEua::default().sample(n, m, k, &mut rng);
         (Problem::standard(scenario, &mut rng), rng)
+    }
+
+    /// The shard_scaling case at small scale: every sample agrees, the
+    /// K = 1 point carries the fingerprint of the monolithic engine's serve
+    /// CSV, and at every K > 1 users cross cuts while the event and fault
+    /// rows stay the monolithic run's.
+    #[test]
+    fn shard_scaling_serves_through_the_router() {
+        let (problem, _) = small_problem(5, 14, 60, 4);
+        let cfg = LedgerConfig { samples: 2, threads: vec![1], seed: 5 };
+        let (case, kept) = shard_scaling_case(&cfg, "14/60/4", &problem, 50, &[1, 2, 3, 4]);
+        assert!(case.deterministic(), "a shard count's samples diverged: {case:x?}");
+
+        let mut wl = WorkloadGenerator::new(WorkloadConfig::default(), 4, cfg.seed);
+        let initial = wl.initial_active(problem.scenario.num_users());
+        let mut mono = Engine::new(problem, EngineConfig::default(), initial);
+        mono.run(&mut wl, 50);
+        let mut fp = Fingerprint::new();
+        fp.absorb_bytes(mono.metrics().to_csv().as_bytes());
+        assert_eq!(case.points[0].fingerprint, fp.digest(), "K = 1 diverged from the engine");
+
+        let rows = |m: &ServeMetrics| {
+            [
+                m.ticks,
+                m.events,
+                m.arrivals,
+                m.departures,
+                m.moves,
+                m.requests,
+                m.link_faults,
+                m.server_outages,
+                m.jam_events,
+                m.restorations,
+            ]
+        };
+        for (k, (metrics, handoffs)) in [1, 2, 3, 4].into_iter().zip(&kept).skip(1) {
+            assert!(*handoffs > 0, "K = {k}: no user crossed a cut");
+            assert_eq!(rows(metrics), rows(mono.metrics()), "K = {k}");
+        }
     }
 
     /// The batch_ingestion case at small scale: every group-commit size
@@ -1196,7 +1207,12 @@ mod tests {
             |_, &n| (n, n),
         );
         assert_eq!(last, vec![3, 3], "each point's last result is returned");
-        let case = BenchCase { name: "drift".into(), workload: "w".into(), points };
+        let case = BenchCase {
+            name: "drift".into(),
+            workload: "w".into(),
+            points,
+            shared_fingerprint: true,
+        };
         assert!(case.points.iter().all(|p| p.fingerprint == 1 && !p.samples_agree));
         assert!(!case.deterministic());
     }
@@ -1223,6 +1239,7 @@ mod tests {
             cases: vec![BenchCase {
                 name: "x".into(),
                 workload: "w".into(),
+                shared_fingerprint: true,
                 points: vec![ThreadPoint {
                     threads: 1,
                     samples_ms: vec![1.25, 2.5],

@@ -142,55 +142,7 @@ pub enum Command {
         net_seed: u64,
     },
     /// `idde serve`
-    Serve {
-        /// Scenario path (`Some(None)` = stdin; `None` = sample a synthetic
-        /// scenario from `servers`/`users`/`data`).
-        scenario: Option<Option<PathBuf>>,
-        /// Servers to sample when no scenario file is given.
-        servers: usize,
-        /// Users to sample when no scenario file is given.
-        users: usize,
-        /// Data items to sample when no scenario file is given.
-        data: usize,
-        /// Base-geography server sites (None = the default 125-site EUA
-        /// extract; `Some(n)` scales the synthetic area to `n` sites).
-        scale_servers: Option<usize>,
-        /// Base-geography user sites (None = the default 816).
-        scale_users: Option<usize>,
-        /// Master seed: scenario sampling and the event workload.
-        seed: u64,
-        /// Ticks to serve.
-        ticks: u64,
-        /// Network density.
-        density: f64,
-        /// Topology seed.
-        net_seed: u64,
-        /// Ticks between drift checkpoints (0 = never).
-        checkpoint: u64,
-        /// Relative drift threshold triggering a full re-solve.
-        drift: f64,
-        /// Where to write the deterministic metrics CSV (None = don't;
-        /// `Some(None)` = stdout, replacing the table).
-        csv: Option<Option<PathBuf>>,
-        /// Events between invariant audits (0 = never audit).
-        audit: u64,
-        /// Fault spec to compile and inject (None = healthy serve).
-        chaos: Option<String>,
-        /// Shard count for the sharded router (None = monolithic engine;
-        /// `Some(1)` routes through `idde-shard` with one shard, which is
-        /// byte-identical to the monolithic serve).
-        shards: Option<usize>,
-        /// Group-commit size of the ingestion layer (1 = a repair after
-        /// every churn event).
-        batch: u64,
-        /// Caching policy (parse-time validated; `Off` = no cache).
-        cache: idde_cache::PolicyKind,
-        /// Bulk-distribution strategy (parse-time validated; `Unicast` is
-        /// the byte-identical default).
-        delivery: idde_dist::StrategyKind,
-        /// Workload mode: `"steady"` or `"drift"`.
-        workload: String,
-    },
+    Serve(ServeOptions),
     /// `idde chaos` — compile a fault spec and print its timeline.
     Chaos {
         /// The fault spec to compile.
@@ -243,6 +195,58 @@ pub enum Command {
         /// IDDE-IP budget in ms.
         iddeip_ms: u64,
     },
+}
+
+/// `idde serve` inputs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServeOptions {
+    /// Scenario path (`Some(None)` = stdin; `None` = sample a synthetic
+    /// scenario from `servers`/`users`/`data`).
+    pub scenario: Option<Option<PathBuf>>,
+    /// Servers to sample when no scenario file is given.
+    pub servers: usize,
+    /// Users to sample when no scenario file is given.
+    pub users: usize,
+    /// Data items to sample when no scenario file is given.
+    pub data: usize,
+    /// Base-geography server sites (None = the default 125-site EUA
+    /// extract; `Some(n)` scales the synthetic area to `n` sites).
+    pub scale_servers: Option<usize>,
+    /// Base-geography user sites (None = the default 816).
+    pub scale_users: Option<usize>,
+    /// Master seed: scenario sampling and the event workload.
+    pub seed: u64,
+    /// Ticks to serve.
+    pub ticks: u64,
+    /// Network density.
+    pub density: f64,
+    /// Topology seed.
+    pub net_seed: u64,
+    /// Ticks between drift checkpoints (0 = never).
+    pub checkpoint: u64,
+    /// Relative drift threshold triggering a full re-solve.
+    pub drift: f64,
+    /// Where to write the deterministic metrics CSV (None = don't;
+    /// `Some(None)` = stdout, replacing the table).
+    pub csv: Option<Option<PathBuf>>,
+    /// Events between invariant audits (0 = never audit).
+    pub audit: u64,
+    /// Fault spec to compile and inject (None = healthy serve).
+    pub chaos: Option<String>,
+    /// Shard count for the sharded router (None = monolithic engine;
+    /// `Some(1)` routes through `idde-shard` with one shard, which is
+    /// byte-identical to the monolithic serve).
+    pub shards: Option<usize>,
+    /// Group-commit size of the ingestion layer (1 = a repair after
+    /// every churn event).
+    pub batch: u64,
+    /// Caching policy (parse-time validated; `Off` = no cache).
+    pub cache: idde_cache::PolicyKind,
+    /// Bulk-distribution strategy (parse-time validated; `Unicast` is
+    /// the byte-identical default).
+    pub delivery: idde_dist::StrategyKind,
+    /// Workload mode: `"steady"` or `"drift"`.
+    pub workload: String,
 }
 
 fn path_arg(value: &str) -> Option<PathBuf> {
@@ -396,7 +400,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 return Err(format!("--workload: expected steady|drift, got {workload:?}"));
             }
             let engine = EngineConfig::default();
-            Ok(Command::Serve {
+            Ok(Command::Serve(ServeOptions {
                 scenario: take("scenario").map(|v| path_arg(&v)),
                 servers: servers(Some(20))?,
                 users: usize_or("users", 100)?,
@@ -417,7 +421,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 cache,
                 delivery,
                 workload,
-            })
+            }))
         }
         "chaos" => {
             known(&[
@@ -580,7 +584,7 @@ mod tests {
     fn parses_serve_with_defaults() {
         let cmd = parse(&argv("serve --seed 42 --ticks 1000")).unwrap();
         match cmd {
-            Command::Serve {
+            Command::Serve(ServeOptions {
                 scenario,
                 servers,
                 users,
@@ -594,7 +598,7 @@ mod tests {
                 csv,
                 audit,
                 ..
-            } => {
+            }) => {
                 assert_eq!(scenario, None);
                 assert_eq!((servers, users, data), (20, 100, 5));
                 assert_eq!((scale_servers, scale_users), (None, None));
@@ -608,7 +612,7 @@ mod tests {
         // `--csv -` means stdout, `--scenario -` means stdin.
         let cmd = parse(&argv("serve --scenario - --csv - --audit 50")).unwrap();
         match cmd {
-            Command::Serve { scenario, csv, audit, .. } => {
+            Command::Serve(ServeOptions { scenario, csv, audit, .. }) => {
                 assert_eq!(scenario, Some(None));
                 assert_eq!(csv, Some(None));
                 assert_eq!(audit, 50);
@@ -625,7 +629,7 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Serve { scale_servers, scale_users, servers, users, .. } => {
+            Command::Serve(ServeOptions { scale_servers, scale_users, servers, users, .. }) => {
                 assert_eq!(scale_servers, Some(2000));
                 assert_eq!(scale_users, Some(50_000));
                 assert_eq!((servers, users), (2000, 2000));
@@ -635,7 +639,7 @@ mod tests {
         // One flag alone is fine — the other keeps its base-geography default.
         assert!(matches!(
             parse(&argv("serve --scale-servers 500")).unwrap(),
-            Command::Serve { scale_servers: Some(500), scale_users: None, .. }
+            Command::Serve(ServeOptions { scale_servers: Some(500), scale_users: None, .. })
         ));
         assert!(parse(&argv("serve --scale-servers many")).is_err());
         assert!(parse(&argv("generate --servers 5 --users 9 --data 1 --scale-servers 9")).is_err());
@@ -659,7 +663,7 @@ mod tests {
     fn rejects_negative_and_non_finite_drift_thresholds() {
         assert!(matches!(
             parse(&argv("serve --drift 0")).unwrap(),
-            Command::Serve { drift, .. } if drift == 0.0
+            Command::Serve(ServeOptions { drift, .. }) if drift == 0.0
         ));
         for bad in ["nan", "NaN", "inf", "-0.05"] {
             let err = parse(&argv(&format!("serve --drift {bad}"))).unwrap_err();
@@ -723,27 +727,33 @@ mod tests {
     fn parses_serve_chaos_spec() {
         let cmd = parse(&argv("serve --ticks 50 --chaos server:3@10+20,link:0-1@5")).unwrap();
         match cmd {
-            Command::Serve { chaos, ticks, .. } => {
+            Command::Serve(ServeOptions { chaos, ticks, .. }) => {
                 assert_eq!(chaos.as_deref(), Some("server:3@10+20,link:0-1@5"));
                 assert_eq!(ticks, 50);
             }
             other => unreachable!("parse returned the wrong command variant: {other:?}"),
         }
-        assert!(matches!(parse(&argv("serve")).unwrap(), Command::Serve { chaos: None, .. }));
+        assert!(matches!(
+            parse(&argv("serve")).unwrap(),
+            Command::Serve(ServeOptions { chaos: None, .. })
+        ));
     }
 
     #[test]
     fn parses_serve_shards() {
         // Unset means the monolithic engine; an explicit count routes
         // through idde-shard (1 is allowed — the identity-contract mode).
-        assert!(matches!(parse(&argv("serve")).unwrap(), Command::Serve { shards: None, .. }));
+        assert!(matches!(
+            parse(&argv("serve")).unwrap(),
+            Command::Serve(ServeOptions { shards: None, .. })
+        ));
         assert!(matches!(
             parse(&argv("serve --shards 4 --ticks 50")).unwrap(),
-            Command::Serve { shards: Some(4), ticks: 50, .. }
+            Command::Serve(ServeOptions { shards: Some(4), ticks: 50, .. })
         ));
         assert!(matches!(
             parse(&argv("serve --shards 1")).unwrap(),
-            Command::Serve { shards: Some(1), .. }
+            Command::Serve(ServeOptions { shards: Some(1), .. })
         ));
         assert!(parse(&argv("serve --shards 0")).is_err());
         assert!(parse(&argv("serve --shards four")).is_err());
@@ -753,15 +763,18 @@ mod tests {
     #[test]
     fn parses_serve_batch() {
         // Default 1 = a repair after every churn event.
-        assert!(matches!(parse(&argv("serve")).unwrap(), Command::Serve { batch: 1, .. }));
+        assert!(matches!(
+            parse(&argv("serve")).unwrap(),
+            Command::Serve(ServeOptions { batch: 1, .. })
+        ));
         assert!(matches!(
             parse(&argv("serve --batch 64 --ticks 50")).unwrap(),
-            Command::Serve { batch: 64, ticks: 50, .. }
+            Command::Serve(ServeOptions { batch: 64, ticks: 50, .. })
         ));
         // Batching composes with the sharded router.
         assert!(matches!(
             parse(&argv("serve --batch 7 --shards 4")).unwrap(),
-            Command::Serve { batch: 7, shards: Some(4), .. }
+            Command::Serve(ServeOptions { batch: 7, shards: Some(4), .. })
         ));
         assert!(parse(&argv("serve --batch 0")).is_err());
         assert!(parse(&argv("serve --batch many")).is_err());
@@ -774,12 +787,12 @@ mod tests {
         // Defaults: no cache, the stationary workload.
         assert!(matches!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve { cache: PolicyKind::Off, ref workload, .. } if workload == "steady"
+            Command::Serve(ServeOptions { cache: PolicyKind::Off, ref workload, .. }) if workload == "steady"
         ));
         // Policy names are case-insensitive, and the aliases parse.
         assert!(matches!(
             parse(&argv("serve --cache ProbCache --workload drift --ticks 50")).unwrap(),
-            Command::Serve { cache: PolicyKind::ProbCache, ref workload, ticks: 50, .. }
+            Command::Serve(ServeOptions { cache: PolicyKind::ProbCache, ref workload, ticks: 50, .. })
                 if workload == "drift"
         ));
         for (policy, kind) in [
@@ -792,7 +805,7 @@ mod tests {
             assert!(
                 matches!(
                     parse(&argv(&format!("serve --cache {policy}"))).unwrap(),
-                    Command::Serve { cache, .. } if cache == kind
+                    Command::Serve(ServeOptions { cache, .. }) if cache == kind
                 ),
                 "{policy}"
             );
@@ -800,7 +813,7 @@ mod tests {
         // The cache composes with sharding and batching.
         assert!(matches!(
             parse(&argv("serve --cache lcd --shards 4 --batch 8")).unwrap(),
-            Command::Serve { cache: PolicyKind::Lcd, shards: Some(4), batch: 8, .. }
+            Command::Serve(ServeOptions { cache: PolicyKind::Lcd, shards: Some(4), batch: 8, .. })
         ));
         // Unknown values are parse-time errors, not serve-time surprises.
         for policy in ["lru", "collab"] {
@@ -817,17 +830,22 @@ mod tests {
         // Default: unicast, the byte-identical legacy path.
         assert!(matches!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve { delivery: StrategyKind::Unicast, .. }
+            Command::Serve(ServeOptions { delivery: StrategyKind::Unicast, .. })
         ));
         // Case-normalised, composes with chaos, shards and audit.
         assert!(matches!(
             parse(&argv("serve --delivery Steiner --chaos server:3@10+20 --shards 2 --audit 25"))
                 .unwrap(),
-            Command::Serve { delivery: StrategyKind::Steiner, shards: Some(2), audit: 25, .. }
+            Command::Serve(ServeOptions {
+                delivery: StrategyKind::Steiner,
+                shards: Some(2),
+                audit: 25,
+                ..
+            })
         ));
         assert!(matches!(
             parse(&argv("serve --delivery unicast")).unwrap(),
-            Command::Serve { delivery: StrategyKind::Unicast, .. }
+            Command::Serve(ServeOptions { delivery: StrategyKind::Unicast, .. })
         ));
         // Unknown strategies are parse-time errors naming the candidates.
         let err = parse(&argv("serve --delivery multicast")).unwrap_err();

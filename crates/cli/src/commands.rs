@@ -19,7 +19,7 @@ use idde_shard::ShardRouter;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::args::Command;
+use crate::args::{Command, ServeOptions};
 
 /// Executes a parsed command.
 pub fn run(command: Command) -> Result<(), String> {
@@ -43,49 +43,7 @@ pub fn run(command: Command) -> Result<(), String> {
         Command::Render { scenario, out, solve, seed, density, net_seed } => {
             render(scenario.as_deref(), out.as_deref(), solve, seed, density, net_seed)
         }
-        Command::Serve {
-            scenario,
-            servers,
-            users,
-            data,
-            scale_servers,
-            scale_users,
-            seed,
-            ticks,
-            density,
-            net_seed,
-            checkpoint,
-            drift,
-            csv,
-            audit,
-            chaos,
-            shards,
-            batch,
-            cache,
-            delivery,
-            workload,
-        } => serve(ServeOptions {
-            scenario,
-            servers,
-            users,
-            data,
-            scale_servers,
-            scale_users,
-            seed,
-            ticks,
-            density,
-            net_seed,
-            checkpoint,
-            drift,
-            csv,
-            audit,
-            chaos,
-            shards,
-            batch,
-            cache,
-            delivery,
-            workload,
-        }),
+        Command::Serve(options) => serve(options),
     }
 }
 
@@ -288,7 +246,7 @@ fn bench(
             // machine-dependent and only annotated.
             let committed = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read committed ledger {}: {e}", path.display()))?;
-            check_ledger(name, &committed, &ledger)?;
+            ledger.check_against(&committed)?;
             eprintln!("{name}: workloads and fingerprints match {}", path.display());
         } else {
             std::fs::write(&path, ledger.to_json())
@@ -310,72 +268,6 @@ fn bench(
                 ));
             }
         }
-    }
-    Ok(())
-}
-
-/// Pulls the gated `(case, value)` sequence out of a ledger JSON: per case
-/// its raw workload string, then one fingerprint per point. The ledger
-/// serialiser is hand-rolled and line-oriented, so a line scan is exact:
-/// each case opens with its `"name"` and `"workload"` lines, each point line
-/// carries one `"fingerprint"`.
-fn extract_gated(ledger_json: &str) -> Vec<(String, String)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let (_, tail) = line.split_once(&format!("\"{key}\": \""))?;
-        tail.split_once('"').map(|(v, _)| v.to_string())
-    };
-    let mut current_case = String::new();
-    let mut out = Vec::new();
-    for line in ledger_json.lines() {
-        if let Some(name) = field(line, "name") {
-            current_case = name;
-        }
-        if let Some((_, workload)) = line.split_once("\"workload\": ") {
-            out.push((current_case.clone(), workload.trim_end_matches(',').to_string()));
-        }
-        if let Some(fp) = field(line, "fingerprint") {
-            out.push((current_case.clone(), fp));
-        }
-    }
-    out
-}
-
-/// Compares a freshly-run ledger against the committed ledger JSON, value
-/// by value: each case's workload string (which carries the seeded
-/// per-point figures, such as cache hits and distribution cost) and each
-/// point's result fingerprint.
-fn check_ledger(
-    suite: &str,
-    committed_json: &str,
-    fresh: &idde_bench::ledger::Ledger,
-) -> Result<(), String> {
-    let committed = extract_gated(committed_json);
-    let current = extract_gated(&fresh.to_json());
-    if committed.is_empty() {
-        return Err(format!("committed {suite} ledger contains no gated values"));
-    }
-    if committed.len() != current.len() {
-        return Err(format!(
-            "{suite}: committed ledger has {} gated values, this run produced {} \
-             (sweep or case set changed — re-run `idde bench` and commit the result)",
-            committed.len(),
-            current.len()
-        ));
-    }
-    let mut diverged = Vec::new();
-    for ((case_a, value_a), (case_b, value_b)) in committed.iter().zip(&current) {
-        if case_a != case_b || value_a != value_b {
-            diverged.push(format!("{case_b}: committed {case_a}={value_a}, got {value_b}"));
-        }
-    }
-    if !diverged.is_empty() {
-        return Err(format!(
-            "{suite}: {} of {} gated values diverged from the committed ledger:\n  {}\n\
-             if the change is intentional, re-run `idde bench` and commit BENCH_{suite}.json",
-            diverged.len(),
-            committed.len(),
-            diverged.join("\n  ")
-        ));
     }
     Ok(())
 }
@@ -412,30 +304,6 @@ fn ledger_table(ledger: &idde_bench::ledger::Ledger) -> String {
         }
     }
     out
-}
-
-/// `idde serve` inputs (mirrors `Command::Serve`).
-struct ServeOptions {
-    scenario: Option<Option<std::path::PathBuf>>,
-    servers: usize,
-    users: usize,
-    data: usize,
-    scale_servers: Option<usize>,
-    scale_users: Option<usize>,
-    seed: u64,
-    ticks: u64,
-    density: f64,
-    net_seed: u64,
-    checkpoint: u64,
-    drift: f64,
-    csv: Option<Option<std::path::PathBuf>>,
-    audit: u64,
-    chaos: Option<String>,
-    shards: Option<usize>,
-    batch: u64,
-    cache: PolicyKind,
-    delivery: StrategyKind,
-    workload: String,
 }
 
 /// Loads a scenario file (`Some`) or samples a synthetic one (`None`).
@@ -1038,6 +906,14 @@ mod tests {
         std::fs::write(dir.join("BENCH_solver.json"), tampered).unwrap();
         let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("817 users"), "{err}");
+        // A run over fewer points than the committed ledger recorded, and a
+        // committed file holding no gated values at all, fail too.
+        std::fs::write(dir.join("BENCH_solver.json"), &json).unwrap();
+        let err = bench("solver", 1, vec![1], 2022, &dir, false, true).unwrap_err();
+        assert!(err.contains("committed ledger has 8 gated values, this run produced 6"), "{err}");
+        std::fs::write(dir.join("BENCH_solver.json"), "").unwrap();
+        let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
+        assert!(err.contains("committed solver ledger contains no gated values"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
         let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("cannot read committed ledger"), "{err}");
@@ -1054,7 +930,12 @@ mod tests {
             samples_agree: true,
         };
         let points = vec![point(1, 100.0), point(64, 25.0), point(512, 0.0)];
-        let case = BenchCase { name: "b".into(), workload: "threads column = B".into(), points };
+        let case = BenchCase {
+            name: "b".into(),
+            workload: "threads column = B".into(),
+            points,
+            shared_fingerprint: true,
+        };
         let ledger = Ledger {
             suite: "engine".into(),
             seed: 1,

@@ -298,7 +298,9 @@ impl ShardRouter {
     /// Updates the fault overlay once and, when it changed, refills the
     /// shared topology once: every engine's handle is parked on an empty
     /// topology meanwhile, so the router's is the only one and the refill
-    /// writes in place. Then the owner applies the event, the rest follow.
+    /// writes in place. A clone of the router still shares its prototype's
+    /// topology, so its first refill copies it once. Then the owner applies
+    /// the event, the rest follow.
     fn apply_network_event(&mut self, event: &Event) {
         // Every engine holds the same healthy graph.
         let base = self.engines[0].engine().base_graph();
@@ -309,7 +311,7 @@ impl ShardRouter {
             for e in &mut self.engines {
                 e.engine_mut().set_topology(Arc::clone(&parked));
             }
-            Arc::get_mut(&mut self.topology).expect("engines are parked").set_graph(surviving);
+            Arc::make_mut(&mut self.topology).set_graph(surviving);
             for e in &mut self.engines {
                 e.engine_mut().set_topology(Arc::clone(&self.topology));
             }

@@ -195,3 +195,46 @@ fn server_outage_reaches_every_shards_network() {
     }
     assert!(sharded.cross_audit().is_clean());
 }
+
+/// A cloned router takes a fault on its own copy of the network: after
+/// one `ServerDown`, every engine of the clone reads the fault overlay and
+/// path costs of a freshly built router that applied the same event, and
+/// the prototype it was cloned from still reads the healthy network.
+#[test]
+fn a_cloned_router_takes_a_fault_without_touching_its_prototype() {
+    use idde::engine::{Event, ScheduledEvent};
+    let p = sampled_problem(3);
+    let initial = vec![true; p.scenario.num_users()];
+    let config = EngineConfig { audit_every: 25, ..Default::default() };
+    let prototype = ShardRouter::new(p.clone(), config, 2, initial.clone()).unwrap();
+    let mut fresh = ShardRouter::new(p.clone(), config, 2, initial).unwrap();
+    let mut clone = prototype.clone();
+    let healthy = prototype.engines()[0].engine().faults().clone();
+    let graph = p.topology.graph();
+    let victim = *prototype.engines()[0]
+        .owned()
+        .iter()
+        .min_by_key(|&&s| (std::cmp::Reverse(graph.neighbors(s).len()), s))
+        .unwrap();
+    let down = [ScheduledEvent { tick: 0, seq: 0, event: Event::ServerDown { server: victim } }];
+    clone.tick(0, &down);
+    fresh.tick(0, &down);
+    let reference = fresh.engines()[0].engine();
+    assert_ne!(reference.faults(), &healthy, "the outage must change the fault overlay");
+    let cost = |router: &ShardRouter, k: usize, a: ServerId, b: ServerId| {
+        router.engines()[k].engine().problem().topology.unit_cost(a, b).to_bits()
+    };
+    for k in 0..2 {
+        assert_eq!(clone.engines()[k].engine().faults(), reference.faults(), "clone shard {k}");
+        assert_eq!(prototype.engines()[k].engine().faults(), &healthy, "prototype shard {k}");
+        for a in p.scenario.server_ids() {
+            for b in p.scenario.server_ids() {
+                assert_eq!(cost(&clone, k, a, b), cost(&fresh, 0, a, b), "clone {k}: {a}->{b}");
+                let base = p.topology.unit_cost(a, b).to_bits();
+                assert_eq!(cost(&prototype, k, a, b), base, "prototype {k}: {a}->{b}");
+            }
+        }
+    }
+    assert!(clone.cross_audit().is_clean());
+    assert!(prototype.cross_audit().is_clean());
+}
