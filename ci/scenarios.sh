@@ -24,17 +24,23 @@ idde() {
 # A seeded 500+-event churn workload with a full invariant audit every 50
 # events plus Nash certificates after each converged repair. Each
 # certificate rescans every dirty player after a converged repair, so it
-# also independently witnesses the game's quiet-player skipping, and it
-# re-derives each player's best response candidate by candidate, so it
-# witnesses the gathered Eq. 12 scan too. Then the same deployment with 1,
-# 2 or 3 channels per server (every other golden has 3 on every server),
-# which drives the scan's skip of servers lacking a channel index: its CSV
-# must be byte-identical to ci/golden/serve_het.csv.
+# independently witnesses the quiet-player records, and it re-derives each
+# player's best response candidate by candidate, so it witnesses the
+# gathered Eq. 12 scan too. The second serve is the per-event churn at
+# paper scale (125 servers, 816 users, 5 items), where the records carried
+# across repairs skip the most scans. Then the same small deployment with
+# 1, 2 or 3 channels per server (every other golden has 3 on every
+# server), which drives the scan's skip of servers lacking a channel
+# index: its CSV must be byte-identical to ci/golden/serve_het.csv.
 scenario_audit() {
   idde serve --servers 15 --users 70 --data 4 --seed 7 --ticks 200 --audit 50 \
     --csv "$out/audit.csv"
   grep -E '^certificates,[1-9]' "$out/audit.csv"
   grep -E '^certificate_violations,0$' "$out/audit.csv"
+  idde serve --servers 125 --users 816 --data 5 --seed 7 --ticks 100 --audit 50 \
+    --csv "$out/audit_paper.csv"
+  grep -E '^certificates,[1-9]' "$out/audit_paper.csv"
+  grep -E '^certificate_violations,0$' "$out/audit_paper.csv"
   idde generate --servers 15 --users 70 --data 4 --seed 7 --out "$out/uniform.idde"
   awk '$1=="server"{$6=1+$2%3}1' "$out/uniform.idde" > "$out/het.idde"
   idde serve --scenario "$out/het.idde" --seed 7 --ticks 200 --audit 50 \

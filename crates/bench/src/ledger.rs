@@ -192,11 +192,8 @@ impl Ledger {
     /// handoffs) and each point's result fingerprint. Timings never gate.
     pub fn check_against(&self, committed_json: &str) -> Result<(), String> {
         let suite = &self.suite;
-        let committed = extract_gated(committed_json);
+        let committed = gated_values(suite, committed_json)?;
         let current = extract_gated(&self.to_json());
-        if committed.is_empty() {
-            return Err(format!("committed {suite} ledger contains no gated values"));
-        }
         if committed.len() != current.len() {
             return Err(format!(
                 "{suite}: committed ledger has {} gated values, this run produced {} \
@@ -222,6 +219,17 @@ impl Ledger {
         }
         Ok(())
     }
+}
+
+/// The gated `(case, value)` sequence of a committed `suite` ledger, or an
+/// error when it holds none: the gate would have nothing to compare.
+/// `idde bench --check` calls this before it runs the suite.
+pub fn gated_values(suite: &str, committed_json: &str) -> Result<Vec<(String, String)>, String> {
+    let committed = extract_gated(committed_json);
+    if committed.is_empty() {
+        return Err(format!("committed {suite} ledger contains no gated values"));
+    }
+    Ok(committed)
 }
 
 /// Pulls the gated `(case, value)` sequence out of a ledger JSON: per case

@@ -230,7 +230,19 @@ fn bench(
         "solver" => &["solver"],
         _ => &["engine", "solver"],
     };
-    for &name in suites {
+    // The gate reads every committed ledger before it runs any suite, so a
+    // missing or empty one fails in milliseconds, not after the run.
+    let mut committed = Vec::new();
+    if check {
+        for &name in suites {
+            let path = out.join(format!("BENCH_{name}.json"));
+            let json = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read committed ledger {}: {e}", path.display()))?;
+            idde_bench::ledger::gated_values(name, &json)?;
+            committed.push(json);
+        }
+    }
+    for (i, &name) in suites.iter().enumerate() {
         eprintln!(
             "benchmarking {name} suite ({} samples × threads {:?}, seed {}) …",
             cfg.samples, cfg.threads, cfg.seed
@@ -244,9 +256,7 @@ fn bench(
             // The bench gate: case names, workload strings and fingerprints
             // must match the committed ledger exactly; timings are
             // machine-dependent and only annotated.
-            let committed = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read committed ledger {}: {e}", path.display()))?;
-            ledger.check_against(&committed)?;
+            ledger.check_against(&committed[i])?;
             eprintln!("{name}: workloads and fingerprints match {}", path.display());
         } else {
             std::fs::write(&path, ledger.to_json())
@@ -911,6 +921,7 @@ mod tests {
         std::fs::write(dir.join("BENCH_solver.json"), &json).unwrap();
         let err = bench("solver", 1, vec![1], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("committed ledger has 8 gated values, this run produced 6"), "{err}");
+        // Both are caught by the preflight, before the suite runs.
         std::fs::write(dir.join("BENCH_solver.json"), "").unwrap();
         let err = bench("solver", 1, vec![1, 2], 2022, &dir, false, true).unwrap_err();
         assert!(err.contains("committed solver ledger contains no gated values"), "{err}");

@@ -45,27 +45,59 @@
 //!
 //! ## Quiet-player skipping
 //!
-//! Most players of a repair find no move on most passes, and a rescan of
-//! such a *quiet* player (its last scan returned `None`) can only differ
-//! if a commit changed something that scan read.
-//! [`IddeUGame::run_restricted`] therefore skips it unless a commit touched
-//! its neighbourhood `D_j = V_j ∪ {j's current server}`; a skipped player
-//! would have found no move, so the trajectory is unchanged bit for bit:
+//! Most players find no move on most passes, and a rescan of such a *quiet*
+//! player (its last scan found no move) can only differ if something that
+//! scan read has changed since. A scan of player `j` reads two things
+//! through the servers of its neighbourhood `D_j = V_j ∪ {j's current
+//! server}`, the latter outside `V_j` only for a stale decision left by
+//! `InterferenceField::allocate_unchecked`:
 //!
-//! * when mover `m` commits from server `a` to server `b`, every server of
-//!   `V_m ∪ {a, b}` is stamped with the new commit number;
-//! * a quiet player is rescanned iff some server of `D_j` carries a stamp
-//!   newer than its last scan, taken as the commit count at that scan.
+//! * **rows**: the benefits read the occupant rows of `D_j` (power sums,
+//!   and the cross-server term `F`, which weighs each interferer by its
+//!   gain to the candidate) and their jamming floors;
+//! * **listeners**: only when a candidate beats the current benefit, the
+//!   Lyapunov guard also reads the decisions of the users covered by `j`'s
+//!   old or new server, including users whose decision sits on a third
+//!   server.
 //!
-//! Within one repair coverage, gains and jamming are fixed. A scan reads the
-//! channels of `V_j` (best response and the cross-server term `F`) and of
-//! `j`'s current server, which a stale decision left by
-//! `InterferenceField::allocate_unchecked` may place outside `V_j`. The
-//! Lyapunov guard also reads the listeners covered by `j`'s old or new
-//! server; a listener that moves stamps both, as they lie in its own `V`.
-//! So an unstamped `D_j` means an unchanged scan. The shuffle still
-//! permutes the full player order, so RNG draws and commit order are
-//! unchanged; [`GameOutcome::scans`] counts the scans actually performed.
+//! A [`QuietPlayers`] keeps, on one monotone clock, per user the clock of
+//! its last quiet scan and whether the guard vetoed a move in it, and per
+//! server the clock of the last change to its rows and to its listeners.
+//! [`IddeUGame::run_restricted_with`] skips a quiet player unless a server
+//! of `D_j` carries a newer row stamp, or a newer listener stamp when the
+//! guard vetoed. A skipped player would have found no move, so the
+//! trajectory is unchanged bit for bit. Every change stamps the servers
+//! through which some scan reads it:
+//!
+//! | what happens | rows | listeners | forget |
+//! |---|---|---|---|
+//! | in-game commit of `m`, `a → b` | `a`, `b`; both queued for the rebuild restamp | `V_m` | — |
+//! | next repair's field rebuild | every queued server | — | — |
+//! | flushed mover `m`, decision kept | its serving server | `V_old Δ V_new` | `m` |
+//! | flushed mover `m`, released from `s` by constraint (1) | `s` | `V_old` | `m` |
+//! | departure of `t` from `s` | `s` | `V_t` | `t` |
+//! | arrival | — | — | newcomer |
+//! | jam or unjam at `s` | `s` | — | — |
+//! | outage, restore, a halo overlay that actually changed, checkpoint adoption | clear everything | | all |
+//!
+//! * The field rebuild re-sums rows in user-id order, while commits left
+//!   the rows of `a` and `b` in swap-remove/append order, so their power
+//!   sums and cross terms can change bits.
+//! * A flushed mover's new gain column feeds the cross term of every user
+//!   its serving server covers; its coverage change edits the listener
+//!   sets `users_of` of `V_old Δ V_new`.
+//! * A departing or released user leaves the guards of every server that
+//!   covered it when those guards last read it, not only the row of the
+//!   server it frees. Unallocated, it is no listener of any guard its new
+//!   coverage adds.
+//! * A clear is an epoch bump, O(1): it voids every record at once.
+//!
+//! Within one repair only commits change anything, so
+//! [`IddeUGame::run_restricted`] runs the loop with fresh records; the
+//! serving engine carries one [`QuietPlayers`] across its repairs and
+//! stamps the table's other rows itself. The shuffle still permutes the
+//! full player order, so RNG draws and commit order are unchanged;
+//! [`GameOutcome::scans`] counts the scans actually performed.
 
 use idde_model::{ChannelIndex, Scenario, ServerId, UserId};
 use idde_radio::InterferenceField;
@@ -162,8 +194,9 @@ pub struct GameOutcome<'a> {
     /// `Y` of Theorem 4).
     pub moves: usize,
     /// Number of player scans (best-response evaluations) performed. Quiet
-    /// players whose neighbourhood no commit touched are skipped, so this
-    /// can be well below `passes × players`.
+    /// players whose neighbourhood nothing stamped since their last scan are
+    /// skipped, so this can be well below `passes × players`; with records
+    /// carried across repairs, pass 1 can skip players too.
     pub scans: usize,
     /// Whether the game reached a state with no improving user (always true
     /// unless `max_passes` was hit).
@@ -226,28 +259,37 @@ impl IddeUGame {
         field: &InterferenceField<'_>,
         user: UserId,
     ) -> Option<(ServerId, ChannelIndex, f64)> {
+        match self.deviation(field, user) {
+            Deviation::Move(s, x, gain) => Some((s, x, gain)),
+            Deviation::Quiet | Deviation::Vetoed => None,
+        }
+    }
+
+    /// [`IddeUGame::profitable_deviation`], telling apart the two ways a
+    /// player finds no move: no candidate beats its current benefit, or the
+    /// Lyapunov guard vetoed the one that does.
+    fn deviation(&self, field: &InterferenceField<'_>, user: UserId) -> Deviation {
         // A user currently sitting on a foreign server is a halo mirror of a
         // decision owned by another shard: it is frozen here — it exerts
         // interference but never plays (the owning shard moves it).
         if let Some((s, _)) = field.allocation().decision(user) {
             if field.scenario().coverage.is_foreign(s) {
-                return None;
+                return Deviation::Quiet;
             }
         }
         let (best, scanned) = self.scan(field, user);
-        let (s, x, best) = best?;
+        let Some((s, x, best)) = best else { return Deviation::Quiet };
         let current = scanned.unwrap_or_else(|| self.current_benefit(field, user));
         let gain = best - current;
         // Relative epsilon so the threshold scales with the benefit values.
-        if gain > EPSILON * current.abs().max(1e-30) && gain > 0.0 {
-            if self.config.acceptance == AcceptanceRule::LyapunovGuarded
-                && !self.guard_accepts(field, user, s, x)
-            {
-                return None;
-            }
-            Some((s, x, gain))
+        if !(gain > EPSILON * current.abs().max(1e-30) && gain > 0.0) {
+            Deviation::Quiet
+        } else if self.config.acceptance == AcceptanceRule::LyapunovGuarded
+            && !self.guard_accepts(field, user, s, x)
+        {
+            Deviation::Vetoed
         } else {
-            None
+            Deviation::Move(s, x, gain)
         }
     }
 
@@ -353,12 +395,27 @@ impl IddeUGame {
     /// re-equilibrated, so the pass cost scales with the dirty set instead
     /// of `M`. Termination follows from the same argument as the full game —
     /// restricting the player set only removes improvement steps. Players
-    /// whose last scan found no move are skipped until a commit touches
-    /// their neighbourhood (module docs, § Quiet-player skipping).
+    /// whose last scan found no move are skipped until a commit changes
+    /// what that scan read (module docs, § Quiet-player skipping).
     pub fn run_restricted<'a>(
+        &self,
+        field: InterferenceField<'a>,
+        players: &[UserId],
+    ) -> GameOutcome<'a> {
+        let mut quiet = QuietPlayers::new(field.scenario());
+        self.run_restricted_with(field, players, &mut quiet)
+    }
+
+    /// [`IddeUGame::run_restricted`] against caller-owned quiet records, so a
+    /// caller that stamps every change between two calls (module docs, §
+    /// Quiet-player skipping) can skip players whose last scan still holds.
+    /// Call [`QuietPlayers::field_rebuilt`] whenever `field` was rebuilt from
+    /// an allocation the previous call left behind.
+    pub fn run_restricted_with<'a>(
         &self,
         mut field: InterferenceField<'a>,
         players: &[UserId],
+        quiet: &mut QuietPlayers,
     ) -> GameOutcome<'a> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut passes = 0usize;
@@ -366,7 +423,6 @@ impl IddeUGame {
         let mut scans = 0usize;
         let mut converged = false;
         let mut order: Vec<UserId> = players.to_vec();
-        let mut quiet = QuietPlayers::new(field.scenario());
 
         while passes < self.config.max_passes {
             passes += 1;
@@ -377,11 +433,11 @@ impl IddeUGame {
                     continue;
                 }
                 scans += 1;
-                let mv = self.profitable_deviation(&field, user);
-                quiet.record(user, mv.is_some(), moves);
-                if let Some((s, x, _)) = mv {
+                let deviation = self.deviation(&field, user);
+                quiet.record(user, &deviation);
+                if let Deviation::Move(s, x, _) = deviation {
                     moves += 1;
-                    quiet.stamp(&field, user, s, moves);
+                    quiet.commit(&field, user, s);
                     field.allocate(user, s, x);
                     any = true;
                 }
@@ -481,52 +537,135 @@ impl IddeUGame {
     }
 }
 
-/// Quiet-player skipping state of one [`IddeUGame::run_restricted`] call
-/// (module docs, § Quiet-player skipping).
-struct QuietPlayers {
-    /// Per server: the number of the last commit that touched it (0 when
-    /// none has).
-    touched: Vec<usize>,
-    /// Per user: the commit count when its last scan found no move, or
-    /// `None` when the user must be scanned.
-    quiet_since: Vec<Option<usize>>,
+/// The outcome of one player scan.
+enum Deviation {
+    /// A move the game commits.
+    Move(ServerId, ChannelIndex, f64),
+    /// No candidate beats the current benefit.
+    Quiet,
+    /// The Lyapunov guard vetoed the candidate that does.
+    Vetoed,
+}
+
+/// Quiet-player records on one monotone clock (module docs, § Quiet-player
+/// skipping): per user the clock of its last scan that found no move, per
+/// server the clocks of the last change to what a benefit at it reads and
+/// to what a guard through it reads. [`IddeUGame::run_restricted_with`]
+/// reads and writes them; a caller that carries them across calls stamps
+/// every change it makes in between.
+#[derive(Clone, Debug)]
+pub struct QuietPlayers {
+    /// The clock: every commit, stamp and clear advances it.
+    clock: u64,
+    /// Records older than this are void, which clears them all in O(1).
+    floor: u64,
+    /// Per server: the clock of the last change to its occupant rows, to
+    /// the gains of their occupants or to its jamming floor (0 when none).
+    rows: Vec<u64>,
+    /// Per server: the clock of the last change to the decision or the
+    /// coverage of a user it covers (0 when none).
+    listeners: Vec<u64>,
+    /// Per user: the clock of its last scan that found no move (0 when
+    /// none, or forgotten).
+    quiet_since: Vec<u64>,
+    /// Per user: whether the guard vetoed a move in that scan, which then
+    /// also read the listeners.
+    vetoed: Vec<bool>,
+    /// Servers whose occupant rows commits reordered since the last field
+    /// rebuild, restamped by [`QuietPlayers::field_rebuilt`].
+    reordered: Vec<ServerId>,
 }
 
 impl QuietPlayers {
-    fn new(scenario: &Scenario) -> Self {
+    /// Records over `scenario`'s servers and users, none of them quiet.
+    pub fn new(scenario: &Scenario) -> Self {
         Self {
-            touched: vec![0; scenario.num_servers()],
-            quiet_since: vec![None; scenario.num_users()],
+            clock: 1,
+            floor: 1,
+            rows: vec![0; scenario.num_servers()],
+            listeners: vec![0; scenario.num_servers()],
+            quiet_since: vec![0; scenario.num_users()],
+            vetoed: vec![false; scenario.num_users()],
+            reordered: Vec::new(),
+        }
+    }
+
+    /// Stamps a change to the rows of `servers`, the gains of their
+    /// occupants or their jamming floors: every player whose neighbourhood
+    /// holds one of them is rescanned.
+    pub fn stamp_rows(&mut self, servers: impl IntoIterator<Item = ServerId>) {
+        self.clock += 1;
+        for s in servers {
+            self.rows[s.index()] = self.clock;
+        }
+    }
+
+    /// Stamps a change to the decision or coverage of a user that `servers`
+    /// cover: a player whose neighbourhood holds one of them is rescanned
+    /// if the guard vetoed its last move.
+    pub fn stamp_listeners(&mut self, servers: impl IntoIterator<Item = ServerId>) {
+        self.clock += 1;
+        for s in servers {
+            self.listeners[s.index()] = self.clock;
+        }
+    }
+
+    /// Drops `user`'s record: its next scan runs.
+    pub fn forget(&mut self, user: UserId) {
+        self.quiet_since[user.index()] = 0;
+    }
+
+    /// Drops every record.
+    pub fn clear(&mut self) {
+        self.clock += 1;
+        self.floor = self.clock;
+        self.reordered.clear();
+    }
+
+    /// Restamps the rows commits reordered since the last rebuild: the
+    /// rebuild re-sums them in user-id order.
+    pub fn field_rebuilt(&mut self) {
+        self.clock += 1;
+        for s in self.reordered.drain(..) {
+            self.rows[s.index()] = self.clock;
         }
     }
 
     /// Whether a scan of `user` would provably find no move again: its last
-    /// scan found none, and no commit since has touched a server of
-    /// `D_j = V_j ∪ {j's current server}`.
+    /// scan found none, and nothing that scan read has been stamped since
+    /// on a server of `D_j = V_j ∪ {j's current server}`.
     fn skips(&self, field: &InterferenceField<'_>, user: UserId) -> bool {
-        let Some(since) = self.quiet_since[user.index()] else { return false };
-        let untouched = |s: ServerId| self.touched[s.index()] <= since;
+        let since = self.quiet_since[user.index()];
+        if since < self.floor {
+            return false;
+        }
+        let vetoed = self.vetoed[user.index()];
+        let untouched = |s: ServerId| {
+            self.rows[s.index()] <= since && (!vetoed || self.listeners[s.index()] <= since)
+        };
         field.scenario().coverage.servers_of(user).iter().all(|&s| untouched(s))
             && field.allocation().decision(user).is_none_or(|(s, _)| untouched(s))
     }
 
-    /// Records a scan of `user` taken against the field after `commits`
-    /// commits.
-    fn record(&mut self, user: UserId, found_move: bool, commits: usize) {
-        self.quiet_since[user.index()] = (!found_move).then_some(commits);
+    /// Records a scan of `user` against the field as it stands.
+    fn record(&mut self, user: UserId, deviation: &Deviation) {
+        let j = user.index();
+        self.quiet_since[j] = match deviation {
+            Deviation::Move(..) => 0,
+            Deviation::Quiet | Deviation::Vetoed => self.clock,
+        };
+        self.vetoed[j] = matches!(deviation, Deviation::Vetoed);
     }
 
-    /// Stamps commit number `commit`, `mover` leaving its current server
-    /// for `to`, on `V_m ∪ {from, to}`. Call it before the field applies
-    /// the move.
-    fn stamp(&mut self, field: &InterferenceField<'_>, mover: UserId, to: ServerId, commit: usize) {
-        for &s in field.scenario().coverage.servers_of(mover) {
-            self.touched[s.index()] = commit;
-        }
-        if let Some((from, _)) = field.allocation().decision(mover) {
-            self.touched[from.index()] = commit;
-        }
-        self.touched[to.index()] = commit;
+    /// Stamps a commit of `mover` from its current server to `to`: the two
+    /// rows, which it also queues for the rebuild restamp, and the
+    /// listeners of `V_m`. Call it before the field applies the move.
+    fn commit(&mut self, field: &InterferenceField<'_>, mover: UserId, to: ServerId) {
+        let from = field.allocation().server_of(mover);
+        self.stamp_rows(from.into_iter().chain([to]));
+        self.stamp_listeners(field.scenario().coverage.servers_of(mover).iter().copied());
+        self.reordered.extend(from);
+        self.reordered.push(to);
     }
 }
 
@@ -930,6 +1069,43 @@ mod tests {
         assert_same_outcome(&got, &want, "metro-sized");
         assert!(got.converged);
         assert!(got.scans < want.scans, "{} scans vs {} without skipping", got.scans, want.scans);
+    }
+
+    /// The rebuild restamp covers every row a rebuild changes: after a game
+    /// on a freshly built field, every channel whose occupant order or power
+    /// sum differs from a rebuild of the final profile belongs to a server
+    /// that [`QuietPlayers::field_rebuilt`] stamps past every record.
+    #[test]
+    fn rebuild_restamp_covers_every_row_a_rebuild_changes() {
+        let mut changed = 0usize;
+        for seed in 0..100u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let inst = Instance::small(&mut rng);
+            let (radio, scenario) = (&inst.problem.radio, &inst.problem.scenario);
+            let field = InterferenceField::from_allocation(radio, scenario, &inst.covered);
+            let players = inst.players(&mut rng);
+            let mut quiet = QuietPlayers::new(scenario);
+            let outcome = IddeUGame::default().run_restricted_with(field, &players, &mut quiet);
+            let rebuilt = InterferenceField::from_allocation(
+                radio,
+                scenario,
+                &outcome.field.allocation().clone(),
+            );
+            let newest = quiet.quiet_since.iter().copied().max().unwrap_or(0);
+            quiet.field_rebuilt();
+            for s in scenario.server_ids() {
+                for x in scenario.servers[s.index()].channels() {
+                    let (a, b) = (&outcome.field, &rebuilt);
+                    if a.occupants(s, x) != b.occupants(s, x)
+                        || a.channel_power(s, x).to_bits() != b.channel_power(s, x).to_bits()
+                    {
+                        assert!(quiet.rows[s.index()] > newest, "seed {seed}: ({s}, {x})");
+                        changed += 1;
+                    }
+                }
+            }
+        }
+        assert!(changed > 0, "no rebuild changed a row");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod problem;
 pub mod strategy;
 
 pub use delivery::{evict_useless_replicas, DeliveryConfig, DeliveryOutcome, GreedyDelivery};
-pub use game::{AcceptanceRule, BenefitModel, GameConfig, GameOutcome, IddeUGame};
+pub use game::{AcceptanceRule, BenefitModel, GameConfig, GameOutcome, IddeUGame, QuietPlayers};
 pub use iddeg::{IddeG, IddeGReport};
 pub use metrics::Metrics;
 pub use nash::is_nash_equilibrium;

@@ -13,7 +13,8 @@
 //! flushed on its own). A flush computes a **dirty set** — the arrivals and
 //! movers plus every allocated user within cross-interference range of the
 //! affected neighbourhood — and runs best-response passes restricted to that set
-//! ([`IddeUGame::run_restricted`]); frozen users keep their decisions but
+//! ([`IddeUGame::run_restricted_with`], against quiet-player records the
+//! engine carries across repairs); frozen users keep their decisions but
 //! still exert interference, so the repair converges to a *restricted* Nash
 //! equilibrium. Residual staleness (users outside the dirty set whose best
 //! response changed transitively) is bounded by periodic **checkpoints**: a
@@ -28,7 +29,7 @@ use idde_audit::{AuditReport, Auditor};
 use idde_cache::{audit_cache, CacheConfig, CacheLayer, Observation};
 use idde_core::{
     evict_useless_replicas, DeliveryConfig, GameConfig, GreedyDelivery, IddeUGame, Problem,
-    Strategy,
+    QuietPlayers, Strategy,
 };
 use idde_dist::{DistConfig, DistCounters, InstallDemand};
 use idde_model::units::Milliseconds;
@@ -71,8 +72,10 @@ pub struct EngineConfig {
     pub drift_threshold: f64,
     /// Ticks between drift checkpoints; `0` disables checkpointing.
     pub checkpoint_interval: u64,
-    /// Run `InterferenceField::consistency_check` after every repair
-    /// (expensive; meant for tests).
+    /// After every repair, run `InterferenceField::consistency_check` and
+    /// re-run the repair's game with fresh quiet records, asserting the
+    /// same profile, power sums and counters, and no fewer scans than the
+    /// carried records took (expensive; meant for tests).
     pub paranoid: bool,
     /// Run a full invariant audit ([`Engine::run_audit`]) every N events;
     /// `0` disables auditing. When enabled, every converged restricted
@@ -203,7 +206,8 @@ pub struct Engine {
     /// place instead of allocating, sorting and deduping a fresh
     /// `Vec<UserId>` on every repair.
     dirty_scratch: Vec<UserId>,
-    /// Server-neighbourhood scratch backing [`Engine::dirty_union`].
+    /// Server-neighbourhood scratch backing [`Engine::dirty_union`] and a
+    /// flushed mover's pre-flush coverage.
     near_scratch: Vec<ServerId>,
     /// Gain-refresh candidate scratch threaded through every mobility
     /// event's restricted column refresh.
@@ -212,6 +216,10 @@ pub struct Engine {
     /// `from_allocation` rebuild reuses the previous field's flat CSR
     /// buffers instead of reallocating them.
     field_buffers: idde_radio::FieldBuffers,
+    /// Quiet-player records carried across every repair of the engine's
+    /// life: each change a scan could read stamps or clears them as the
+    /// table in `idde_core::game` (§ Quiet-player skipping) lays out.
+    quiet: QuietPlayers,
 }
 
 impl Engine {
@@ -230,7 +238,12 @@ impl Engine {
             .filter(|(_, &a)| a)
             .map(|(j, _)| UserId(j as u32))
             .collect();
-        let outcome = IddeUGame::new(config.game).run_restricted(problem.field(), &active_ids);
+        let mut quiet = QuietPlayers::new(&problem.scenario);
+        let outcome = IddeUGame::new(config.game).run_restricted_with(
+            problem.field(),
+            &active_ids,
+            &mut quiet,
+        );
         let allocation = outcome.field.into_allocation();
         let delivery = GreedyDelivery::new(config.delivery).run_from(&problem, &allocation, None);
         let base_graph = problem.topology.graph().clone();
@@ -263,6 +276,7 @@ impl Engine {
             near_scratch: Vec::new(),
             gain_scratch: Vec::new(),
             field_buffers: idde_radio::FieldBuffers::default(),
+            quiet,
         };
         // The initial placement install is the first bulk round: nothing
         // holds anything yet, so every demand seeds from the cloud.
@@ -530,6 +544,7 @@ impl Engine {
             return;
         }
         self.active[user.index()] = true;
+        self.quiet.forget(user);
         self.metrics.arrivals += 1;
         self.pending.dirty_users.push(user);
         self.pending.placement_dirty = true;
@@ -546,12 +561,15 @@ impl Engine {
         let old = self.allocation.set(user, None);
         self.active[user.index()] = false;
         self.metrics.departures += 1;
-        self.pending
-            .dirty_servers
-            .extend_from_slice(self.problem.scenario.coverage.servers_of(user));
+        let covering = self.problem.scenario.coverage.servers_of(user);
+        self.pending.dirty_servers.extend_from_slice(covering);
         if let Some((server, _)) = old {
             self.pending.dirty_servers.push(server);
+            // It leaves its row and the guard of every server covering it.
+            self.quiet.stamp_rows([server]);
+            self.quiet.stamp_listeners(covering.iter().copied());
         }
+        self.quiet.forget(user);
         self.pending.placement_dirty = true;
         self.pending.len += 1;
     }
@@ -597,6 +615,9 @@ impl Engine {
         let moved = std::mem::take(&mut self.pending.moved);
         for &(user, _) in &moved {
             let j = user.index();
+            let old_cover = &mut self.near_scratch;
+            old_cover.clear();
+            old_cover.extend_from_slice(self.problem.scenario.coverage.servers_of(user));
             {
                 let scenario = &mut self.problem.scenario;
                 scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
@@ -604,13 +625,26 @@ impl Engine {
             let here = self.problem.scenario.users[j].position;
             debug_assert!(self.problem.scenario.area.contains(here));
             self.refresh_gains(user, here);
-            // Constraint (1): a decision whose server no longer covers the
-            // user is infeasible and must be released before the flush
-            // rebuilds the field.
-            if let Some((server, _)) = self.allocation.decision(user) {
-                if !self.problem.scenario.coverage.covers(server, user) {
-                    self.allocation.set(user, None);
-                }
+            self.quiet.forget(user);
+            let Some((server, _)) = self.allocation.decision(user) else { continue };
+            let (old_cover, new_cover) =
+                (&self.near_scratch, self.problem.scenario.coverage.servers_of(user));
+            if self.problem.scenario.coverage.covers(server, user) {
+                // Kept: the new gain column feeds the cross term of every
+                // user its server covers; the coverage change edits the
+                // listener sets of `V_old Δ V_new`.
+                let left = old_cover.iter().filter(|s| new_cover.binary_search(s).is_err());
+                let entered = new_cover.iter().filter(|s| old_cover.binary_search(s).is_err());
+                self.quiet.stamp_rows([server]);
+                self.quiet.stamp_listeners(left.chain(entered).copied());
+            } else {
+                // Constraint (1): a decision whose server no longer covers
+                // the user is infeasible and must be released before the
+                // flush rebuilds the field. It leaves its row and the guards
+                // that read it, those of its pre-flush covering servers.
+                self.quiet.stamp_rows([server]);
+                self.quiet.stamp_listeners(old_cover.iter().copied());
+                self.allocation.set(user, None);
             }
         }
         self.repair_dirty(Admit::Allocated);
@@ -783,6 +817,7 @@ impl Engine {
             Event::ServerDown { server } => self.server_down(server, owner),
             Event::ServerRestore { server } => {
                 self.metrics.restorations += counted;
+                self.quiet.clear();
                 let scenario = &mut self.problem.scenario;
                 scenario.coverage.enable_server(&scenario.servers[server.index()], &scenario.users);
                 // The server returns empty-handed; subsequent repairs and
@@ -793,6 +828,7 @@ impl Engine {
     }
 
     fn server_down(&mut self, server: ServerId, owner: bool) {
+        self.quiet.clear();
         // Halo mirrors on the server go with it. Only a non-owner holds
         // any: a shard's halo never contains its own servers.
         let mirrored: Vec<UserId> =
@@ -863,6 +899,7 @@ impl Engine {
             return;
         }
         self.problem.radio.set_jamming(server, floor_w);
+        self.quiet.stamp_rows([server]);
         self.metrics.jam_events += 1;
         // Everyone the jammed server covers sees a different Eq. 2/Eq. 12
         // trade-off now; let them re-evaluate.
@@ -874,6 +911,7 @@ impl Engine {
             return;
         }
         self.problem.radio.set_jamming(server, 0.0);
+        self.quiet.stamp_rows([server]);
         self.metrics.restorations += 1;
         self.repair_covered_by(server);
     }
@@ -982,16 +1020,37 @@ impl Engine {
             &self.allocation,
             std::mem::take(&mut self.field_buffers),
         );
+        self.quiet.field_rebuilt();
         let game = IddeUGame::new(self.config.game);
-        let outcome = game.run_restricted(field, dirty);
-        if self.config.paranoid {
+        let reference = self.config.paranoid.then(|| field.clone());
+        let outcome = game.run_restricted_with(field, dirty, &mut self.quiet);
+        if let Some(reference) = reference {
             assert!(
                 outcome.field.consistency_check(),
                 "interference field inconsistent after restricted repair"
             );
+            // The carried quiet records must not change the repair: the
+            // same game with fresh records reaches the same profile, with
+            // the same power sums, scanning at least as often.
+            let fresh = game.run_restricted(reference, dirty);
+            assert_eq!(
+                (outcome.passes, outcome.moves, outcome.converged),
+                (fresh.passes, fresh.moves, fresh.converged),
+                "carried quiet records changed a repair"
+            );
+            assert_eq!(outcome.field.allocation(), fresh.field.allocation());
+            for s in self.problem.scenario.server_ids() {
+                for x in self.problem.scenario.servers[s.index()].channels() {
+                    let (a, b) = (&outcome.field, &fresh.field);
+                    assert_eq!(a.occupants(s, x), b.occupants(s, x), "channel ({s}, {x})");
+                    assert_eq!(a.channel_power(s, x).to_bits(), b.channel_power(s, x).to_bits());
+                }
+            }
+            assert!(outcome.scans <= fresh.scans, "{} > {} scans", outcome.scans, fresh.scans);
         }
         self.metrics.repairs += 1;
         self.metrics.repair_moves += outcome.moves as u64;
+        self.metrics.repair_scans += outcome.scans as u64;
         self.metrics.timings.equilibrium += started.elapsed();
         // Phase #1 postcondition: a converged restricted repair claims no
         // dirty player holds a committable deviation — certify exactly that.
@@ -1145,6 +1204,7 @@ impl Engine {
         self.metrics.timings.checkpoint += started.elapsed();
         if fall_back {
             self.allocation = outcome.field.into_allocation();
+            self.quiet.clear();
             self.repair_placement();
         }
         drift
@@ -1168,15 +1228,30 @@ impl Engine {
     /// move is pending, so the stored position's derived state is already
     /// synchronised. The feasibility check still runs.
     pub fn set_position(&mut self, user: UserId, position: Point) {
+        self.sync_position(user, position);
+    }
+
+    /// [`Engine::set_position`], returning whether the stored position
+    /// changed. A user that moves is forgotten by the quiet records; a
+    /// decision that moves, and with it any it releases, clears them all,
+    /// as a halo change does (a release needs a move: the coverage rows are
+    /// current).
+    fn sync_position(&mut self, user: UserId, position: Point) -> bool {
         let j = user.index();
         let scenario = &mut self.problem.scenario;
         let target = scenario.area.clamp(position);
         let stored = scenario.users[j].position;
         debug_assert_eq!(self.pending.len, 0, "set_position with deferred work pending");
-        if (target.x.to_bits(), target.y.to_bits()) != (stored.x.to_bits(), stored.y.to_bits()) {
+        let moved =
+            (target.x.to_bits(), target.y.to_bits()) != (stored.x.to_bits(), stored.y.to_bits());
+        if moved {
             scenario.users[j].position = target;
             scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
             self.refresh_gains(user, target);
+            self.quiet.forget(user);
+            if self.allocation.decision(user).is_some() {
+                self.quiet.clear();
+            }
         }
         if let Some((server, _)) = self.allocation.decision(user) {
             if !self.problem.scenario.coverage.covers(server, user) {
@@ -1184,6 +1259,7 @@ impl Engine {
                 self.overlay.retain(|&(u, _, _)| u != user);
             }
         }
+        moved
     }
 
     /// Replaces the halo overlay wholesale with `entries`, each a
@@ -1195,23 +1271,30 @@ impl Engine {
     /// dropped rather than installed. Each entry goes through
     /// [`Engine::set_position`], so a refresh re-synchronises coverage and
     /// gains only for the mirrors whose position moved; an unmoved mirror
-    /// costs its decision write alone.
+    /// costs its decision write alone. A refresh that installs the same
+    /// mirrors at the same positions keeps the quiet records; any other
+    /// clears them.
     pub fn set_overlay(&mut self, entries: &[(UserId, Point, ServerId, ChannelIndex)]) {
-        for (user, _, _) in std::mem::take(&mut self.overlay) {
+        let old = std::mem::take(&mut self.overlay);
+        for &(user, _, _) in &old {
             self.allocation.set(user, None);
         }
+        let mut moved = false;
         for &(user, position, server, channel) in entries {
             debug_assert!(
                 !self.active[user.index()],
                 "halo mirror for {user} collides with a locally active slot"
             );
-            self.set_position(user, position);
+            moved |= self.sync_position(user, position);
             if !self.problem.scenario.coverage.covers(server, user) {
                 debug_assert!(false, "halo mirror {user}@{server} is out of coverage");
                 continue;
             }
             self.allocation.set(user, Some((server, channel)));
             self.overlay.push((user, server, channel));
+        }
+        if moved || self.overlay != old {
+            self.quiet.clear();
         }
     }
 
@@ -1226,6 +1309,7 @@ impl Engine {
             return false;
         }
         self.allocation.set(user, None);
+        self.quiet.clear();
         true
     }
 
@@ -2139,5 +2223,245 @@ mod tests {
         assert!(cache.counters().outage_evictions > 0);
         let report = e.run_audit();
         assert!(report.is_clean(), "{report}");
+    }
+
+    /// One tick of every event kind over `e`'s scenario: moves long enough
+    /// to leave coverage, departures, arrivals, requests, jams, unjams,
+    /// outages, restorations and link faults. Users in `mirrors` never
+    /// appear, so they stay free to mirror.
+    fn storm_tick(e: &Engine, rng: &mut ChaCha8Rng, mirrors: &[UserId]) -> Vec<Event> {
+        use rand::Rng;
+        let (m, n) = (e.active().len(), e.problem().scenario.num_servers());
+        let links = e.base_graph().links();
+        (0..rng.gen_range(5..40))
+            .map(|_| {
+                let user = UserId::from_index(rng.gen_range(0..m));
+                let server = ServerId::from_index(rng.gen_range(0..n));
+                let link = links[rng.gen_range(0..links.len())];
+                match rng.gen_range(0..80) {
+                    0..=39 => Event::Move {
+                        user,
+                        dx: rng.gen_range(-400.0..400.0),
+                        dy: rng.gen_range(-400.0..400.0),
+                    },
+                    40..=51 => Event::Depart { user },
+                    52..=63 => Event::Arrive { user },
+                    64..=69 => Event::Request { user, data: DataId(0) },
+                    70..=71 => Event::Jam { server, floor_w: rng.gen_range(1e-9..1e-6) },
+                    72..=73 => Event::Unjam { server },
+                    74 => Event::ServerDown { server },
+                    75 => Event::ServerRestore { server },
+                    76 => Event::LinkDown { a: link.a, b: link.b },
+                    77 => Event::LinkRestore { a: link.a, b: link.b },
+                    _ => {
+                        Event::LinkDegrade { a: link.a, b: link.b, factor: rng.gen_range(0.2..0.9) }
+                    }
+                }
+            })
+            .filter(|event| event.user().is_none_or(|u| !mirrors.contains(&u)))
+            .collect()
+    }
+
+    /// A random point well inside `server`'s coverage disc.
+    fn point_near(e: &Engine, server: ServerId, rng: &mut ChaCha8Rng) -> Point {
+        use rand::Rng;
+        let scenario = &e.problem().scenario;
+        let server = &scenario.servers[server.index()];
+        let r = 0.9 * server.coverage_radius_m / 2f64.sqrt();
+        let (dx, dy) = (rng.gen_range(-r..r), rng.gen_range(-r..r));
+        scenario.area.clamp(Point::new(server.position.x + dx, server.position.y + dy))
+    }
+
+    /// Halo mirrors of `mirrors`, each on a random channel of a random live
+    /// server.
+    fn mirror_entries(
+        e: &Engine,
+        rng: &mut ChaCha8Rng,
+        mirrors: &[UserId],
+    ) -> Vec<(UserId, Point, ServerId, ChannelIndex)> {
+        use rand::Rng;
+        let scenario = &e.problem().scenario;
+        let live: Vec<ServerId> =
+            scenario.server_ids().filter(|&s| scenario.coverage.is_enabled(s)).collect();
+        mirrors
+            .iter()
+            .map(|&user| {
+                let server = live[rng.gen_range(0..live.len())];
+                let channel = rng.gen_range(0..scenario.servers[server.index()].num_channels);
+                (user, point_near(e, server, rng), server, ChannelIndex(channel))
+            })
+            .collect()
+    }
+
+    /// The oracle of the carried quiet records: the same engine with its
+    /// records cleared before every repair.
+    ///
+    /// Under `paranoid`, every repair also runs the game on the same field
+    /// with fresh records and asserts the same profile, power sums and
+    /// counters in no more scans, so each flush at batch 64 is compared
+    /// too. At batch 1 a lockstep reference engine, cleared before every
+    /// event (each event runs at most one repair), must hold the same
+    /// allocation after every event and end with the same CSV. The drive
+    /// fires every event kind, out-of-coverage releases, checkpoint
+    /// fallbacks (also of a capped re-solve that adopts a profile short of
+    /// equilibrium), `set_position` on active users, and halo overlays
+    /// that are replaced, re-installed unchanged, moved, or lose a mirror.
+    #[test]
+    fn carried_quiet_records_match_records_cleared_before_every_repair() {
+        use rand::Rng;
+        // A repair over every active user tests each record the engine
+        // carries right after the change that should have voided it.
+        fn settle(e: &mut Engine, fresh: bool) {
+            if fresh {
+                e.quiet.clear();
+            }
+            let all = e.active_users();
+            e.repair(&all);
+        }
+        // The third drive caps the game at one pass and adopts every
+        // checkpoint's re-solve, which then stops short of equilibrium.
+        for (batch, max_passes, drift_threshold) in
+            [(1, 10_000, 0.0), (64, 10_000, 0.0), (1, 1, -1.0)]
+        {
+            let problem = small_problem(29);
+            let m = problem.scenario.num_users();
+            let config = EngineConfig {
+                game: GameConfig { max_passes, ..Default::default() },
+                paranoid: true,
+                batch,
+                checkpoint_interval: 4,
+                drift_threshold,
+                ..Default::default()
+            };
+            // `engine`'s activity pattern: every fourth slot starts idle,
+            // so the first eight of those can mirror.
+            let mut e = Engine::new(problem, config, (0..m).map(|j| j % 4 != 0).collect());
+            let mirrors: Vec<UserId> = (0..8).map(|k| UserId::from_index(4 * k)).collect();
+            let mut reference = e.clone();
+            let mut rng = ChaCha8Rng::seed_from_u64(batch + max_passes as u64);
+            let (mut releases, mut entries) = (0usize, Vec::new());
+            for tick in 0..80 {
+                // Halo: new mirrors, the same again, moved, one stripped.
+                let cover = &e.problem().scenario.coverage;
+                entries.retain(|m: &(UserId, Point, ServerId, ChannelIndex)| cover.is_enabled(m.2));
+                let mut stripped = None;
+                match tick % 4 {
+                    0 => entries = mirror_entries(&e, &mut rng, &mirrors),
+                    2 => {
+                        for entry in &mut entries {
+                            entry.1 = point_near(&e, entry.2, &mut rng);
+                        }
+                    }
+                    3 => stripped = entries.pop().map(|m| m.0),
+                    _ => {}
+                }
+                // Active users teleported by hand, near or far.
+                let mut teleports = Vec::new();
+                for _ in 0..3 {
+                    let user = UserId::from_index(rng.gen_range(0..m));
+                    let p = e.problem().scenario.users[user.index()].position;
+                    let r = if rng.gen_bool(0.5) { 40.0 } else { 300.0 };
+                    let to = Point::new(p.x + rng.gen_range(-r..r), p.y + rng.gen_range(-r..r));
+                    if e.active()[user.index()] {
+                        teleports.push((user, to));
+                    }
+                }
+                for x in [&mut e, &mut reference] {
+                    match stripped {
+                        Some(mirror) => assert!(x.strip_overlay_user(mirror)),
+                        None => x.set_overlay(&entries),
+                    }
+                    for &(user, to) in &teleports {
+                        x.set_position(user, to);
+                    }
+                }
+                settle(&mut e, false);
+                if batch == 1 {
+                    settle(&mut reference, true);
+                    assert_eq!(e.allocation(), reference.allocation(), "halo at {tick}");
+                }
+                let events = storm_tick(&e, &mut rng, &mirrors);
+                let before = e.allocation().clone();
+                if batch == 1 {
+                    for event in &events {
+                        e.apply(event);
+                        reference.quiet.clear();
+                        reference.apply(event);
+                        assert_eq!(e.allocation(), reference.allocation(), "{event:?}");
+                        let (got, want) = (e.metrics(), reference.metrics());
+                        assert!(got.repair_scans <= want.repair_scans);
+                    }
+                } else {
+                    e.apply_batch(&events);
+                }
+                let cover = &e.problem().scenario.coverage;
+                releases += before
+                    .iter()
+                    .filter(|(u, d)| d.is_some_and(|(s, _)| !cover.covers(s, *u)))
+                    .count();
+                e.end_tick(tick);
+                settle(&mut e, false);
+                if batch == 1 {
+                    reference.end_tick(tick);
+                    settle(&mut reference, true);
+                    assert_eq!(e.allocation(), reference.allocation(), "checkpoint at {tick}");
+                }
+            }
+            let metrics = e.metrics();
+            if batch == 1 {
+                assert_eq!(metrics.to_csv(), reference.metrics().to_csv());
+            }
+            let fired = [
+                metrics.arrivals,
+                metrics.departures,
+                metrics.moves,
+                metrics.requests,
+                metrics.jam_events,
+                metrics.restorations,
+                metrics.server_outages,
+                metrics.link_faults,
+                metrics.fallbacks,
+                releases as u64,
+            ];
+            assert!(fired.iter().all(|&n| n > 0), "batch {batch}: {fired:?}");
+            let report = e.run_audit();
+            assert!(report.is_clean(), "{report}");
+        }
+    }
+
+    /// At paper scale (125 servers, 816 users, 5 items) under the default
+    /// churn, carried records skip pass-1 scans the per-repair records
+    /// cannot: strictly fewer scans, same trajectory.
+    #[test]
+    fn carried_quiet_records_save_scans_on_paper_scale_churn() {
+        use crate::workload::{WorkloadConfig, WorkloadGenerator};
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let scenario = SyntheticEua::default().sample(125, 816, 5, &mut rng);
+        let problem = Problem::standard(scenario, &mut rng);
+        let mut workload = WorkloadGenerator::new(WorkloadConfig::default(), 5, 1);
+        let initial = workload.initial_active(problem.scenario.num_users());
+        let mut e = Engine::new(problem, EngineConfig::default(), initial);
+        let mut reference = e.clone();
+        let mut queue = EventQueue::new();
+        for tick in 0..8 {
+            workload.push_tick(tick, e.active(), &mut queue);
+            while let Some(scheduled) = queue.pop() {
+                e.apply(&scheduled.event);
+                reference.quiet.clear();
+                reference.apply(&scheduled.event);
+                assert_eq!(e.allocation(), reference.allocation());
+            }
+            e.end_tick(tick);
+            reference.end_tick(tick);
+        }
+        let (got, want) = (e.metrics(), reference.metrics());
+        assert_eq!(got.to_csv(), want.to_csv());
+        assert!(got.repairs > 100, "{} repairs", got.repairs);
+        assert!(
+            got.repair_scans < want.repair_scans,
+            "{} scans carried, {} cleared",
+            got.repair_scans,
+            want.repair_scans
+        );
     }
 }

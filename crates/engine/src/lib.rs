@@ -13,7 +13,8 @@
 //!   hot-set rotation, diurnal waves, seeded flash crowds);
 //! * [`engine`] — the serving loop: **incremental equilibrium repair**
 //!   (restricted best-response over the dirty set of each churn event, via
-//!   [`idde_core::IddeUGame::run_restricted`]) and **incremental placement
+//!   [`idde_core::IddeUGame::run_restricted_with`] against quiet-player
+//!   records carried across repairs) and **incremental placement
 //!   repair** (eviction of dead replicas plus Eq. 17 greedy re-insertion),
 //!   with periodic drift checkpoints that fall back to a full re-solve and
 //!   an optional on-path caching layer ([`idde_cache::CacheLayer`]) whose

@@ -94,6 +94,9 @@ pub struct ServeMetrics {
     pub repairs: u64,
     /// Best-response moves performed inside repairs.
     pub repair_moves: u64,
+    /// Player scans performed inside repairs (quiet players skipped). Not a
+    /// CSV row: it measures work, which the CSV schema predates.
+    pub repair_scans: u64,
     /// Placement repair passes (eviction + greedy insertion).
     pub placement_repairs: u64,
     /// Replicas evicted by placement repair.
@@ -229,6 +232,7 @@ const ROWS: [Section; 3] = [
         Row(Some("cloud_served"), Count(Sum, |m| &mut m.cloud_served)),
         Row(Some("repairs"), Count(Sum, |m| &mut m.repairs)),
         Row(Some("repair_moves"), Count(Sum, |m| &mut m.repair_moves)),
+        Row(None, Count(Sum, |m| &mut m.repair_scans)),
         Row(Some("placement_repairs"), Count(Sum, |m| &mut m.placement_repairs)),
         Row(Some("evicted_replicas"), Count(Sum, |m| &mut m.evicted_replicas)),
         Row(Some("new_replicas"), Count(Sum, |m| &mut m.new_replicas)),
@@ -424,9 +428,10 @@ impl ServeMetrics {
         let _ = writeln!(out, "R_avg:        {:.2} MB/s over active users", self.average_rate());
         let _ = writeln!(
             out,
-            "repairs:      {} equilibrium ({} moves), {} placement (+{} / -{} replicas)",
+            "repairs:      {} equilibrium ({} moves, {} scans), {} placement (+{} / -{} replicas)",
             self.repairs,
             self.repair_moves,
+            self.repair_scans,
             self.placement_repairs,
             self.new_replicas,
             self.evicted_replicas

@@ -709,4 +709,37 @@ mod tests {
         let report = router.run_audit();
         assert!(report.is_clean(), "{report}");
     }
+
+    /// Carried quiet records at K = 2. Every shard engine is `paranoid`, so
+    /// each repair is also run on the same field with fresh records (the
+    /// engine with its records cleared before every repair) and must reach
+    /// the same profile and power sums in no more scans. Halo refreshes,
+    /// mirror strips and handoffs stamp or clear the records in between;
+    /// an outage and its restoration ride along.
+    #[test]
+    fn two_shard_serve_keeps_carried_quiet_records_exact() {
+        let p = problem(29, 12, 40);
+        let cfg = WorkloadConfig { move_probability: 0.9, max_step_m: 300.0, ..Default::default() };
+        let mut workload = WorkloadGenerator::new(cfg, 4, 5);
+        let initial = workload.initial_active(p.scenario.num_users());
+        let config = EngineConfig { paranoid: true, audit_every: 10, ..Default::default() };
+        let mut router = ShardRouter::new(p, config, 2, initial).unwrap();
+        let (mut queue, mut mirrored) = (EventQueue::new(), 0);
+        for tick in 0..60 {
+            match tick {
+                20 => queue.push(tick, Event::ServerDown { server: ServerId(3) }),
+                35 => queue.push(tick, Event::ServerRestore { server: ServerId(3) }),
+                _ => {}
+            }
+            workload.push_tick(tick, router.active(), &mut queue);
+            let events: Vec<ScheduledEvent> = std::iter::from_fn(|| queue.pop()).collect();
+            router.tick(tick, &events);
+            mirrored += router.engines().iter().map(|e| e.engine().overlay().len()).sum::<usize>();
+        }
+        assert!(router.handoffs() > 0 && mirrored > 0, "{} handoffs", router.handoffs());
+        let metrics = router.metrics();
+        assert!(metrics.repair_scans > 0 && metrics.server_outages == 1);
+        assert_eq!(metrics.audit_violations + metrics.certificate_violations, 0);
+        assert!(router.run_audit().is_clean());
+    }
 }

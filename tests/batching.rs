@@ -4,13 +4,15 @@
 //! `tests/golden_serve.rs`.)
 //!
 //! * Across batch sizes {1, 7, 64, whole-tick}: user positions are
-//!   bitwise equal (per-step clamping happens at ingest time), activity
-//!   flags, the coverage relation and the ingest-time counters (events,
-//!   arrivals, departures, moves, requests) all agree, the interference
-//!   field of every replay passes the from-scratch consistency check, and
-//!   a full invariant audit is clean. Equilibrium-derived gauges (repair
-//!   counts, drift) may legitimately differ — a union repair is one game,
-//!   not N.
+//!   bitwise equal (per-step clamping happens at ingest time); activity
+//!   flags, the coverage relation, the ingest-time counters (events,
+//!   arrivals, departures, moves, requests) and the fault counters
+//!   (outages, jams, restorations) all agree; the interference field of
+//!   every replay passes the from-scratch consistency check; and a full
+//!   invariant audit is clean. Equilibrium-derived gauges (repair counts,
+//!   drift) may legitimately differ — a union repair is one game, not N.
+//! * Every replay is `paranoid`, so each repair is also checked against
+//!   the same game with fresh quiet records, outage clears included.
 
 use idde::engine::Event;
 use idde::prelude::*;
@@ -26,7 +28,8 @@ fn problem(seed: u64) -> Problem {
 
 /// A scripted flood: `ticks` slices of `per_tick` events drawn from a
 /// seeded generator — churn-heavy, with occasional requests and
-/// infrastructure faults (both of which are flush barriers).
+/// infrastructure faults (jams, unjams, server outages and restorations),
+/// all of which are flush barriers.
 fn flood(seed: u64, ticks: usize, per_tick: usize, users: u32, servers: u32) -> Vec<Vec<Event>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..ticks)
@@ -34,7 +37,8 @@ fn flood(seed: u64, ticks: usize, per_tick: usize, users: u32, servers: u32) -> 
             (0..per_tick)
                 .map(|_| {
                     let user = UserId(rng.gen_range(0..users));
-                    match rng.gen_range(0..20u32) {
+                    let server = ServerId(rng.gen_range(0..servers));
+                    match rng.gen_range(0..22u32) {
                         0..=11 => Event::Move {
                             user,
                             dx: rng.gen_range(-300.0..300.0),
@@ -43,11 +47,10 @@ fn flood(seed: u64, ticks: usize, per_tick: usize, users: u32, servers: u32) -> 
                         12..=14 => Event::Depart { user },
                         15..=16 => Event::Arrive { user },
                         17 => Event::Request { user, data: DataId(0) },
-                        18 => Event::Jam {
-                            server: ServerId(rng.gen_range(0..servers)),
-                            floor_w: rng.gen_range(1e-9..1e-6),
-                        },
-                        _ => Event::Unjam { server: ServerId(rng.gen_range(0..servers)) },
+                        18 => Event::Jam { server, floor_w: rng.gen_range(1e-9..1e-6) },
+                        19 => Event::Unjam { server },
+                        20 => Event::ServerDown { server },
+                        _ => Event::ServerRestore { server },
                     }
                 })
                 .collect()
@@ -105,6 +108,11 @@ proptest! {
                 (ma.events, ma.arrivals, ma.departures, ma.moves, ma.requests),
                 (mb.events, mb.arrivals, mb.departures, mb.moves, mb.requests),
                 "ingest counters differ at batch {}", batch
+            );
+            prop_assert_eq!(
+                (ma.server_outages, ma.jam_events, ma.restorations),
+                (mb.server_outages, mb.jam_events, mb.restorations),
+                "fault counters differ at batch {}", batch
             );
             let field = idde_radio::InterferenceField::from_allocation(
                 &batched.problem().radio,
