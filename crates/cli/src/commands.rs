@@ -10,7 +10,10 @@ use idde_cache::{CacheConfig, PolicyKind};
 use idde_chaos::FaultSpec;
 use idde_core::Problem;
 use idde_dist::{DistConfig, StrategyKind};
-use idde_engine::{DriftProfile, Engine, EngineConfig, WorkloadConfig, WorkloadGenerator};
+use idde_engine::{
+    DriftProfile, Engine, EngineConfig, EventSource, ServeMetrics, WorkloadConfig,
+    WorkloadGenerator,
+};
 use idde_eua::{SampleConfig, SyntheticEua};
 use idde_model::{io as scenario_io, Scenario};
 use idde_net::{generate_topology, TopologyConfig};
@@ -78,15 +81,7 @@ fn generate(
     seed: u64,
     out: Option<&Path>,
 ) -> Result<(), String> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let population = SyntheticEua::default().generate(&mut rng);
-    if population.num_server_sites() < servers {
-        return Err(format!(
-            "the base population has {} server sites; --servers {servers} is too large",
-            population.num_server_sites()
-        ));
-    }
-    let scenario = SampleConfig::paper(servers, users, data).sample(&population, &mut rng);
+    let scenario = sample_scenario(&SyntheticEua::default(), servers, users, data, seed)?;
     let text = scenario_io::to_string(&scenario);
     match out {
         Some(path) => {
@@ -316,54 +311,66 @@ fn ledger_table(ledger: &idde_bench::ledger::Ledger) -> String {
     out
 }
 
-/// Loads a scenario file (`Some`) or samples a synthetic one (`None`).
-/// `scale` enlarges the synthetic base geography to `(sites, user_sites)`
-/// density-preservingly (see [`SyntheticEua::scaled`]); `None` keeps the
-/// default 125-site EUA extract.
-fn load_or_sample_scenario(
-    scenario: &Option<Option<std::path::PathBuf>>,
+/// Samples a synthetic scenario of `servers` servers, `users` users and
+/// `data` items from `base`'s population, all draws from one `seed`.
+fn sample_scenario(
+    base: &SyntheticEua,
     servers: usize,
     users: usize,
     data: usize,
-    scale: Option<(usize, usize)>,
     seed: u64,
 ) -> Result<Scenario, String> {
-    match scenario {
-        Some(path) => read_scenario(path.as_deref()),
-        None => {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let gen = match scale {
-                Some((sites, user_sites)) => SyntheticEua::scaled(sites, user_sites)
-                    .map_err(|e| format!("invalid scaled geography: {e}"))?,
-                None => SyntheticEua::default(),
-            };
-            let population = gen.generate(&mut rng);
-            if population.num_server_sites() < servers {
-                return Err(format!(
-                    "the base population has {} server sites; --servers {servers} is too large \
-                     (use --scale-servers to enlarge the geography)",
-                    population.num_server_sites()
-                ));
-            }
-            Ok(SampleConfig::paper(servers, users, data).sample(&population, &mut rng))
-        }
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let population = base.generate(&mut rng);
+    if population.num_server_sites() < servers {
+        return Err(format!(
+            "the base population has {} server sites; --servers {servers} is too large",
+            population.num_server_sites()
+        ));
     }
+    Ok(SampleConfig::paper(servers, users, data).sample(&population, &mut rng))
 }
 
-fn serve(opts: ServeOptions) -> Result<(), String> {
-    let base = SyntheticEua::default();
-    let scale = match (opts.scale_servers, opts.scale_users) {
-        (None, None) => None,
-        (s, u) => Some((s.unwrap_or(base.num_servers), u.unwrap_or(base.num_users))),
+/// What [`run_serve`] hands back for printing: the merged metrics, the
+/// wall time of the serve loop and, for a `--shards` serve, the
+/// cross-shard audit tallies `(audits, checks, violations)` with the
+/// router's handoff count.
+pub struct Served {
+    pub metrics: ServeMetrics,
+    pub elapsed: Duration,
+    pub cross: Option<((u64, u64, u64), u64)>,
+}
+
+/// `idde serve` up to its output: builds the scenario, problem, engine
+/// config, workload and fault plan, serves them through the monolithic
+/// engine or the `--shards` router and ends with the final audit. Set-up
+/// notes and the final audit report go to stderr as they happen.
+pub fn run_serve(opts: &ServeOptions) -> Result<Served, String> {
+    let workload = match opts.workload.as_str() {
+        "drift" => WorkloadConfig { drift: DriftProfile::drifting(), ..WorkloadConfig::default() },
+        _ => WorkloadConfig::default(),
     };
-    let scenario = load_or_sample_scenario(
-        &opts.scenario,
-        opts.servers,
-        opts.users,
-        opts.data,
-        scale,
-        opts.seed,
-    )?;
+    serve_workload(opts, workload)
+}
+
+/// [`run_serve`] over any workload, not only the two `--workload` selects.
+pub fn serve_workload(opts: &ServeOptions, workload: WorkloadConfig) -> Result<Served, String> {
+    let scenario = match &opts.scenario {
+        Some(path) => read_scenario(path.as_deref())?,
+        None => {
+            let default = SyntheticEua::default();
+            let base = match (opts.scale_servers, opts.scale_users) {
+                (None, None) => default,
+                (s, u) => SyntheticEua::scaled(
+                    s.unwrap_or(default.num_servers),
+                    u.unwrap_or(default.num_users),
+                )
+                .map_err(|e| format!("invalid scaled geography: {e}"))?,
+            };
+            sample_scenario(&base, opts.servers, opts.users, opts.data, opts.seed)
+                .map_err(|e| format!("{e} (use --scale-servers to enlarge the geography)"))?
+        }
+    };
     let num_data = scenario.num_data();
     if num_data == 0 {
         return Err("serve needs a scenario with at least one data item".into());
@@ -392,11 +399,7 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
     if record_dist {
         eprintln!("delivery: {} bulk distribution over the surviving topology", opts.delivery);
     }
-    let workload_config = match opts.workload.as_str() {
-        "drift" => WorkloadConfig { drift: DriftProfile::drifting(), ..WorkloadConfig::default() },
-        _ => WorkloadConfig::default(),
-    };
-    let mut workload = WorkloadGenerator::new(workload_config, num_data, opts.seed);
+    let mut workload = WorkloadGenerator::new(workload, num_data, opts.seed);
     let initial = workload.initial_active(problem.scenario.num_users());
 
     // Compile the fault plan against the healthy topology; scheduled fault
@@ -404,40 +407,36 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
     // workload (faults first within a tick). The engine's `base_graph` is a
     // clone of `problem.topology.graph()`, so compiling here is identical.
     let mut plan = match &opts.chaos {
-        Some(spec) => {
-            let plan = FaultSpec::parse(spec)
+        Some(spec) => Some(
+            FaultSpec::parse(spec)
                 .and_then(|s| s.compile(problem.topology.graph()))
-                .map_err(|e| format!("--chaos: {e}"))?;
-            eprintln!(
-                "chaos: {} fault windows, {} scheduled events",
-                plan.windows().len(),
-                plan.len()
-            );
-            Some(plan)
-        }
+                .map_err(|e| format!("--chaos: {e}"))?,
+        ),
         None => None,
     };
+    let mut sources: Vec<&mut dyn EventSource> = Vec::new();
+    if let Some(plan) = plan.as_mut() {
+        let (windows, events) = (plan.windows().len(), plan.len());
+        eprintln!("chaos: {windows} fault windows, {events} scheduled events");
+        sources.push(plan);
+    }
+    sources.push(&mut workload);
 
     // `--shards K` serves through the sharded router; otherwise the
-    // monolithic engine. Both paths end with a final audit (when enabled)
-    // and the same metrics rendering, so `--shards 1` output is
-    // byte-identical to the unsharded serve.
-    let (metrics, elapsed, cross) = match opts.shards {
+    // monolithic engine. Both paths end with a final audit (when enabled),
+    // so `--shards 1` output is byte-identical to the unsharded serve. One
+    // final audit catches anything the periodic cadence missed (e.g. state
+    // touched after the last audited event).
+    match opts.shards {
         None => {
             let mut engine = Engine::new(problem, config, initial);
             let t0 = Instant::now();
-            match plan.as_mut() {
-                Some(plan) => engine.run_sources(&mut [plan, &mut workload], opts.ticks),
-                None => engine.run(&mut workload, opts.ticks),
-            }
+            engine.run_sources(&mut sources, opts.ticks);
             let elapsed = t0.elapsed();
-            // One final audit catches anything the periodic cadence missed
-            // (e.g. state touched after the last audited event).
             if opts.audit > 0 {
-                let report = engine.run_audit();
-                eprint!("final {report}");
+                eprint!("final {}", engine.run_audit());
             }
-            (engine.metrics().clone(), elapsed, None)
+            Ok(Served { metrics: engine.metrics().clone(), elapsed, cross: None })
         }
         Some(k) => {
             let mut router = ShardRouter::new(problem, config, k, initial)
@@ -448,20 +447,19 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
                 (0..k).map(|s| router.plan().halo(s).len()).collect::<Vec<_>>()
             );
             let t0 = Instant::now();
-            match plan.as_mut() {
-                Some(plan) => router.run_sources(&mut [plan, &mut workload], opts.ticks),
-                None => router.run(&mut workload, opts.ticks),
-            }
+            router.run_sources(&mut sources, opts.ticks);
             let elapsed = t0.elapsed();
             if opts.audit > 0 {
-                let report = router.run_audit();
-                eprint!("final {report}");
+                eprint!("final {}", router.run_audit());
             }
-            let stats = router.cross_audit_stats();
-            (router.metrics(), elapsed, Some((stats, router.handoffs())))
+            let cross = Some((router.cross_audit_stats(), router.handoffs()));
+            Ok(Served { metrics: router.metrics(), elapsed, cross })
         }
-    };
+    }
+}
 
+fn serve(opts: ServeOptions) -> Result<(), String> {
+    let Served { metrics, elapsed, cross } = run_serve(&opts)?;
     if let Some(((audits, checks, violations), handoffs)) = cross {
         // Cross-shard accounting stays out of the CSV (its schema is
         // shard-count independent); CI greps this stderr line instead.
@@ -485,19 +483,16 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
         }
         None => print!("{}", metrics.render_table(elapsed)),
     }
-    let violations = metrics.audit_violations + metrics.certificate_violations;
-    if violations > 0 {
+    if metrics.audit_violations + metrics.certificate_violations > 0 {
         return Err(format!(
             "audit failed: {} invariant violations and {} certificate deviations over {} audits",
             metrics.audit_violations, metrics.certificate_violations, metrics.audits
         ));
     }
-    if let Some(((audits, _, cross_violations), _)) = cross {
-        if cross_violations > 0 {
-            return Err(format!(
-                "cross-shard audit failed: {cross_violations} violations over {audits} audits"
-            ));
-        }
+    if let Some(((audits, _, cross_violations @ 1..), _)) = cross {
+        return Err(format!(
+            "cross-shard audit failed: {cross_violations} violations over {audits} audits"
+        ));
     }
     Ok(())
 }
@@ -515,7 +510,10 @@ fn chaos_dry_run(
     density: f64,
     net_seed: u64,
 ) -> Result<(), String> {
-    let scenario = load_or_sample_scenario(&scenario, servers, users, data, None, seed)?;
+    let scenario = match scenario {
+        Some(path) => read_scenario(path.as_deref())?,
+        None => sample_scenario(&SyntheticEua::default(), servers, users, data, seed)?,
+    };
     let problem = build_problem(scenario, density, net_seed);
     let plan = FaultSpec::parse(spec)
         .and_then(|s| s.compile(problem.topology.graph()))
@@ -566,6 +564,7 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::serve_options;
 
     /// Reads the integer value of `key` out of a `metric,value` CSV,
     /// panicking with the missing row's name (and the full CSV) instead of
@@ -605,122 +604,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The serve CSV `run_serve` returns for an `idde serve` command line.
+    fn serve_csv(line: &str) -> String {
+        run_serve(&serve_options(line)).unwrap().metrics.to_csv()
+    }
+
     #[test]
     fn serve_writes_deterministic_csv() {
         let dir = std::env::temp_dir().join("idde-cli-serve-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str| -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 8,
-                users: 30,
-                data: 3,
-                scale_servers: None,
-                scale_users: None,
-                seed: 42,
-                ticks: 10,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 5,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit: 0,
-                chaos: None,
-                shards: None,
-                batch: 1,
-                cache: PolicyKind::Off,
-                delivery: StrategyKind::Unicast,
-                workload: "steady".into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
-        };
-        let first = run("a.csv");
-        let second = run("b.csv");
-        assert_eq!(first, second, "serve CSV must be byte-identical per seed");
-        assert!(first.starts_with("metric,value\n"));
-        assert!(first.contains("ticks,10\n"));
+        let path = dir.join("serve.csv");
+        let line = "serve --servers 8 --users 30 --data 3 --seed 42 --ticks 10 --checkpoint 5";
+        serve(serve_options(&format!("{line} --csv {}", path.display()))).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        let returned = serve_csv(line);
+        assert_eq!(written, returned, "--csv PATH must write the CSV run_serve returns");
+        assert_eq!(returned, serve_csv(line), "serve CSV must be byte-identical per seed");
+        assert!(written.starts_with("metric,value\n"));
+        assert!(written.contains("ticks,10\n"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn audited_serve_passes_and_lands_in_the_csv() {
-        let dir = std::env::temp_dir().join("idde-cli-audit-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("audited.csv");
-        serve(ServeOptions {
-            scenario: None,
-            servers: 8,
-            users: 30,
-            data: 3,
-            scale_servers: None,
-            scale_users: None,
-            seed: 42,
-            ticks: 10,
-            density: 1.0,
-            net_seed: 1,
-            checkpoint: 5,
-            drift: 0.05,
-            csv: Some(Some(path.clone())),
-            audit: 10,
-            chaos: None,
-            shards: None,
-            batch: 1,
-            cache: PolicyKind::Off,
-            delivery: StrategyKind::Unicast,
-            workload: "steady".into(),
-        })
-        .unwrap();
-        let csv = std::fs::read_to_string(&path).unwrap();
+        let csv = serve_csv(
+            "serve --servers 8 --users 30 --data 3 --seed 42 --ticks 10 --checkpoint 5 --audit 10",
+        );
         assert!(csv.contains("audit_violations,0\n"), "{csv}");
         assert!(csv.contains("certificate_violations,0\n"), "{csv}");
         // At least the periodic audits plus the final one ran.
         let audits = csv_metric(&csv, "audits");
         assert!(audits >= 2, "expected periodic + final audits, got {audits}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_serve_matches_monolithic_at_one_shard_and_audits_at_four() {
-        let dir = std::env::temp_dir().join("idde-cli-shard-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, shards: Option<usize>, audit: u64| -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 12,
-                users: 40,
-                data: 4,
-                scale_servers: None,
-                scale_users: None,
-                seed: 42,
-                ticks: 20,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 10,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit,
-                chaos: None,
-                shards,
-                batch: 1,
-                cache: PolicyKind::Off,
-                delivery: StrategyKind::Unicast,
-                workload: "steady".into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
+        let run = |shards: &str| {
+            serve_csv(&format!(
+                "serve --servers 12 --users 40 --data 4 --seed 42 --ticks 20 --checkpoint 10 \
+                 --audit 25 {shards}"
+            ))
         };
         // The migration-safety contract: one shard is the monolithic engine.
-        let mono = run("mono.csv", None, 25);
-        let one = run("one.csv", Some(1), 25);
-        assert_eq!(mono, one, "--shards 1 must match the unsharded serve byte for byte");
+        let mono = run("");
+        assert_eq!(mono, run("--shards 1"), "--shards 1 must match the unsharded serve");
         // A multi-shard audited serve stays violation-free.
-        let four = run("four.csv", Some(4), 25);
+        let four = run("--shards 4");
         assert!(four.contains("audit_violations,0\n"), "{four}");
         assert!(four.contains("certificate_violations,0\n"), "{four}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `--cache`/`--workload` plumbing end to end: a cached drift serve
@@ -728,51 +659,23 @@ mod tests {
     /// CSV without any `cache_*` row, byte-identical across runs.
     #[test]
     fn cached_drift_serve_reports_traffic_and_off_is_the_identity() {
-        let dir = std::env::temp_dir().join("idde-cli-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, cache: PolicyKind, workload: &str| -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 12,
-                users: 50,
-                data: 6,
-                scale_servers: None,
-                scale_users: None,
-                seed: 42,
-                ticks: 40,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 20,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit: 25,
-                chaos: None,
-                shards: None,
-                batch: 1,
-                cache,
-                delivery: StrategyKind::Unicast,
-                workload: workload.into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
+        let run = |cache: &str| {
+            serve_csv(&format!(
+                "serve --servers 12 --users 50 --data 6 --seed 42 --ticks 40 --checkpoint 20 \
+                 --audit 25 --workload drift --cache {cache}"
+            ))
         };
-        let cached = run("cached.csv", PolicyKind::ProbCache, "drift");
+        let cached = run("probcache");
         let hits = csv_metric(&cached, "cache_hits");
         let insertions = csv_metric(&cached, "cache_insertions");
         assert!(insertions > 0, "the drift workload must drive admissions:\n{cached}");
         assert!(hits > 0, "cached items must be re-served:\n{cached}");
         assert!(cached.contains("audit_violations,0\n"), "{cached}");
 
-        let off = run("off.csv", PolicyKind::Off, "drift");
+        let off = run("off");
         assert!(!off.contains("cache_"), "--cache off must not emit cache rows:\n{off}");
-        assert_eq!(
-            off,
-            run("off2.csv", PolicyKind::Off, "drift"),
-            "off serve must be deterministic"
-        );
+        assert_eq!(off, run("off"), "off serve must be deterministic");
         assert_ne!(off, cached, "the cache must actually change served latencies");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `--shards K --batch N` compose: the batch size is wired through the
@@ -782,43 +685,18 @@ mod tests {
     /// batched run is deterministic and audit-clean.
     #[test]
     fn sharded_batched_serve_composes_and_pins_the_identity() {
-        let dir = std::env::temp_dir().join("idde-cli-shard-batch-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, shards: Option<usize>, batch: u64| -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 12,
-                users: 40,
-                data: 4,
-                scale_servers: None,
-                scale_users: None,
-                seed: 42,
-                ticks: 20,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 10,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit: 25,
-                chaos: None,
-                shards,
-                batch,
-                cache: PolicyKind::Off,
-                delivery: StrategyKind::Unicast,
-                workload: "steady".into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
+        let run = |shards: &str| {
+            serve_csv(&format!(
+                "serve --servers 12 --users 40 --data 4 --seed 42 --ticks 20 --checkpoint 10 \
+                 --audit 25 --batch 8 {shards}"
+            ))
         };
-        let mono = run("mono-b8.csv", None, 8);
-        let one = run("one-b8.csv", Some(1), 8);
-        assert_eq!(mono, one, "--shards 1 --batch 8 must match the unsharded batched serve");
-        let multi = run("three-b8.csv", Some(3), 8);
-        assert_eq!(multi, run("three-b8-again.csv", Some(3), 8), "must be deterministic");
+        let mono = run("");
+        assert_eq!(mono, run("--shards 1"), "--shards 1 --batch 8 must match the unsharded serve");
+        let multi = run("--shards 3");
+        assert_eq!(multi, run("--shards 3"), "must be deterministic");
         assert!(multi.contains("audit_violations,0\n"), "{multi}");
         assert!(multi.contains("certificate_violations,0\n"), "{multi}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `--delivery` plumbing end to end: the strategy only decides how
@@ -829,46 +707,18 @@ mod tests {
     /// violation-free.
     #[test]
     fn steiner_delivery_is_placement_invariant_across_seeds_and_shards() {
-        let dir = std::env::temp_dir().join("idde-cli-delivery-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str,
-                   seed: u64,
-                   delivery: StrategyKind,
-                   shards: Option<usize>,
-                   audit: u64|
-         -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 12,
-                users: 40,
-                data: 4,
-                scale_servers: None,
-                scale_users: None,
-                seed,
-                ticks: 25,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 10,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit,
-                // An outage storm: the post-fault re-replications are the
-                // bulk rounds the strategies actually disagree on.
-                chaos: Some("rand:2022:2:1:1@15+6".into()),
-                shards,
-                batch: 1,
-                cache: PolicyKind::Off,
-                delivery,
-                workload: "steady".into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
+        // An outage storm: the post-fault re-replications are the bulk
+        // rounds the strategies actually disagree on.
+        let run = |seed: u64, flags: &str| {
+            serve_csv(&format!(
+                "serve --servers 12 --users 40 --data 4 --seed {seed} --ticks 25 --checkpoint 10 \
+                 --chaos rand:2022:2:1:1@15+6 {flags}"
+            ))
         };
 
         for seed in [1, 42] {
-            let unicast = run("u.csv", seed, StrategyKind::Unicast, None, 0);
-            let steiner = run("s.csv", seed, StrategyKind::Steiner, None, 0);
+            let unicast = run(seed, "--delivery unicast");
+            let steiner = run(seed, "--delivery steiner");
             assert!(!unicast.contains("dist_"), "unicast CSV must stay byte-frozen:\n{unicast}");
             assert!(
                 steiner.starts_with(&unicast),
@@ -880,15 +730,14 @@ mod tests {
 
         // Same contract through the sharded router (rebalancing handoffs
         // and per-shard repairs all flow through the same bulk path).
-        let unicast = run("u2.csv", 42, StrategyKind::Unicast, Some(2), 0);
-        let steiner = run("s2.csv", 42, StrategyKind::Steiner, Some(2), 0);
+        let unicast = run(42, "--delivery unicast --shards 2");
+        let steiner = run(42, "--delivery steiner --shards 2");
         assert!(steiner.starts_with(&unicast), "sharded steiner must only append dist rows");
 
         // Audited steiner serves re-derive every plan and stay clean.
-        let audited = run("sa.csv", 42, StrategyKind::Steiner, None, 25);
+        let audited = run(42, "--delivery steiner --audit 25");
         assert!(audited.contains("audit_violations,0\n"), "{audited}");
-        assert_eq!(audited, run("sa2.csv", 42, StrategyKind::Steiner, None, 25));
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(audited, run(42, "--delivery steiner --audit 25"));
     }
 
     #[test]
@@ -963,66 +812,17 @@ mod tests {
 
     #[test]
     fn chaos_serve_counts_faults_and_stays_deterministic() {
-        let dir = std::env::temp_dir().join("idde-cli-chaos-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str| -> String {
-            let path = dir.join(name);
-            serve(ServeOptions {
-                scenario: None,
-                servers: 10,
-                users: 40,
-                data: 6,
-                scale_servers: None,
-                scale_users: None,
-                seed: 42,
-                ticks: 30,
-                density: 1.0,
-                net_seed: 1,
-                checkpoint: 10,
-                drift: 0.05,
-                csv: Some(Some(path.clone())),
-                audit: 25,
-                chaos: Some("rand:2022:2:1:1@20+8".into()),
-                shards: None,
-                batch: 1,
-                cache: PolicyKind::Off,
-                delivery: StrategyKind::Unicast,
-                workload: "steady".into(),
-            })
-            .unwrap();
-            std::fs::read_to_string(path).unwrap()
-        };
-        let first = run("a.csv");
-        assert_eq!(first, run("b.csv"), "chaos serve must be byte-identical per seed");
+        let line = "serve --servers 10 --users 40 --data 6 --seed 42 --ticks 30 --checkpoint 10 \
+                    --audit 25 --chaos rand:2022:2:1:1@20+8";
+        let first = serve_csv(line);
+        assert_eq!(first, serve_csv(line), "chaos serve must be byte-identical per seed");
         let outages = csv_metric(&first, "server_outages");
         assert_eq!(outages, 1, "the random batch schedules one outage:\n{first}");
         assert!(first.contains("audit_violations,0\n"), "{first}");
-        std::fs::remove_dir_all(&dir).ok();
 
         // A malformed spec is a clean CLI error, not a panic.
-        let err = serve(ServeOptions {
-            scenario: None,
-            servers: 8,
-            users: 30,
-            data: 3,
-            scale_servers: None,
-            scale_users: None,
-            seed: 42,
-            ticks: 5,
-            density: 1.0,
-            net_seed: 1,
-            checkpoint: 5,
-            drift: 0.05,
-            csv: None,
-            audit: 0,
-            chaos: Some("meteor:3@4".into()),
-            shards: None,
-            batch: 1,
-            cache: PolicyKind::Off,
-            delivery: StrategyKind::Unicast,
-            workload: "steady".into(),
-        })
-        .unwrap_err();
+        let malformed = "serve --servers 8 --users 30 --data 3 --ticks 5 --chaos meteor:3@4";
+        let err = run_serve(&serve_options(malformed)).err().expect("a malformed spec fails");
         assert!(err.contains("--chaos"), "{err}");
     }
 
@@ -1041,11 +841,15 @@ mod tests {
     #[test]
     fn scaled_geography_lifts_the_site_cap() {
         // `--servers` beyond the 125-site extract fails on the default
-        // geography and points at the fix …
-        let err = load_or_sample_scenario(&None, 200, 100, 2, None, 1).unwrap_err();
+        // geography and points `serve` at the fix …
+        let oversize = "serve --servers 200 --users 100 --data 2 --seed 1 --ticks 1";
+        let err = run_serve(&serve_options(oversize)).err().expect("200 sites exceed 125");
         assert!(err.contains("--scale-servers"), "{err}");
-        // … and succeeds once the base population is scaled up.
-        let s = load_or_sample_scenario(&None, 200, 150, 2, Some((300, 400)), 1).unwrap();
+        // … which `chaos` does not accept, so its error does not name it …
+        let err = chaos_dry_run("server:1@1+1", None, 200, 100, 2, 1, 1.0, 1).unwrap_err();
+        assert!(err.contains("is too large") && !err.contains("--scale-servers"), "{err}");
+        // … and sampling succeeds once the base population is scaled up.
+        let s = sample_scenario(&SyntheticEua::scaled(300, 400).unwrap(), 200, 150, 2, 1).unwrap();
         assert_eq!(s.num_servers(), 200);
         assert_eq!(s.num_users(), 150);
         assert!(s.validate().is_ok());
