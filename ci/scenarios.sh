@@ -12,8 +12,8 @@
 # directory so local runs never dirty the working tree.
 #
 # The golden serves under ci/golden/ are compared byte for byte, with the
-# rows that show their machinery fired, by the golden table in
-# crates/cli/src/golden.rs, which `cargo test` runs. This script keeps the
+# rows that show their machinery fired, by the golden serve tests in
+# crates/cli/tests/golden_serve.rs, which `cargo test` runs. This script keeps the
 # serves without a golden, the 2000-server scale golden, the golden runs at
 # RAYON_NUM_THREADS=1 and the contracts that compare two runs.
 set -euo pipefail

@@ -564,7 +564,17 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::serve_options;
+    use crate::args::parse;
+
+    /// The options of an `idde serve` command line (whitespace-separated,
+    /// no shell quoting).
+    fn serve_options(line: &str) -> ServeOptions {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        match parse(&argv) {
+            Ok(Command::Serve(opts)) => opts,
+            other => panic!("{line:?} is not a serve command: {other:?}"),
+        }
+    }
 
     /// Reads the integer value of `key` out of a `metric,value` CSV,
     /// panicking with the missing row's name (and the full CSV) instead of

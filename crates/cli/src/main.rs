@@ -15,8 +15,6 @@ use std::process::ExitCode;
 
 mod args;
 mod commands;
-#[cfg(test)]
-mod golden;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -1,34 +1,35 @@
-//! The golden serve table: every `ci/golden/*.csv` serve except the
-//! 2 000-server `serve_scale.csv`, compared byte for byte.
+//! The golden serves: every `ci/golden/*.csv` serve except the 2 000-server
+//! `serve_scale.csv`, compared byte for byte, one test per golden.
 //!
-//! A case is either an `idde serve` command line, parsed by
-//! [`args::parse`](crate::args::parse) and run through [`run_serve`], or an
-//! engine-level serve that no `idde serve` flags reproduce. Its `fired`
-//! rows show that the machinery under test ran: `row,>0` needs a positive
-//! value, any other entry must appear as a whole CSV line. Every case must
-//! also end audit- and certificate-clean, and a sharded case must keep its
-//! cross-shard audit clean and, if its users move, hand some across the
-//! shard cut.
+//! A case is either an `idde serve` command line, parsed by `args::parse`
+//! and run in memory through `run_serve`, or an engine-level serve that no
+//! `idde serve` flags reproduce. Its `fired` rows show that the machinery
+//! under test ran: `row,>0` needs a positive value, any other entry must
+//! appear as a whole CSV line. Every case must also end audit- and
+//! certificate-clean, and a sharded case must keep its cross-shard audit
+//! clean and, if its users move, hand some across the shard cut.
 //!
 //! The engine-level cases pin the one ingestion path's dirty-set rules at
 //! `batch == 1`, each against CSVs recorded when per-event serving was a
 //! separate hand-written path, so each breaks under one wrong rule:
 //!
-//! * `churn`, a monolithic churn serve, pins the churn neighbourhood (the
-//!   seeds' vacated and current covering servers);
-//! * `handoff`, a two-shard serve with cut-crossing handoffs, pins that
-//!   churn flushes admit *allocated* users only: shard engines hold active
-//!   users that only foreign servers cover, so they stay unallocated;
-//! * `storm`, a dense `rand:` fault storm, pins that fault repairs also
-//!   admit *unallocated* users covered near the fault;
-//! * `read_only`, a two-shard serve of drifting requests only under an
-//!   LCE cache, Steiner installs and server outages, re-installs every halo
-//!   mirror at the position it already holds, tick after tick; it pins
-//!   that a halo refresh of unmoved mirrors leaves every shard as it was.
+//! * `serve_churn.csv`, a monolithic churn serve, pins the churn
+//!   neighbourhood (the seeds' vacated and current covering servers);
+//! * `serve_handoff.csv`, a two-shard serve with cut-crossing handoffs,
+//!   pins that churn flushes admit *allocated* users only: shard engines
+//!   hold active users that only foreign servers cover, so they stay
+//!   unallocated;
+//! * `serve_storm.csv`, a dense `rand:` fault storm, pins that fault
+//!   repairs also admit *unallocated* users covered near the fault;
+//! * `serve_read_only.csv`, a two-shard serve of drifting requests only
+//!   under an LCE cache, Steiner installs and server outages, re-installs
+//!   every halo mirror at the position it already holds, tick after tick;
+//!   it pins that a halo refresh of unmoved mirrors leaves every shard as
+//!   it was.
 //!
 //! The first three draw their topology from the sampler's continuing RNG
-//! (the CLI seeds it apart), and `read_only`'s request-only workload is
-//! none that `--workload` selects.
+//! (the CLI seeds it apart), and the read-only storm's request-only
+//! workload is none that `--workload` selects.
 //!
 //! `serve_scale.csv` stays in `ci/scenarios.sh scale`: its serve takes
 //! about 40 s in a debug build on two cores. A golden changes only on
@@ -45,12 +46,12 @@ use idde_shard::ShardRouter;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::args::{parse, Command, ServeOptions};
-use crate::commands::{run_serve, serve_workload, Served};
+use idde_cli::args::{parse, Command, ServeOptions};
+use idde_cli::commands::{run_serve, serve_workload, Served};
 
 /// The options of an `idde serve` command line (whitespace-separated, no
 /// shell quoting).
-pub fn serve_options(line: &str) -> ServeOptions {
+fn serve_options(line: &str) -> ServeOptions {
     let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
     match parse(&argv) {
         Ok(Command::Serve(opts)) => opts,
@@ -68,7 +69,6 @@ enum Run {
 }
 
 struct Case {
-    name: &'static str,
     run: Run,
     /// The golden CSV, relative to the repository root.
     golden: &'static str,
@@ -76,21 +76,27 @@ struct Case {
     fired: &'static [&'static str],
 }
 
-const CASES: &[Case] = &[
-    Case {
-        name: "b1",
+#[test]
+fn batch_one_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli("serve --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --batch 1"),
         golden: "ci/golden/serve_b1.csv",
         fired: &[],
-    },
-    Case {
-        name: "k2",
+    });
+}
+
+#[test]
+fn two_shard_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli("serve --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --shards 2"),
         golden: "ci/golden/serve_k2.csv",
         fired: &[],
-    },
-    Case {
-        name: "chaos",
+    });
+}
+
+#[test]
+fn chaos_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli(
             "serve --servers 15 --users 70 --data 10 --seed 7 --ticks 200 --audit 25 \
              --chaos rand:2022:2:1:1@120+50",
@@ -102,33 +108,45 @@ const CASES: &[Case] = &[
             "re_replications,>0",
             "cloud_fallback_requests,>0",
         ],
-    },
-    Case {
-        name: "het",
+    });
+}
+
+#[test]
+fn heterogeneous_channel_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli("serve --scenario ci/golden/serve_het.idde --seed 7 --ticks 200 --audit 50"),
         golden: "ci/golden/serve_het.csv",
         fired: &["certificates,>0"],
-    },
-    Case {
-        name: "cache",
+    });
+}
+
+#[test]
+fn probcache_drift_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli(
             "serve --servers 20 --users 100 --data 6 --seed 7 --ticks 150 --audit 50 \
              --cache probcache --workload drift",
         ),
         golden: "ci/golden/serve_cache.csv",
         fired: &["cache_hits,>0", "cache_insertions,>0", "cache_evictions,>0"],
-    },
-    Case {
-        name: "composed",
+    });
+}
+
+#[test]
+fn composed_sharded_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli(
             "serve --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --shards 3 --batch 8 \
              --cache lce --delivery steiner --audit 50 --chaos rand:2022:2:1:1@60+25",
         ),
         golden: "ci/golden/serve_composed.csv",
         fired: &["server_outages,1", "cache_hits,>0", "dist_tree_installs,>0"],
-    },
-    Case {
-        name: "dist",
+    });
+}
+
+#[test]
+fn steiner_chaos_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Cli(
             "serve --servers 15 --users 70 --data 10 --seed 7 --ticks 200 --audit 25 \
              --chaos rand:2022:2:1:1@120+50 --delivery steiner",
@@ -140,32 +158,44 @@ const CASES: &[Case] = &[
             "dist_replicas,>0",
             "dist_delay_violations,0",
         ],
-    },
-    Case {
-        name: "churn",
+    });
+}
+
+#[test]
+fn monolithic_churn_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Engine(monolithic_churn),
         golden: "ci/golden/serve_churn.csv",
         fired: &["audits,>0"],
-    },
-    Case {
-        name: "handoff",
+    });
+}
+
+#[test]
+fn two_shard_handoff_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Engine(two_shard_handoffs),
         golden: "ci/golden/serve_handoff.csv",
         fired: &["audits,>0"],
-    },
-    Case {
-        name: "storm",
+    });
+}
+
+#[test]
+fn fault_storm_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Engine(fault_storm),
         golden: "ci/golden/serve_storm.csv",
         fired: &["server_outages,8"],
-    },
-    Case {
-        name: "read_only",
+    });
+}
+
+#[test]
+fn read_only_sharded_storm_serve_matches_its_golden_csv() {
+    check(Case {
         run: Run::Engine(read_only_storm),
         golden: "ci/golden/serve_read_only.csv",
         fired: &["moves,0", "arrivals,0", "departures,0", "server_outages,2", "cache_hits,>0"],
-    },
-];
+    });
+}
 
 /// Scenario and topology drawn from one continuing RNG.
 fn sampled_problem(seed: u64, servers: usize, users: usize, data: usize) -> Problem {
@@ -274,7 +304,15 @@ fn fired(csv: &str, want: &str) -> Result<(), String> {
     }
 }
 
-fn check(case: &Case) -> Result<(), String> {
+/// Runs `case`, then panics with the golden's path and the first differing
+/// line if the CSV moved, or with the check that failed.
+fn check(case: Case) {
+    if let Err(why) = verify(&case) {
+        panic!("{}: {why}", case.golden);
+    }
+}
+
+fn verify(case: &Case) -> Result<(), String> {
     let served = match case.run {
         Run::Cli(line) => {
             let mut opts = serve_options(line);
@@ -291,10 +329,7 @@ fn check(case: &Case) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if csv != golden {
         let (line, want, got) = first_difference(&golden, &csv);
-        return Err(format!(
-            "{} differs at line {line}\n    golden: {want}\n    run:    {got}",
-            case.golden
-        ));
+        return Err(format!("differs at line {line}\n    golden: {want}\n    run:    {got}"));
     }
     for want in ["audit_violations,0", "certificate_violations,0"].iter().chain(case.fired) {
         fired(&csv, want)?;
@@ -308,13 +343,4 @@ fn check(case: &Case) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-#[test]
-fn every_golden_serve_matches_its_csv() {
-    let failures: Vec<String> = CASES
-        .iter()
-        .filter_map(|case| check(case).err().map(|why| format!("{}: {why}", case.name)))
-        .collect();
-    assert!(failures.is_empty(), "golden serves failed:\n{}", failures.join("\n"));
 }

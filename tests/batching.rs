@@ -1,7 +1,7 @@
 //! Batched-ingestion equivalence: across random churn floods the
 //! group-commit layer must honour its determinism contract at every batch
 //! size. (`--batch 1` exactness against recorded serve CSVs lives in the
-//! golden table, `crates/cli/src/golden.rs`.)
+//! golden serve tests, `crates/cli/tests/golden_serve.rs`.)
 //!
 //! * Across batch sizes {1, 7, 64, whole-tick}: user positions are
 //!   bitwise equal (per-step clamping happens at ingest time); activity
